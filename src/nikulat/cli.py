@@ -60,12 +60,19 @@ def _read_vector(args, attr="expr") -> LatticeVector:
     return parse_vector(expr)
 
 
+class UsageError(ValueError):
+    """A flag value the verb cannot use; reported with exit code 2."""
+
+
 def _budget(args) -> OrbitBudget:
-    return OrbitBudget(
-        coord_bound=args.coord_bound,
-        max_frontier=args.max_frontier,
-        max_depth=args.max_depth,
-    )
+    try:
+        return OrbitBudget(
+            coord_bound=args.coord_bound,
+            max_frontier=args.max_frontier,
+            max_depth=args.max_depth,
+        )
+    except LatticeError as exc:
+        raise UsageError(f"bad budget flags: {exc}") from exc
 
 
 def _add_budget_flags(parser, prefix="") -> None:
@@ -369,10 +376,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ExpressionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, OSError) as exc:
+    except (ExpressionError, UsageError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatticeError as exc:

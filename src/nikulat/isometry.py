@@ -10,6 +10,7 @@ invariant (square, divisibility, primitivity), never by a failed search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import intmat
 from .intmat import IntVector, Matrix
@@ -22,7 +23,9 @@ class Isometry:
 
     Construction validates Gram conservation exactly; use :func:`is_isometry`
     for the non-raising test.  ``root`` is set when the isometry is a
-    reflection, enabling the O(rank) application path used by orbit search.
+    reflection, enabling the O(support) application path used by orbit
+    search: (x, r) sums over the nonzero entries of G.r, x is returned
+    unchanged when (x, r) = 0, and otherwise only r's support is updated.
     """
 
     lattice: Lattice
@@ -44,19 +47,25 @@ class Isometry:
         return self.lattice.vector(self.apply_coords(v.coords))
 
     def apply_coords(self, x: IntVector) -> IntVector:
-        if self.root is not None:
-            c = sum(a * b for a, b in zip(self._gram_root, x))
-            return tuple(a + c * b for a, b in zip(x, self.root))
-        return intmat.matvec(self.matrix, x)
+        if self.root is None:
+            return intmat.matvec(self.matrix, x)
+        gram_root, root = self._supports
+        c = 0
+        for j, g in gram_root:
+            c += g * x[j]
+        if not c:
+            return x
+        y = list(x)
+        for i, r in root:
+            y[i] += c * r
+        return tuple(y)
 
-    @property
-    def _gram_root(self) -> IntVector:
-        cached = self.__dict__.get("_gram_root_value")
-        if cached is None:
-            assert self.root is not None
-            cached = intmat.matvec(self.lattice.gram, self.root)
-            self.__dict__["_gram_root_value"] = cached
-        return cached
+    @cached_property
+    def _supports(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+        """Nonzero entries of G.r and of r as (index, value) pairs, for a reflection."""
+        r = self.root
+        gram_root = ((i, sum(g * r[j] for j, g in row)) for i, row in enumerate(self.lattice.sparse_rows))
+        return tuple((i, c) for i, c in gram_root if c), tuple((i, c) for i, c in enumerate(r) if c)
 
     def inverse(self) -> Isometry:
         if self.root is not None:
@@ -149,13 +158,9 @@ class OrbitSet:
         if self.seed.coords not in self.member_set:
             raise LatticeError("orbit seed must be among the members")
 
-    @property
+    @cached_property
     def member_set(self) -> frozenset[IntVector]:
-        cached = self.__dict__.get("_member_set")
-        if cached is None:
-            cached = frozenset(self.members)
-            self.__dict__["_member_set"] = cached
-        return cached
+        return frozenset(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -207,7 +212,7 @@ def orbit_explore(seed: LatticeVector, gens, budget: OrbitBudget = OrbitBudget()
                 y = apply(x)
                 if y in members or y in fresh:
                     continue
-                if any(abs(c) > bound for c in y):
+                if max(y) > bound or min(y) < -bound:
                     exhausted = False
                     continue
                 fresh.add(y)
@@ -287,7 +292,7 @@ def same_orbit_witness(
         for x in sorted(frontier):
             for j, apply in enumerate(appliers):
                 y = apply(x)
-                if y in seen or any(abs(c) > bound for c in y):
+                if y in seen or max(y) > bound or min(y) < -bound:
                     continue
                 seen[y] = (x, j)
                 fresh.append(y)

@@ -66,6 +66,11 @@ class Lattice:
     def det(self) -> int:
         return intmat.det(self.gram)
 
+    @cached_property
+    def sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per Gram row, its nonzero entries as (column, value) pairs."""
+        return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram)
+
     @property
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -194,8 +199,14 @@ def direct_sum(parts: list[Lattice] | tuple[Lattice, ...], label: str | None = N
 def pair(v: LatticeVector, w: LatticeVector) -> int:
     """The bilinear pairing (v, w), exactly."""
     _same_lattice(v, w)
-    gw = intmat.matvec(v.lattice.gram, w.coords)
-    return sum(a * b for a, b in zip(v.coords, gw))
+    x, y = v.coords, w.coords
+    total = 0
+    for i, row in enumerate(v.lattice.sparse_rows):
+        xi = x[i]
+        if xi:
+            for j, g in row:
+                total += xi * g * y[j]
+    return total
 
 
 def square(v: LatticeVector) -> int:
@@ -207,7 +218,14 @@ def divisibility(v: LatticeVector) -> int:
     """Positive generator of the pairing ideal (v, L), taken in v's full ambient lattice."""
     if v.is_zero():
         raise LatticeError("divisibility of the zero vector is undefined")
-    return gcd(*intmat.matvec(v.lattice.gram, v.coords))
+    x = v.coords
+    d = 0
+    for row in v.lattice.sparse_rows:
+        gx = 0
+        for j, g in row:
+            gx += g * x[j]
+        d = gcd(d, gx)
+    return d
 
 
 def is_primitive(v: LatticeVector) -> bool:
@@ -215,11 +233,6 @@ def is_primitive(v: LatticeVector) -> bool:
     if v.is_zero():
         raise LatticeError("primitivity of the zero vector is undefined")
     return gcd(*v.coords) == 1
-
-
-def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form (left, D, right) of an integer matrix; see intmat."""
-    return intmat.smith_normal_form(intmat.freeze(m))
 
 
 def discriminant_group(lat: Lattice) -> list[int]:

@@ -27,7 +27,6 @@ from . import intmat
 from .intmat import IntVector, Matrix
 from .isometry import Isometry, reflection
 from .lattice import (
-    E8_NEG_GRAM,
     EmbeddingMap,
     Lattice,
     LatticeError,
@@ -59,7 +58,6 @@ ORBIT_CASES = (
 Y_BLOCKS = {"U1": 0, "U2": 2, "U3": 4, "E8": 6, "G1": 14, "G2": 15}
 Y_BLOCK_SIZES = {"U1": 2, "U2": 2, "U3": 2, "E8": 8, "G1": 1, "G2": 1}
 
-X_BLOCKS = {"U1": 0, "U2": 2, "U3": 4, "E8A": 6, "E8B": 14, "D": 22}
 FIX_BLOCKS = {"U1": 0, "U2": 2, "U3": 4, "E8": 6, "D": 14}
 FIX_BLOCK_SIZES = {"U1": 2, "U2": 2, "U3": 2, "E8": 8, "D": 1}
 
@@ -285,9 +283,26 @@ def star_condition(v: LatticeVector) -> StarBreakdown:
     )
 
 
+def _block_terms(lattice: Lattice, offset: int, size: int):
+    """Per block coordinate i: (G_ii, ((j, 2 G_ij) for j < i with G_ij != 0)), read
+    from the sparse Gram rows; a block vector t has square sum_i t_i (G_ii t_i + sum_j 2 G_ij t_j)."""
+    terms = []
+    for i, row in enumerate(lattice.sparse_rows[offset : offset + size]):
+        entries = {j - offset: g for j, g in row}
+        terms.append((entries.get(i, 0), tuple((j, 2 * g) for j, g in entries.items() if j < i)))
+    return tuple(terms)
+
+
+@lru_cache(maxsize=1)
+def _e8_terms():
+    model, _ = build_model()
+    return _block_terms(model.lambda_Y, Y_BLOCKS["E8"], Y_BLOCK_SIZES["E8"])
+
+
 def _e8_square(e8_part: IntVector) -> int:
     return sum(
-        e8_part[i] * E8_NEG_GRAM[i][j] * e8_part[j] for i in range(8) for j in range(8)
+        t * (diag * t + sum(g * e8_part[j] for j, g in lower))
+        for t, (diag, lower) in zip(e8_part, _e8_terms())
     )
 
 
@@ -515,23 +530,24 @@ SECOND_WINDOW = EnumerationWindow(("U1", "U2", "G1", "G2"), 2)
 
 
 def _block_table(lattice: Lattice, offset: int, size: int, bound: int):
-    """All coordinate tuples of one block with |c| <= bound, lex order, with squares."""
-    gram = tuple(tuple(lattice.gram[offset + i][offset + j] for j in range(size)) for i in range(size))
+    """All coordinate tuples of one block with |c| <= bound, lex order, with squares
+    accumulated along the recursion from the block's :func:`_block_terms`."""
+    terms = _block_terms(lattice, offset, size)
     values = range(-bound, bound + 1)
     table = []
     coords = [0] * size
 
-    def rec(i: int) -> None:
+    def rec(i: int, q: int) -> None:
         if i == size:
-            t = tuple(coords)
-            q = sum(t[a] * gram[a][b] * t[b] for a in range(size) for b in range(size))
-            table.append((t, q))
+            table.append((tuple(coords), q))
             return
+        diag, lower = terms[i]
+        cross = sum(g * coords[j] for j, g in lower)
         for v in values:
             coords[i] = v
-            rec(i + 1)
+            rec(i + 1, q + v * (diag * v + cross))
 
-    rec(0)
+    rec(0, 0)
     return table
 
 

@@ -90,6 +90,21 @@ def test_orbit_small(capsys):
     assert members == sorted(members)
 
 
+@pytest.mark.parametrize("flag", ["--coord-bound", "--max-frontier", "--max-depth"])
+def test_orbit_zero_budget_flag_exits_2(capsys, flag):
+    code, out, err = run(capsys, "orbit", "L(0)", flag, "0")
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
+def test_audit_zero_budget_flag_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "audit", "--budget-max-depth", "0", "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "budget" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_orbit_output_file(tmp_path, capsys):
     path = tmp_path / "orbit.json"
     code, out, _ = run(
