@@ -22,6 +22,7 @@ from .lattice import (
     LatticeError,
     LatticeVector,
     check_embedding,
+    coords_divisibility,
     divisibility,
     is_primitive,
     pair,
@@ -274,10 +275,10 @@ def _claim_two_orbit_dichotomy(ctx: AuditContext) -> ClaimResult:
     gens = default_generators()
     orbit_b = orbit_explore(nv.L(0), gens, ctx.budget)
     orbit_a = orbit_explore(nv.L(1) + nv.e2, gens, ctx.budget)
-    overlap = set(orbit_a.members) & set(orbit_b.members)
+    overlap = [c for c in orbit_b.members if c in orbit_a.member_set]
     lat = nv.L(0).lattice
-    pure_b = all(divisibility(lat.vector(c)) == 2 for c in orbit_b.members)
-    pure_a = all(divisibility(lat.vector(c)) == 1 for c in orbit_a.members)
+    pure_b = all(coords_divisibility(lat, c) == 2 for c in orbit_b.members)
+    pure_a = all(coords_divisibility(lat, c) == 1 for c in orbit_a.members)
     computed = {
         "window1_div_census": census1,
         "window2_div_census": census2,
@@ -292,7 +293,7 @@ def _claim_two_orbit_dichotomy(ctx: AuditContext) -> ClaimResult:
     divs_ok = set(census1) | set(census2) <= {"1", "2"} and set(census1) == {"1", "2"}
     if not (divs_ok and not overlap and pure_a and pure_b):
         computed["counter_witness"] = {
-            "overlap": sorted(list(overlap))[:3],
+            "overlap": overlap[:3],
             "censuses": [census1, census2],
         }
         return ClaimResult("two-orbit-dichotomy", REFUTED, computed)

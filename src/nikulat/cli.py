@@ -221,7 +221,7 @@ def cmd_embed(args) -> int:
             if v.lattice.gram != model.lambda_fix.gram:
                 raise LatticeError("embed --coords expects a vector of Lfix")
         else:
-            v = model.lambda_fix.vector(json.loads(args.vector))
+            v = model.lambda_fix.vector(serialize.int_list(json.loads(args.vector), "--vector"))
         image_obj = serialize.vector_to_obj(emb(emb.domain.vector(v.coords)))
     obj = {
         "variant": label,
@@ -376,7 +376,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ExpressionError, UsageError, json.JSONDecodeError, OSError) as exc:
+    except (ExpressionError, UsageError, serialize.FormatError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatticeError as exc:

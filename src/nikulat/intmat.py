@@ -141,13 +141,6 @@ def smith_decomposition(m: Matrix) -> SmithDecomposition:
             right[r][j], right[r][k] = right[r][k], right[r][j]
         right_inv[j], right_inv[k] = right_inv[k], right_inv[j]
 
-    def col_negate(j: int) -> None:
-        for r in range(nrows):
-            a[r][j] = -a[r][j]
-        for r in range(ncols):
-            right[r][j] = -right[r][j]
-        right_inv[j] = [-x for x in right_inv[j]]
-
     for t in range(min(nrows, ncols)):
         # pivot: smallest absolute nonzero entry of the trailing block
         pivot = None

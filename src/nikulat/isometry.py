@@ -5,6 +5,10 @@ here is the subgroup generated by a chosen list of reflections.  A
 breadth-first closure under such generators certifies SAME-orbit statements
 only -- two vectors are proved to lie in distinct orbits exclusively by an
 invariant (square, divisibility, primitivity), never by a failed search.
+
+Orbit closure and witness search share one generation step on packed keys
+(balanced base-(2B+1) digits, B >= every |x_i|, so integer order is lexicographic
+order and a reflection adds c.key(r)); every generator must be a reflection.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ class Isometry:
 
     Construction validates Gram conservation exactly; use :func:`is_isometry`
     for the non-raising test.  ``root`` is set when the isometry is a
-    reflection, enabling the O(support) application path used by orbit
-    search: (x, r) sums over the nonzero entries of G.r, x is returned
+    reflection, enabling the O(support) path of ``apply_coords`` and of the
+    orbit searches: (x, r) sums over the nonzero entries of G.r, x is returned
     unchanged when (x, r) = 0, and otherwise only r's support is updated.
     """
 
@@ -66,11 +70,6 @@ class Isometry:
         r = self.root
         gram_root = ((i, sum(g * r[j] for j, g in row)) for i, row in enumerate(self.lattice.sparse_rows))
         return tuple((i, c) for i, c in gram_root if c), tuple((i, c) for i, c in enumerate(r) if c)
-
-    def inverse(self) -> Isometry:
-        if self.root is not None:
-            return self  # reflections are involutions
-        return Isometry(self.lattice, intmat.invert_unimodular(self.matrix))
 
     def determinant(self) -> int:
         return intmat.det(self.matrix)
@@ -181,70 +180,115 @@ def _check_orbit_inputs(seed: LatticeVector, gens) -> None:
     for g in gens:
         if g.lattice != seed.lattice:
             raise LatticeError("generator acts on a different lattice than the seed")
+        if g.root is None:
+            raise LatticeError("orbit search generators must be reflections")
+
+
+def _pack(x: IntVector, width: int) -> int:
+    """The packed key of ``x`` (see the module docstring): Horner in base ``width``."""
+    key = 0
+    for c in x:
+        key = key * width + c
+    return key
+
+
+def _moves(gens, width: int):
+    """Per reflection: (index, support of G.r, support of r, key step of r)."""
+    return tuple((j, *g._supports, _pack(g.root, width)) for j, g in enumerate(gens))
+
+
+def _generation(frontier: dict, seen: dict, moves, bound: int, cap):
+    """One breadth-first generation on packed keys, shared by both searches.
+
+    ``frontier`` (key -> coordinates) is expanded in key order, each vector by
+    every move in generator order.  A new image inside ``bound`` is recorded as
+    ``seen[key] = generator index`` and in ``fresh``; expansion stops once
+    ``seen`` holds more than ``cap`` keys.  Returns fresh, whether an image
+    left the box, and whether the cap stopped the expansion.
+    """
+    fresh = {}
+    clipped = False
+    for key in sorted(frontier):
+        x = frontier[key]
+        usable = moves
+        if seen[key] is None and (max(x) > bound or min(x) < -bound):
+            # a witness endpoint outside the box: r's support must cover its outliers
+            out = {i for i, c in enumerate(x) if abs(c) > bound}
+            usable = [m for m in moves if out <= {i for i, _ in m[2]}]
+        for j, gram_root, root, step in usable:
+            c = 0
+            for i, g in gram_root:
+                c += g * x[i]
+            if not c:
+                continue
+            for i, r in root:
+                yi = x[i] + c * r
+                if yi > bound or yi < -bound:
+                    clipped = True
+                    break
+            else:
+                k = key + c * step
+                if k in seen:
+                    continue
+                y = list(x)
+                for i, r in root:
+                    y[i] += c * r
+                seen[k] = j
+                fresh[k] = tuple(y)
+                if len(seen) > cap:
+                    return fresh, clipped, True
+    return fresh, clipped, False
 
 
 def orbit_explore(seed: LatticeVector, gens, budget: OrbitBudget = OrbitBudget()) -> OrbitSet:
-    """Deterministic BFS closure of ``seed`` under ``gens`` within ``budget``.
+    """Deterministic BFS closure of ``seed`` under the reflections ``gens`` within ``budget``.
 
-    Each generation expands every frontier vector by every generator, then the
-    new vectors are deduplicated and sorted; if admitting all of them would
-    exceed ``max_frontier`` retained vectors, the lexicographically smallest
-    are kept and the set is marked not exhausted.  The output therefore
-    depends only on the set of generators, not on their order or on any
-    scheduling.
+    Each generation expands every frontier vector by every generator; vectors
+    are deduplicated and ordered by their packed keys (B = coord_bound).  If
+    admitting all new vectors would exceed ``max_frontier`` retained vectors,
+    the lexicographically smallest are kept and the set is marked not
+    exhausted.  The output therefore depends only on the set of generators,
+    not on their order or on any scheduling.
     """
     _check_orbit_inputs(seed, gens)
-    gens = list(gens)
     bound = budget.coord_bound
     if max(abs(c) for c in seed.coords) > bound:
         raise LatticeError("seed already exceeds the coordinate bound")
-    appliers = [g.apply_coords for g in gens]
-
-    members: set[IntVector] = {seed.coords}
-    frontier: list[IntVector] = [seed.coords]
+    moves = _moves(gens, 2 * bound + 1)
+    key = _pack(seed.coords, 2 * bound + 1)
+    # key -> coordinates, also the engine's seen map: update(fresh) overwrites its marks
+    members = {key: seed.coords}
+    frontier = {key: seed.coords}
     exhausted = True
     for _ in range(budget.max_depth):
-        if not frontier:
-            break
-        fresh: set[IntVector] = set()
-        for x in frontier:
-            for apply in appliers:
-                y = apply(x)
-                if y in members or y in fresh:
-                    continue
-                if max(y) > bound or min(y) < -bound:
-                    exhausted = False
-                    continue
-                fresh.add(y)
-        if not fresh:
-            frontier = []
-            break
-        room = budget.max_frontier - len(members)
-        if len(fresh) > room:
-            exhausted = False
-            frontier = sorted(fresh)[:max(room, 0)]
-            members.update(frontier)
-            break
-        frontier = sorted(fresh)
+        fresh, clipped, _ = _generation(frontier, members, moves, bound, float("inf"))
+        room = budget.max_frontier - len(members) + len(fresh)
+        capped = len(fresh) > room
+        if capped:
+            for k in sorted(fresh)[room:]:
+                del members[k], fresh[k]
         members.update(fresh)
-    else:
-        # depth exhausted with work left pending
-        if frontier:
-            exhausted = False
+        exhausted = exhausted and not (clipped or capped)
+        frontier = fresh
+        if capped or not frontier:
+            break
+    exhausted = exhausted and not frontier  # the depth ran out with work pending
+    del frontier, fresh
+    members = tuple(members[k] for k in sorted(members))
     _assert_orbit_invariants(seed, members)
-    return OrbitSet(seed=seed, members=tuple(sorted(members)), exhausted=exhausted)
+    return OrbitSet(seed=seed, members=members, exhausted=exhausted)
 
 
-def _assert_orbit_invariants(seed: LatticeVector, members: set[IntVector]) -> None:
+def _assert_orbit_invariants(seed: LatticeVector, members: tuple[IntVector, ...]) -> None:
     """Spot-check that members share the seed's square/divisibility/primitivity.
 
     Isometries conserve all three, so this is a defensive sample (full scan on
     small sets) rather than a per-member recomputation on million-entry sets.
+    ``members`` is the sorted member tuple.
     """
     lat = seed.lattice
     expected = (square(seed), divisibility(seed), is_primitive(seed))
-    ordered = sorted(members)
-    sample = ordered if len(ordered) <= 2048 else ordered[:: max(1, len(ordered) // 2048)]
+    sample = members if len(members) <= 2048 else members[:: max(1, len(members) // 2048)]
     for coords in sample:
         v = lat.vector(coords)
         got = (square(v), divisibility(v), is_primitive(v))
@@ -260,78 +304,60 @@ def same_orbit_witness(
     gens,
     budget: OrbitBudget = OrbitBudget(),
 ) -> list[int] | None:
-    """A word in ``gens`` carrying v to u, if one is found within budget.
+    """A word in the reflections ``gens`` carrying v to u, if one is found within budget.
 
     The word [j0, j1, ...] means gens[j0] is applied first.  Search is
-    bidirectional; absence of a witness is NOT a proof of distinct orbits,
-    merely of distance beyond the budget.
+    bidirectional on packed keys, and stops as soon as either side holds more
+    than ``max_frontier`` vectors.  The endpoints may lie outside the box, so
+    keys use B = max(coord_bound, |endpoint coordinates|).  Absence of a
+    witness is NOT a proof of distinct orbits, merely of distance beyond the
+    budget.
     """
     if v.lattice != u.lattice:
         raise LatticeError("witness search needs both vectors in one lattice")
     if not (is_primitive(v) and is_primitive(u)):
         raise LatticeError("witness search expects primitive vectors")
     _check_orbit_inputs(v, gens)
-    gens = list(gens)
     if v.coords == u.coords:
         return []
     if (square(v), divisibility(v)) != (square(u), divisibility(u)):
         return None  # invariants differ; provably distinct orbits
 
-    fwd = [g.apply_coords for g in gens]
-    bwd = [g.inverse().apply_coords for g in gens]
     bound = budget.coord_bound
+    width = 2 * max(bound, *map(abs, v.coords), *map(abs, u.coords)) + 1
+    moves = _moves(gens, width)
+    apply = [g.apply_coords for g in gens]
+    # parent maps: key -> index of the reflection that reached it (None at the root)
+    src: dict[int, int | None] = {_pack(v.coords, width): None}
+    dst: dict[int, int | None] = {_pack(u.coords, width): None}
+    src_frontier = {k: v.coords for k in src}
+    dst_frontier = {k: u.coords for k in dst}
 
-    # parent maps: coords -> (previous coords, generator index)
-    src: dict[IntVector, tuple[IntVector, int] | None] = {v.coords: None}
-    dst: dict[IntVector, tuple[IntVector, int] | None] = {u.coords: None}
-    src_frontier = [v.coords]
-    dst_frontier = [u.coords]
-
-    def expand(frontier, seen, appliers):
-        fresh = []
-        for x in sorted(frontier):
-            for j, apply in enumerate(appliers):
-                y = apply(x)
-                if y in seen or max(y) > bound or min(y) < -bound:
-                    continue
-                seen[y] = (x, j)
-                fresh.append(y)
-                if len(seen) > budget.max_frontier:
-                    return fresh, True
-        return fresh, False
-
-    def word_from(point: IntVector) -> list[int]:
-        forward: list[int] = []
-        cur = point
-        while src[cur] is not None:
-            prev, j = src[cur]  # type: ignore[misc]
-            forward.append(j)
-            cur = prev
-        forward.reverse()
-        backward: list[int] = []
-        cur = point
-        while dst[cur] is not None:
-            prev, j = dst[cur]  # type: ignore[misc]
-            backward.append(j)
-            cur = prev
-        return forward + backward
+    def path(tree: dict, key: int, x: IntVector) -> list[int]:
+        # reflections are involutions, so the recorded one leads back to the parent
+        word = []
+        while (j := tree[key]) is not None:
+            word.append(j)
+            x = apply[j](x)
+            key = _pack(x, width)
+        return word
 
     for _ in range(budget.max_depth):
         if not (src_frontier or dst_frontier):
             return None
         # expand the smaller live frontier to keep the two searches balanced
         if dst_frontier and (not src_frontier or len(src_frontier) > len(dst_frontier)):
-            dst_frontier, overflow = expand(dst_frontier, dst, bwd)
+            dst_frontier, _, overflow = _generation(dst_frontier, dst, moves, bound, budget.max_frontier)
             fresh, other = dst_frontier, src
         else:
-            src_frontier, overflow = expand(src_frontier, src, fwd)
+            src_frontier, _, overflow = _generation(src_frontier, src, moves, bound, budget.max_frontier)
             fresh, other = src_frontier, dst
-        meet = next((x for x in fresh if x in other), None)
+        meet = next((k for k in fresh if k in other), None)
         if meet is not None:
-            word = word_from(meet)
+            word = path(src, meet, fresh[meet])[::-1] + path(dst, meet, fresh[meet])
             cur = v.coords
             for j in word:
-                cur = fwd[j](cur)
+                cur = apply[j](cur)
             if cur != u.coords:
                 raise LatticeError("internal error: reconstructed word does not verify")
             return word

@@ -218,13 +218,19 @@ def divisibility(v: LatticeVector) -> int:
     """Positive generator of the pairing ideal (v, L), taken in v's full ambient lattice."""
     if v.is_zero():
         raise LatticeError("divisibility of the zero vector is undefined")
-    x = v.coords
+    return coords_divisibility(v.lattice, v.coords)
+
+
+def coords_divisibility(lat: Lattice, x: IntVector) -> int:
+    """gcd of the entries of G.x for a coordinate tuple (0 at x = 0); stops once it is 1."""
     d = 0
-    for row in v.lattice.sparse_rows:
+    for row in lat.sparse_rows:
         gx = 0
         for j, g in row:
             gx += g * x[j]
         d = gcd(d, gx)
+        if d == 1:
+            return 1
     return d
 
 

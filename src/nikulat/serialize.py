@@ -7,8 +7,9 @@ Orbit file:     {"seed": vector, "members": [vector, ...], "exhausted": bool}
 Witness file:   {"from": vector, "to": vector, "word": [generator index, ...]}
 Audit report:   [{"id": str, "status": str, "computed": {...}, "note": str}, ...]
 
-``dumps`` is canonical (sorted keys, fixed separators), so equal objects
-serialize to identical bytes.
+Readers take integers only: a float, boolean or string where an int belongs
+raises :class:`FormatError`, as does a missing key.  ``dumps`` is canonical
+(sorted keys, fixed separators), so equal objects serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -28,12 +29,25 @@ def lattice_to_obj(lat: Lattice) -> dict:
     return {"label": lat.label, "rank": lat.rank, "gram": [list(row) for row in lat.gram]}
 
 
+class FormatError(LatticeError):
+    """A JSON object of the wrong shape or value type; the CLI exits 2 on it."""
+
+
+def int_list(value: Any, what: str) -> list[int]:
+    """``value`` itself if it is a list of ints; floats, bools and strings are not coerced."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise FormatError(f"{what} must be a list of integers, got {value!r}")
+    return value
+
+
 def lattice_from_obj(obj: dict) -> Lattice:
     try:
         label, rank, gram = obj["label"], obj["rank"], obj["gram"]
     except (KeyError, TypeError) as exc:
-        raise LatticeError(f"malformed lattice object: missing {exc}") from None
-    lat = Lattice(str(label), tuple(tuple(int(x) for x in row) for row in gram))
+        raise FormatError(f"malformed lattice object: missing {exc}") from None
+    if type(rank) is not int or not isinstance(gram, list):
+        raise FormatError("lattice rank must be an integer and gram a list of rows")
+    lat = Lattice(str(label), tuple(tuple(int_list(row, "gram row")) for row in gram))
     if lat.rank != rank:
         raise LatticeError(f"lattice file says rank {rank}, Gram matrix has rank {lat.rank}")
     return lat
@@ -47,10 +61,10 @@ def vector_from_obj(obj: dict, registry: dict[str, Lattice]) -> LatticeVector:
     try:
         label, coords = obj["lattice"], obj["coords"]
     except (KeyError, TypeError) as exc:
-        raise LatticeError(f"malformed vector object: missing {exc}") from None
-    if label not in registry:
+        raise FormatError(f"malformed vector object: missing {exc}") from None
+    if not isinstance(label, str) or label not in registry:
         raise LatticeError(f"unknown lattice label {label!r}")
-    return registry[label].vector(coords)
+    return registry[label].vector(int_list(coords, "vector coords"))
 
 
 def orbit_to_obj(orbit: OrbitSet) -> dict:

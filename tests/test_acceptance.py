@@ -5,6 +5,7 @@ expected value here is exact integer arithmetic; the time limits are part of
 the criteria and are asserted.
 """
 
+import hashlib
 import random
 import time
 
@@ -23,6 +24,7 @@ from nikulat import (
     run_claim,
     square,
 )
+from nikulat import serialize
 from nikulat.intmat import det, identity, matmul, smith_decomposition
 from nikulat.lattice import E8_NEG_GRAM
 from nikulat.model import (
@@ -122,6 +124,24 @@ def test_criterion_4_two_orbit_dichotomy(model_vectors, desk_scale_run):
         f"({elapsed:.1f}s)",
         ok,
     )
+
+
+#: sha256 of the canonical orbit JSON at the default budget
+ORBIT_SHA256 = {
+    "L(0)": "a9edc3ba12e9e920726c6e7493ff98d243eb7bc9655693ad00915295c301c7e1",
+    "L(1)+e2": "6dfea2bbad328fbb84489a9e41fb45514f2b55fc5c8b9327e66cb0a7ca412892",
+}
+
+
+def test_criterion_4_default_orbits_pinned(desk_scale_run):
+    _, _, orbit_a, orbit_b, _ = desk_scale_run
+    got = {
+        name: hashlib.sha256(serialize.dumps(serialize.orbit_to_obj(orbit)).encode()).hexdigest()
+        for name, orbit in (("L(0)", orbit_b), ("L(1)+e2", orbit_a))
+    }
+    sizes = (len(orbit_b), orbit_b.exhausted, len(orbit_a), orbit_a.exhausted)
+    report(4, f"default-budget orbits {sizes} match their pinned sha256", got == ORBIT_SHA256)
+    assert sizes == (3474, False, 76064, False)
 
 
 def test_criterion_5_sigma_pairing_discriminant(model_vectors, desk_scale_run):

@@ -269,3 +269,31 @@ def test_classify_coords_malformed_json(tmp_path, capsys):
     path.write_text("{not json")
     code, _, _ = run(capsys, "classify", "--coords", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", [1.9, True, "1"])
+def test_classify_coords_non_int_exits_2(tmp_path, capsys, bad):
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps({"lattice": "LY", "coords": [bad] + [0] * 15}))
+    code, out, err = run(capsys, "classify", "--coords", str(path))
+    assert code == 2
+    assert out == "" and "integers" in err
+
+
+@pytest.mark.parametrize("bad", [1.9, True, "1"])
+def test_orbit_gens_file_non_int_exits_2(tmp_path, capsys, bad):
+    _, nv = build_model()
+    coords = list(nv.gamma1.coords)
+    coords[coords.index(1)] = bad
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps([{"lattice": "LY", "coords": coords}]))
+    code, out, _ = run(capsys, "orbit", "gamma1", "--gens-file", str(path), "--max-depth", "2")
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1"])
+def test_embed_vector_non_int_exits_2(capsys, bad):
+    code, out, _ = run(capsys, "embed", "--vector", json.dumps([0] * 14 + [bad]), "--json")
+    assert code == 2
+    assert out == ""

@@ -71,3 +71,26 @@ def test_witness_object(setup):
     _, nv = setup
     obj = serialize.witness_to_obj(nv.L(0), nv.L(0), [])
     assert obj["word"] == [] and obj["from"] == obj["to"]
+
+
+@pytest.mark.parametrize("bad", [1.9, True, "1", None])
+def test_vector_rejects_non_int_coords(bad):
+    with pytest.raises(serialize.FormatError):
+        serialize.vector_from_obj({"lattice": "LY", "coords": [bad] + [0] * 15}, lattice_registry())
+
+
+def test_vector_rejects_coords_that_are_not_a_list():
+    with pytest.raises(serialize.FormatError):
+        serialize.vector_from_obj({"lattice": "LY", "coords": "1" + "0" * 15}, lattice_registry())
+
+
+@pytest.mark.parametrize("bad", [1.5, False, "0"])
+def test_lattice_rejects_non_int_gram_entries(bad):
+    with pytest.raises(serialize.FormatError):
+        serialize.lattice_from_obj({"label": "U", "rank": 2, "gram": [[bad, 1], [1, 0]]})
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2"])
+def test_lattice_rejects_non_int_rank(bad):
+    with pytest.raises(serialize.FormatError):
+        serialize.lattice_from_obj({"label": "U", "rank": bad, "gram": [[0, 1], [1, 0]]})

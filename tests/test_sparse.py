@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from nikulat import intmat
 from nikulat.isometry import reflection
-from nikulat.lattice import E8_NEG_GRAM, Lattice, divisibility, pair, square
+from nikulat.lattice import E8_NEG_GRAM, Lattice, coords_divisibility, divisibility, pair, square
 from nikulat.model import (
     Y_BLOCK_SIZES,
     Y_BLOCKS,
@@ -69,6 +69,7 @@ def check_against_dense(lat, data):
     v, w = lat.vector(x), lat.vector(y)
     assert pair(v, w) == dense_pair(lat.gram, x, y)
     assert square(v) == dense_pair(lat.gram, x, x)
+    assert coords_divisibility(lat, x) == gcd(*intmat.matvec(lat.gram, x))
     if any(x):
         assert divisibility(v) == gcd(*intmat.matvec(lat.gram, x))
 
