@@ -31,8 +31,6 @@ from .lattice import (
 )
 from .model import (
     DEFAULT_WINDOW,
-    FIX_BLOCK_SIZES,
-    FIX_BLOCKS,
     SECOND_WINDOW,
     EnumerationWindow,
     build_model,
@@ -43,6 +41,7 @@ from .model import (
     enumerate_primitive_isotropic,
     enumerate_with_square,
     eta_embedding,
+    vector_profile,
 )
 
 VERIFIED = "Verified"
@@ -335,7 +334,6 @@ def _claim_divisibility_remark(ctx: AuditContext) -> ClaimResult:
 
 
 def _claim_third_orbit_discriminant(ctx: AuditContext) -> ClaimResult:
-    _, nv = build_model()
     checked = 0
     counterexamples = []
     parity_violations = []
@@ -343,10 +341,10 @@ def _claim_third_orbit_discriminant(ctx: AuditContext) -> ClaimResult:
         if divisibility(v) != 2:
             continue
         checked += 1
-        if pair(v, nv.SigmaY) % 4 != 0:
+        profile = vector_profile(v)
+        if profile.pair_sigma_mod4 != 0:
             counterexamples.append(_vec_obj(v))
-        k, m = v.coords[14], v.coords[15]
-        if (k - m) % 2 or any(c % 2 for c in v.coords[6:14]):
+        if not (profile.gamma_in_delta_sigma_span and profile.e8_part_div_by_2):
             parity_violations.append(_vec_obj(v))
     computed = {
         "div2_isotropic_checked": checked,
@@ -404,19 +402,15 @@ def _claim_eta_embedding(ctx: AuditContext) -> ClaimResult:
 def _fix_u_only_samples() -> tuple[LatticeVector, ...]:
     """Primitive isotropic vectors of Lfix supported on U^3 with |coords| <= 2."""
     model, _ = build_model()
-    return tuple(
-        enumerate_with_square(
-            model.lambda_fix, FIX_BLOCKS, FIX_BLOCK_SIZES, ("U1", "U2", "U3"), 2, target=0
-        )
-    )
+    return tuple(enumerate_with_square(model.lambda_fix, ("U1", "U2", "U3"), 2, target=0))
 
 
 def _fix_mixed_samples() -> tuple[tuple[str, LatticeVector], ...]:
     """Documented invariant isotropic samples with even U-part and odd E8-part."""
     model, _ = build_model()
-    b = model.lambda_fix.basis_vector
-    u = [b(i) for i in range(6)]
-    eps = [b(6 + i) for i in range(8)]
+    block = model.lambda_fix.block_basis
+    u = block("U1", "U2", "U3")
+    eps = block("E8")
     return (
         ("2*u1+2*u2+(eps1+eps3)", 2 * u[0] + 2 * u[1] + eps[0] + eps[2]),
         ("2*u1+2*u2+(eps4+eps6)", 2 * u[0] + 2 * u[1] + eps[3] + eps[5]),
@@ -548,10 +542,10 @@ def _claim_picard_sublattice_index(ctx: AuditContext) -> ClaimResult:
     full_gens = list(emb.column_vectors()) + [nv.SigmaY]
     full = saturate(lam_y, full_gens)
 
-    b = model.lambda_fix.basis_vector
-    u = [b(i) for i in range(6)]
-    eps1 = b(6)
-    alpha = b(14)
+    block = model.lambda_fix.block_basis
+    u = block("U1", "U2", "U3")
+    eps1 = block("E8")[0]
+    (alpha,) = block("D")
     samples = (
         ("u1+2*u2-alpha", u[0] + 2 * u[1] - alpha),
         ("2*u1+2*u2+eps1-alpha", 2 * u[0] + 2 * u[1] + eps1 - alpha),

@@ -29,7 +29,6 @@ from .lattice import (
 )
 from .model import (
     EnumerationWindow,
-    Y_BLOCKS,
     build_model,
     classify_isotropic_type,
     classify_orbit,
@@ -39,7 +38,6 @@ from .model import (
     eta_embedding,
     eta_from_matrix,
     lattice_registry,
-    star_condition,
     vector_profile,
 )
 
@@ -127,17 +125,20 @@ def cmd_classify(args) -> int:
 def cmd_profile(args) -> int:
     v = _read_vector(args)
     profile = vector_profile(v)
-    star = star_condition(v)
+    clauses = {
+        "u_part_not_divisible_by_2": not profile.u_part_div_by_2,
+        "e8_part_divisible_by_2": profile.e8_part_div_by_2,
+        "gamma_part_in_delta_sigma_span": profile.gamma_in_delta_sigma_span,
+    }
     if args.json:
         obj = dataclasses.asdict(profile)
-        obj["star_condition"] = dataclasses.asdict(star)
-        obj["star_condition"]["holds"] = star.holds
+        obj["star_condition"] = {**clauses, "holds": profile.star}
         _emit(obj)
         return 0
     print(f"vector {format_vector(v)}")
     for key, value in dataclasses.asdict(profile).items():
         print(f"  {key}: {value}")
-    print(f"  star_condition: {star.holds} {dataclasses.asdict(star)}")
+    print(f"  star_condition: {profile.star} {clauses}")
     return 0
 
 
@@ -207,7 +208,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_embed(args) -> int:
     if args.matrix_file:
-        emb = eta_from_matrix(serialize.load_json(args.matrix_file)["matrix"])
+        emb = eta_from_matrix(serialize.matrix_from_obj(serialize.load_json(args.matrix_file)))
         label = args.matrix_file
     else:
         emb = eta_embedding(args.eta_variant)
@@ -289,7 +290,7 @@ def cmd_audit(args) -> int:
     eta_map = None
     eta_label = args.eta_variant
     if args.eta_matrix:
-        eta_map = eta_from_matrix(serialize.load_json(args.eta_matrix)["matrix"])
+        eta_map = eta_from_matrix(serialize.matrix_from_obj(serialize.load_json(args.eta_matrix)))
         eta_label = os.path.basename(args.eta_matrix)
     report = run_all(budget=_budget(args), eta_label=eta_label, eta_map=eta_map)
     out_dir = args.output_dir
@@ -311,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="monodromy-orbit case and fibration type of a vector")
     p.add_argument("expr", nargs="?", help='vector expression, e.g. "L(1)+e2"')
     p.add_argument("--coords", help="JSON vector file instead of an expression")
-    p.add_argument("--lattice", default="LY", choices=["LY"], help="ambient lattice label")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 
@@ -354,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_saturate)
 
     p = sub.add_parser("enumerate", help="primitive isotropic vectors in a window")
-    p.add_argument("--blocks", default="U1,E8,G1,G2",
-                   help=f"comma list from {sorted(Y_BLOCKS)}")
+    ly_blocks = ",".join(name for name, _, _ in build_model()[0].lambda_Y.blocks)
+    p.add_argument("--blocks", default="U1,E8,G1,G2", help=f"comma list of LY blocks from {ly_blocks}")
     p.add_argument("--bound", type=int, default=1)
     p.add_argument("--limit", type=int, default=0, help="stop after this many (0 = all)")
     p.add_argument("--json", action="store_true", help="one JSON vector per line")

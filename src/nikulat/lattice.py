@@ -87,14 +87,20 @@ class Lattice:
         return self.vector((0,) * self.rank)
 
     def block_slice(self, label_or_index) -> slice:
-        """Coordinate slice of a direct summand, by position or block label."""
+        """Coordinate slice of a direct summand, by position or by a label naming one block."""
         if isinstance(label_or_index, int):
             _, off, size = self.blocks[label_or_index]
             return slice(off, off + size)
-        for name, off, size in self.blocks:
-            if name == label_or_index:
-                return slice(off, off + size)
-        raise LatticeError(f"no block {label_or_index!r} in {self.label!r}")
+        found = [slice(off, off + size) for name, off, size in self.blocks if name == label_or_index]
+        if len(found) != 1:
+            problem = "ambiguous" if found else "no"
+            raise LatticeError(f"{problem} block {label_or_index!r} in {self.label!r}")
+        return found[0]
+
+    def block_basis(self, *labels) -> tuple[LatticeVector, ...]:
+        """The basis vectors spanning the given blocks, block after block in the order given."""
+        coords = range(self.rank)
+        return tuple(self.basis_vector(i) for label in labels for i in coords[self.block_slice(label)])
 
     def __repr__(self) -> str:
         return f"Lattice({self.label!r}, rank={self.rank})"

@@ -4,9 +4,11 @@ Fixed conventions (part of this package's contract):
 
 * E8(-1) uses the negated Cartan matrix under the node ordering documented in
   :data:`nikulat.lattice.E8_NEG_GRAM` (path 1-2-3-4-5-6-7, node 8 on node 5).
-* ``LY`` = U(2)^3 + E8(-1) + <-2>^2 with blocks at offsets 0, 2, 4, 6, 14, 15.
-* ``LX`` = U^3 + E8(-1)^2 + <-2> with blocks at offsets 0, 2, 4, 6, 14, 22.
-* ``Lfix`` = U^3 + E8(-2) + <-2> with blocks at offsets 0, 2, 4, 6, 14.
+* ``LY`` = U(2)^3 + E8(-1) + <-2>^2 with blocks named U1 U2 U3 E8 G1 G2.
+* ``LX`` = U^3 + E8(-1)^2 + <-2> with blocks named U1 U2 U3 E8a E8b D.
+* ``Lfix`` = U^3 + E8(-2) + <-2> with blocks named U1 U2 U3 E8 D.
+* Blocks follow each other in the order named; every offset is read from
+  ``Lattice.blocks`` through :meth:`Lattice.block_slice`.
 * L(i) = u1 + i*u2 in the FIRST U(2) block; e1 = eps1; e2 = eps1 + eps3;
   ew = eps4 + eps6; deltaY = gamma1 + gamma2; SigmaY = gamma1 - gamma2;
   w = L(1) + ew + gamma1.
@@ -54,13 +56,6 @@ ORBIT_CASES = (
     "Unmatched",
 )
 
-#: block name -> coordinate offset in LY
-Y_BLOCKS = {"U1": 0, "U2": 2, "U3": 4, "E8": 6, "G1": 14, "G2": 15}
-Y_BLOCK_SIZES = {"U1": 2, "U2": 2, "U3": 2, "E8": 8, "G1": 1, "G2": 1}
-
-FIX_BLOCKS = {"U1": 0, "U2": 2, "U3": 4, "E8": 6, "D": 14}
-FIX_BLOCK_SIZES = {"U1": 2, "U2": 2, "U3": 2, "E8": 8, "D": 1}
-
 
 @dataclass(frozen=True)
 class NamedModel:
@@ -104,22 +99,37 @@ class NamedVectors:
         return names
 
 
+def _block(name: str, lat: Lattice) -> Lattice:
+    """``lat`` as a direct summand whose one block is called ``name``."""
+    return Lattice(lat.label, lat.gram, ((name, 0, lat.rank),))
+
+
+def _u_blocks(plane: Lattice) -> list[Lattice]:
+    return [_block(f"U{k}", plane) for k in (1, 2, 3)]
+
+
 @lru_cache(maxsize=1)
 def build_model() -> tuple[NamedModel, NamedVectors]:
     """Construct the three lattices and the named vectors, checking every pin."""
     u_plane = standard_lattice("U")
-    u2_plane = rescale(u_plane, 2)
     e8 = standard_lattice("E8_neg")
     minus2 = standard_lattice("rank1", -2)
 
-    lambda_X = direct_sum([u_plane] * 3 + [e8, e8, minus2], label="LX")
-    lambda_fix = direct_sum([u_plane] * 3 + [rescale(e8, 2), minus2], label="Lfix")
-    lambda_Y = direct_sum([u2_plane] * 3 + [e8, minus2, minus2], label="LY")
+    lambda_X = direct_sum(
+        _u_blocks(u_plane) + [_block("E8a", e8), _block("E8b", e8), _block("D", minus2)], label="LX"
+    )
+    lambda_fix = direct_sum(
+        _u_blocks(u_plane) + [_block("E8", rescale(e8, 2)), _block("D", minus2)], label="Lfix"
+    )
+    lambda_Y = direct_sum(
+        _u_blocks(rescale(u_plane, 2)) + [_block("E8", e8), _block("G1", minus2), _block("G2", minus2)],
+        label="LY",
+    )
 
-    b = lambda_Y.basis_vector
-    u = tuple(b(i) for i in range(6))
-    eps = tuple(b(6 + i) for i in range(8))
-    gamma1, gamma2 = b(14), b(15)
+    block = lambda_Y.block_basis
+    u = block("U1", "U2", "U3")
+    eps = block("E8")
+    gamma1, gamma2 = block("G1", "G2")
     vectors = NamedVectors(
         u=u,
         eps=eps,
@@ -159,24 +169,29 @@ def lattice_registry() -> dict[str, Lattice]:
 # the involution on LX and its fixed sublattice
 
 
+@lru_cache(maxsize=1)
+def _sigma_permutation() -> tuple[int, ...]:
+    """Coordinate i of sigma_star(v) is coordinate perm[i] of v: LX's E8a and E8b exchanged."""
+    model, _ = build_model()
+    lx = model.lambda_X
+    perm = list(range(lx.rank))
+    a, b = lx.block_slice("E8a"), lx.block_slice("E8b")
+    perm[a], perm[b] = perm[b], perm[a]
+    return tuple(perm)
+
+
 def sigma_star(v: LatticeVector) -> LatticeVector:
     """The involution of LX exchanging the two E8(-1) blocks."""
     model, _ = build_model()
     if v.lattice != model.lambda_X:
         raise LatticeError("sigma_star acts on LX only")
-    c = v.coords
-    swapped = c[:6] + c[14:22] + c[6:14] + c[22:]
-    return model.lambda_X.vector(swapped)
+    return model.lambda_X.vector(tuple(v.coords[j] for j in _sigma_permutation()))
 
 
 def sigma_star_isometry() -> Isometry:
     model, _ = build_model()
-    n = model.lambda_X.rank
-    perm = list(range(n))
-    for i in range(8):
-        perm[6 + i], perm[14 + i] = perm[14 + i], perm[6 + i]
-    matrix = tuple(tuple(int(perm[i] == j) for j in range(n)) for i in range(n))
-    return Isometry(model.lambda_X, matrix)
+    rows = intmat.identity(model.lambda_X.rank)
+    return Isometry(model.lambda_X, tuple(rows[j] for j in _sigma_permutation()))
 
 
 def sigma_invariant_basis() -> tuple[LatticeVector, ...]:
@@ -186,11 +201,9 @@ def sigma_invariant_basis() -> tuple[LatticeVector, ...]:
     eps_i + sigma(eps_i) (whose squares double), and the <-2> generator.
     """
     model, _ = build_model()
-    b = model.lambda_X.basis_vector
-    basis = [b(i) for i in range(6)]
-    basis += [b(6 + i) + b(14 + i) for i in range(8)]
-    basis.append(b(22))
-    return tuple(basis)
+    block = model.lambda_X.block_basis
+    diagonal = tuple(a + b for a, b in zip(block("E8a"), block("E8b")))
+    return block("U1", "U2", "U3") + diagonal + block("D")
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +212,14 @@ def sigma_invariant_basis() -> tuple[LatticeVector, ...]:
 
 def eta_as_written_matrix() -> Matrix:
     """Columns: U^3 coordinates copied, E8 coordinates doubled, <-2> duplicated."""
-    rows = [[0] * 15 for _ in range(16)]
-    for k in range(6):
-        rows[k][k] = 1
-    for j in range(8):
-        rows[6 + j][6 + j] = 2
-    rows[14][14] = 1
-    rows[15][14] = 1
+    model, _ = build_model()
+    fix, ly = model.lambda_fix, model.lambda_Y
+    rows = [[0] * fix.rank for _ in range(ly.rank)]
+    for source, target, scale in (
+        ("U1", "U1", 1), ("U2", "U2", 1), ("U3", "U3", 1), ("E8", "E8", 2), ("D", "G1", 1), ("D", "G2", 1)
+    ):
+        for i, j in zip(range(ly.rank)[ly.block_slice(target)], range(fix.rank)[fix.block_slice(source)]):
+            rows[i][j] = scale
     return tuple(tuple(r) for r in rows)
 
 
@@ -247,48 +261,25 @@ def _require_in_LY(v: LatticeVector) -> None:
         raise LatticeError("expected a vector of LY")
 
 
+@lru_cache(maxsize=1)
+def _ly_slices() -> tuple[slice, ...]:
+    """The coordinate slices of LY's blocks U1, U2, U3, E8, G1, G2."""
+    model, _ = build_model()
+    return tuple(map(model.lambda_Y.block_slice, ("U1", "U2", "U3", "E8", "G1", "G2")))
+
+
 def _parts(v: LatticeVector) -> tuple[IntVector, IntVector, int, int]:
-    c = v.coords
-    return c[0:6], c[6:14], c[14], c[15]
+    """The U(2)^3 part, the E8 part and the two gamma coordinates of a vector of LY."""
+    u1, u2, u3, e8, (k,), (m,) = (v.coords[s] for s in _ly_slices())
+    return u1 + u2 + u3, e8, k, m
 
 
-@dataclass(frozen=True)
-class StarBreakdown:
-    """Truth value of condition (*) together with its three clauses."""
-
-    u_part_not_divisible_by_2: bool
-    e8_part_divisible_by_2: bool
-    gamma_part_in_delta_sigma_span: bool
-
-    @property
-    def holds(self) -> bool:
-        return (
-            self.u_part_not_divisible_by_2
-            and self.e8_part_divisible_by_2
-            and self.gamma_part_in_delta_sigma_span
-        )
-
-
-def star_condition(v: LatticeVector) -> StarBreakdown:
-    """Condition (*): U-part not divisible by 2, E8-part divisible by 2, and
-    gamma-part (k, m) inside the span of deltaY, SigmaY (i.e. k = m mod 2)."""
-    _require_in_LY(v)
-    if v.is_zero():
-        raise LatticeError("condition (*) is undefined for the zero vector")
-    u_part, e8_part, k, m = _parts(v)
-    return StarBreakdown(
-        u_part_not_divisible_by_2=any(c % 2 for c in u_part),
-        e8_part_divisible_by_2=all(c % 2 == 0 for c in e8_part),
-        gamma_part_in_delta_sigma_span=(k - m) % 2 == 0,
-    )
-
-
-def _block_terms(lattice: Lattice, offset: int, size: int):
+def _block_terms(lattice: Lattice, block: slice):
     """Per block coordinate i: (G_ii, ((j, 2 G_ij) for j < i with G_ij != 0)), read
     from the sparse Gram rows; a block vector t has square sum_i t_i (G_ii t_i + sum_j 2 G_ij t_j)."""
     terms = []
-    for i, row in enumerate(lattice.sparse_rows[offset : offset + size]):
-        entries = {j - offset: g for j, g in row}
+    for i, row in enumerate(lattice.sparse_rows[block]):
+        entries = {j - block.start: g for j, g in row}
         terms.append((entries.get(i, 0), tuple((j, 2 * g) for j, g in entries.items() if j < i)))
     return tuple(terms)
 
@@ -296,7 +287,7 @@ def _block_terms(lattice: Lattice, offset: int, size: int):
 @lru_cache(maxsize=1)
 def _e8_terms():
     model, _ = build_model()
-    return _block_terms(model.lambda_Y, Y_BLOCKS["E8"], Y_BLOCK_SIZES["E8"])
+    return _block_terms(model.lambda_Y, model.lambda_Y.block_slice("E8"))
 
 
 def _e8_square(e8_part: IntVector) -> int:
@@ -320,6 +311,12 @@ class VectorProfile:
     gamma_coords: tuple[int, int]
     gamma_in_delta_sigma_span: bool
     pair_sigma_mod4: int
+
+    @property
+    def star(self) -> bool:
+        """Condition (*): U-part not divisible by 2, E8-part divisible by 2, and
+        gamma-part (k, m) inside the span of deltaY, SigmaY (i.e. k = m mod 2)."""
+        return not self.u_part_div_by_2 and self.e8_part_div_by_2 and self.gamma_in_delta_sigma_span
 
 
 def vector_profile(v: LatticeVector) -> VectorProfile:
@@ -418,14 +415,10 @@ def classify_orbit(v: LatticeVector) -> OrbitClass:
     mutually exclusive, which is asserted on every input, and a vector
     matching no row is reported as Unmatched rather than guessed at.
     """
-    _require_in_LY(v)
-    if v.is_zero():
-        raise LatticeError("cannot classify the zero vector")
-    if not is_primitive(v):
-        raise LatticeError("vector not primitive")
     profile = vector_profile(v)
-    star = star_condition(v)
-    if star.holds:
+    if not profile.primitive:
+        raise LatticeError("vector not primitive")
+    if profile.star:
         if profile.q % 4 != 0:
             raise LatticeError(f"(*) vector with q = {profile.q} not divisible by 4")
         case, i = "Star1", profile.q // 4
@@ -518,9 +511,9 @@ class EnumerationWindow:
     def __post_init__(self) -> None:
         if not self.blocks:
             raise LatticeError("enumeration window selects no blocks")
+        model, _ = build_model()
         for name in self.blocks:
-            if name not in Y_BLOCKS:
-                raise LatticeError(f"unknown LY block {name!r}")
+            model.lambda_Y.block_slice(name)  # LatticeError unless it names one block of LY
         if self.bound < 1:
             raise LatticeError("coordinate bound must be >= 1")
 
@@ -529,10 +522,11 @@ DEFAULT_WINDOW = EnumerationWindow(("U1", "E8", "G1", "G2"), 1)
 SECOND_WINDOW = EnumerationWindow(("U1", "U2", "G1", "G2"), 2)
 
 
-def _block_table(lattice: Lattice, offset: int, size: int, bound: int):
+def _block_table(lattice: Lattice, block: slice, bound: int):
     """All coordinate tuples of one block with |c| <= bound, lex order, with squares
     accumulated along the recursion from the block's :func:`_block_terms`."""
-    terms = _block_terms(lattice, offset, size)
+    terms = _block_terms(lattice, block)
+    size = len(terms)
     values = range(-bound, bound + 1)
     table = []
     coords = [0] * size
@@ -553,23 +547,19 @@ def _block_table(lattice: Lattice, offset: int, size: int, bound: int):
 
 def enumerate_with_square(
     lattice: Lattice,
-    block_offsets: dict[str, int],
-    block_sizes: dict[str, int],
     blocks: tuple[str, ...],
     bound: int,
     target: int,
     primitive_only: bool = True,
 ) -> Iterator[LatticeVector]:
-    """All vectors supported on ``blocks`` with |coords| <= bound and the given square.
+    """All vectors supported on the named ``blocks`` with |coords| <= bound and the given square.
 
     Deterministic lexicographic order on full coordinate tuples.  Branches are
     pruned with per-block achievable ranges, so the negative-definite blocks
     cut the search long before full expansion.
     """
-    ordered = sorted(set(blocks), key=lambda name: block_offsets[name])
-    tables = [
-        _block_table(lattice, block_offsets[name], block_sizes[name], bound) for name in ordered
-    ]
+    ordered = sorted(map(lattice.block_slice, set(blocks)), key=lambda block: block.start)
+    tables = [_block_table(lattice, block, bound) for block in ordered]
     mins = [min(q for _, q in t) for t in tables]
     maxs = [max(q for _, q in t) for t in tables]
     suffix_min = [0] * (len(tables) + 1)
@@ -585,9 +575,8 @@ def enumerate_with_square(
         if idx == len(tables):
             if acc == target:
                 full = [0] * rank
-                for name, block_coords in zip(ordered, chosen):
-                    off = block_offsets[name]
-                    full[off : off + len(block_coords)] = block_coords
+                for block, block_coords in zip(ordered, chosen):
+                    full[block] = block_coords
                 if any(full) and (not primitive_only or gcd(*full) == 1):
                     yield lattice.vector(full)
             return
@@ -605,22 +594,14 @@ def enumerate_with_square(
 def enumerate_primitive_isotropic(window: EnumerationWindow) -> Iterator[LatticeVector]:
     """Primitive isotropic vectors of LY supported on the window's blocks."""
     model, _ = build_model()
-    yield from enumerate_with_square(
-        model.lambda_Y, Y_BLOCKS, Y_BLOCK_SIZES, window.blocks, window.bound, target=0
-    )
+    yield from enumerate_with_square(model.lambda_Y, window.blocks, window.bound, target=0)
 
 
 def minus_two_vectors(window: EnumerationWindow) -> Iterator[LatticeVector]:
     """Vectors of square -2 (reflection roots) supported on the window's blocks."""
     model, _ = build_model()
     yield from enumerate_with_square(
-        model.lambda_Y,
-        Y_BLOCKS,
-        Y_BLOCK_SIZES,
-        window.blocks,
-        window.bound,
-        target=-2,
-        primitive_only=False,
+        model.lambda_Y, window.blocks, window.bound, target=-2, primitive_only=False
     )
 
 

@@ -2,6 +2,7 @@
 
 Lattice file:   {"label": str, "rank": int, "gram": [[int, ...], ...]}
 Vector file:    {"lattice": label, "coords": [int, ...]}
+Matrix file:    {"matrix": [[int, ...], ...]}   nonempty and rectangular
 Orbit file:     {"seed": vector, "members": [vector, ...], "exhausted": bool}
                 members sorted lexicographically by coordinates
 Witness file:   {"from": vector, "to": vector, "word": [generator index, ...]}
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from .intmat import Matrix
 from .isometry import OrbitSet
 from .lattice import Lattice, LatticeError, LatticeVector
 
@@ -38,6 +40,19 @@ def int_list(value: Any, what: str) -> list[int]:
     if not isinstance(value, list) or any(type(x) is not int for x in value):
         raise FormatError(f"{what} must be a list of integers, got {value!r}")
     return value
+
+
+def matrix_from_obj(obj: dict) -> Matrix:
+    try:
+        rows = obj["matrix"]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"malformed matrix object: missing {exc}") from None
+    if not isinstance(rows, list):
+        raise FormatError(f"matrix must be a list of rows, got {rows!r}")
+    matrix = tuple(tuple(int_list(row, "matrix row")) for row in rows)
+    if not matrix or not matrix[0] or any(len(row) != len(matrix[0]) for row in matrix):
+        raise FormatError("matrix must be nonempty with rows of equal length")
+    return matrix
 
 
 def lattice_from_obj(obj: dict) -> Lattice:

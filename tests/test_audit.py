@@ -1,5 +1,6 @@
 """The claim catalog: statuses, witnesses, determinism, coefficient solver."""
 
+import hashlib
 import json
 
 import pytest
@@ -124,6 +125,15 @@ def test_run_all_deterministic_and_idempotent(report):
 def test_report_json_round_trips_byte_identically(report):
     text = serialize.dumps(report.to_obj())
     assert serialize.dumps(json.loads(text)) == text
+
+
+#: sha256 of the audit's report.json at the default budget
+REPORT_SHA256 = "16ead83d859c0480b99f457e31a46149db055227f55d2a139616020a7ec05fc6"
+
+
+def test_report_json_pinned(report):
+    text = serialize.dumps(report.to_obj()) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
 
 
 def test_report_schema(report):

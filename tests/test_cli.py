@@ -1,11 +1,12 @@
 """End-to-end CLI: verbs, JSON modes, exit-code taxonomy."""
 
+import hashlib
 import json
 
 import pytest
 
 from nikulat.cli import main
-from nikulat.model import build_model
+from nikulat.model import ORBIT_CASES, build_model, case_representative
 
 
 def run(capsys, *argv):
@@ -177,6 +178,28 @@ def test_embed_matrix_file(tmp_path, capsys):
     assert json.loads(out)["isometric"] is False
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        {"matrix": [[1.7] * 15 for _ in range(16)]},
+        {"matrix": "abc"},
+        {"matrix": [[0] * 15 for _ in range(15)] + [[0] * 14]},
+        {"matrix": [[True] * 15 for _ in range(16)]},
+    ],
+    ids=["missing-key", "float", "string", "ragged", "bool"],
+)
+@pytest.mark.parametrize("verb, flag", [("embed", "--matrix-file"), ("audit", "--eta-matrix")])
+def test_matrix_file_malformed_exits_2(tmp_path, capsys, obj, verb, flag):
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps(obj))
+    extra = ["--output-dir", str(tmp_path)] if verb == "audit" else []
+    code, _, err = run(capsys, verb, flag, str(path), *extra)
+    assert code == 2
+    assert "error" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_saturate(capsys):
     code, out, _ = run(capsys, "saturate", "deltaY", "SigmaY", "--json")
     assert code == 0
@@ -297,3 +320,174 @@ def test_embed_vector_non_int_exits_2(capsys, bad):
     code, out, _ = run(capsys, "embed", "--vector", json.dumps([0] * 14 + [bad]), "--json")
     assert code == 2
     assert out == ""
+
+
+# --- pinned JSON output -------------------------------------------------------------
+
+#: expression -> sha256 of the stdout of ``profile EXPR --json`` and ``classify EXPR --json``,
+#: for every printed table representative (i = 0..3) and SigmaY
+JSON_SHA256 = {
+    "L(0)": (
+        "0d1a1e2d373b81c257360af2962a685d3e989eea1e8d28d611f9816256591895",
+        "cc51c3c1ff30692c082fcfee11260f7f99ae61a76755390ecb7c1b811174d4fa",
+    ),
+    "L(1)": (
+        "bdc19253b342382575ce383f5bbfc733591acf97cb384fec49b1f5fd3ea6fda7",
+        "189d29fbcd972295d4ead6cdeb3bce43a702a9f8609f08d391c4fd85faf14314",
+    ),
+    "L(2)": (
+        "b472c02a1b3bef3b9b7b77bb9e93600012e0860398b856c0fff6d23499d2170b",
+        "652f5b8d009571e733100cca634db31d9876c196451a5e320cb35baad53a94cd",
+    ),
+    "L(3)": (
+        "d271a9b30184c6f3b17a92b12fdefc0ed6ee9b0e0ec55b1c16d08d348cf9e715",
+        "4a83018e6fefe73c65ccbde23494e713c321c0bf1a23fdce0b850ad70676d1bd",
+    ),
+    "2*L(0)-deltaY": (
+        "fd13e6be43b843b19c721eea114a5422cc1b8f2ca2d57d5108dd76b064107128",
+        "517f0873215678b6aa277d3db92c065312e6df03815759aee4524a250f47235a",
+    ),
+    "2*L(1)-deltaY": (
+        "ccde6f17361087c02f01ea8de36332f8d75ad539de28951d3977d3bf6a68b874",
+        "4b0cb8a8821210c1fdb5bf796412d9648b30a32d93e1bd2bbde460d14fd35128",
+    ),
+    "2*L(2)-deltaY": (
+        "06fa8c0c3316ddd1a1a7a0a00540f02de8effec0ab1e35bd3445a13a7a8708ab",
+        "5ac8afa67d60049344969fa8abdd78af54ec3d37f40a7f8817dbf2f67a46c85a",
+    ),
+    "2*L(3)-deltaY": (
+        "41f4fe697099d0981814df3c54f037af532f61e0ff129eee68da38821d5929bd",
+        "2b9e77ba468a7aaf09a63e3efdfac8defb04526ab3c831c3564cb2bc63c8de92",
+    ),
+    "2*L(1)+2*e2-deltaY": (
+        "1caf06c3dad878bfceff3c6ef8df9466fddbd4442efa6cc83b031a5f033e6322",
+        "c5f60f494efd40b83c3d8c65e6f528159a74a404042ab67d95860a3d9b038f9d",
+    ),
+    "2*L(2)+2*e2-deltaY": (
+        "ebda95a83d585e347bef4951382de169ff275da6a0963b8c235dd21d9827d88d",
+        "f166223c9df94e0f0e0c1ae0ea5bf96a51d149b95bd12dc6598b4b7b2c343afc",
+    ),
+    "2*L(3)+2*e2-deltaY": (
+        "82f5e7719323b79839d71dfcd4514cce093645d656f7b19b279c925a028912ef",
+        "2bb570787511865768deb99605ef44ae84b32d388a423188f698277e06984378",
+    ),
+    "2*L(4)+2*e2-deltaY": (
+        "e91f973c53b95a1975301c45cdf4acbee171723ded3bf45b3342406754632937",
+        "dae9c12dbb5d268641dedddc86265ef498b0a64eb80d5a947a1e988358473a65",
+    ),
+    "L(0)-gamma1": (
+        "5473b84d4ca8e052fbb29e9795209b87eb494961dbb0cad2dc94521a341a10be",
+        "687f3ab345b5b6d3b250608445b7cad3a85a9475df4036dac37553659094ab7f",
+    ),
+    "L(1)-gamma1": (
+        "aba3702fc921d17a1bf8f729909909b940bc4da007c2f73030eeb39380937cb1",
+        "0292bb556e05414b042a7018caa2916f636976bb310e5074f214952aa3628b31",
+    ),
+    "L(2)-gamma1": (
+        "8a02f06e056334de4d487615dde9797e09dbfaa799e751d1a9b11b20c8ae1069",
+        "d35bbefc515bbb49b8e3d868a198b061bd57003480780d73f53d23c9266010ce",
+    ),
+    "L(3)-gamma1": (
+        "e96cb50aa5deb155e128184bff05e603753a72c707a7001fde805ec8679074ea",
+        "053412001644cbf7621b086116ede2cf49e6ae928a7fb06cda210f2d55337f9c",
+    ),
+    "L(1)+e2-gamma1": (
+        "bb944ea282f451a6a56b5c3b62a9267359484ece1414abeb1e2e0261d6264c7d",
+        "d061d3e469716c1ceb270a326c9c41d0fbcdb7adac61588161f3257e23e10e15",
+    ),
+    "L(2)+e2-gamma1": (
+        "c25ffd1b7db311d47b3abc5e47e961f8ba5e95c482579316502d63d828e0c0e0",
+        "5d07d28d65162764cb7ba49f06a7e1b2a5cfcf335eb28662f84a59753968bbd1",
+    ),
+    "L(3)+e2-gamma1": (
+        "2ff5a236edfc6510b1a12baeb6200f9a3ac2f3b306dc3ceaf56a9c66dce280f0",
+        "68750bd1ede2951639113559291553c21f511a0ab8605a20d781478bb25e1ea2",
+    ),
+    "L(4)+e2-gamma1": (
+        "0b19e7ea17b89f97e3a397c9fe9a7f9422647f5234b0bc47361d74da52f6d2a9",
+        "1d033d03f9fe97c0018208cdd4ca7190bb187b89d6285b9e1bea0dbe0a294da6",
+    ),
+    "L(0)+e1": (
+        "83c2f779bdf36347486603bd723155d86d5f2a4c153ff26cef8926c21b1bba58",
+        "a328f7378271f663c79b329b0ac670b719f5703e73c7752f29ae59d205e151bb",
+    ),
+    "L(1)+e1": (
+        "df3100dd2f4198a6b7178f0ac59837caf0ffb35aaa9c84c6a920b0c07d33bc58",
+        "6c6b5f5dd8e72a858cf97396ae806844f40bc46b2426671cc4204742406cae2f",
+    ),
+    "L(2)+e1": (
+        "7b44a53b02f83c5f323d3270a282f5289e2aa55c14a0b5b5a049a5b75266dd84",
+        "d81bbf71cd8bfbb6de1a298bb62c0297b8f3ea23d3407db2ae6bb3cc1d91d869",
+    ),
+    "L(3)+e1": (
+        "284a6b1c06dfa19cb008944ac944723bbeb6cea567bdf482661dfe7245bb18f6",
+        "ab7dddb5002c748de17885dea7310c0f82482d3a33ea6dd4d426704dcfd9ea82",
+    ),
+    "2*L(0)+2*e1-deltaY": (
+        "06adf22250125441e8591dc58f3b98249c72ab2ce5da01c1700eaf4f4c1e3441",
+        "2a832440ed28cff15e5c3576c2a505d3705ee796cb6d0a60646b25673e22efc5",
+    ),
+    "2*L(1)+2*e1-deltaY": (
+        "1e8199e7714bf391fd28649caa73d6baddf79123f1274f470ae76a71ee955f23",
+        "9391e977de82cf64aef6cf234eea0003fd96cb13f7af8eb570d26c016677c763",
+    ),
+    "2*L(2)+2*e1-deltaY": (
+        "99248241bd94965c475b4468dfabdb14cb8542426b03488c2b80620ccb9de9a1",
+        "5e61a6d8ae06b39e8cef33f172226ea12305d97c50fbbf70c0c0077b047d25c8",
+    ),
+    "2*L(3)+2*e1-deltaY": (
+        "3089a212d4d64cc792002c792ec97bed3946cbdb84582c11df95f39dda14f055",
+        "eb195f91f1d54529a93f3bf184cc18045c77e105b57ef32d62b9ba58827f64cb",
+    ),
+    "L(0)+e1-gamma1": (
+        "41af95128d9d144659fe1a5d2234a555dcb79ae292a07c8b9d3875d8482576d1",
+        "24d206860121936adf9554ecf115bc0f1d139f6a3ef2afb20d0b697b6ee947b4",
+    ),
+    "L(1)+e1-gamma1": (
+        "559313f4591d2c4211977f6c17ca6dac8519c60502a16f84477bf6dabae1cbc2",
+        "7b4c0115268e7def525ba95769a845e1fe27599f19ce35131d93d2445df6e0fc",
+    ),
+    "L(2)+e1-gamma1": (
+        "522bf0fc1cab051dce6fdac262c449c2da2f550cbb365ec79cf5e5ca8e547f43",
+        "84e4d3b5f046b604803c4d2f59ef065b813386d681ffcbb842e60064d2cfe0e9",
+    ),
+    "L(3)+e1-gamma1": (
+        "3d0e1631c92442d3d5b34f13a7ed8b84e83fa547999b5ca5262f01a68db5c437",
+        "235a96279e5dc1dd759eafb815472d08b5693f45c4db5dd71784ac212f6a218f",
+    ),
+    "L(1)+e2": (
+        "11a00215701ee3881c114367260c38e2c92fb17490988ddfa07a79b03b84a3aa",
+        "e3163490763b663626cee0dd6a8acc6dcf9e3015492c193377267fde79017d9f",
+    ),
+    "L(2)+e2": (
+        "72f38e17cf2ab12e9be1e7458da0a7b697b278c0ca5eda1e0830c514fd0378e6",
+        "ffac50090a0cd1cdc60a1f927c5ee046ebd7b1bfe31ff3ea4ca622349e8c45cb",
+    ),
+    "L(3)+e2": (
+        "b723940cba9e6afb85e776edfd9b596aaa913c469832fabc6b1abf224da84b07",
+        "398c16cc18e0755daae5b8553073439799c48a254662cdcac723233c191e90e5",
+    ),
+    "L(4)+e2": (
+        "d109309a811480c1398d467575e907a11c84fdb6890b064e5a16b173a46ec38a",
+        "15bca11142c62f1684be33f7e9747a2ebde347380d9a9179953af818b95b0a4f",
+    ),
+    "SigmaY": (
+        "78929b2cd48a602b31c9366a1fe454b71922a5502bf57c29a11e7bf0b6ffb95b",
+        "0e1a58a8c2bba51cfe84a4226381cf39bb818bd6fc87db1a09643ccb7dfa56fd",
+    ),
+}
+
+
+def test_pinned_exprs_cover_every_representative():
+    reps = [case_representative(case, i)[1] for case in ORBIT_CASES[:-1] for i in range(4)]
+    assert list(JSON_SHA256) == reps + ["SigmaY"]
+
+
+@pytest.mark.parametrize("expr", list(JSON_SHA256))
+def test_profile_and_classify_json_pinned(capsys, expr):
+    digests = []
+    for verb in ("profile", "classify"):
+        code, out, _ = run(capsys, verb, expr, "--json")
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == JSON_SHA256[expr]

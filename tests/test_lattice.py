@@ -325,3 +325,10 @@ def test_direct_sum_block_offsets():
     assert lat.block_slice("E8(-1)") == slice(6, 14)
     with pytest.raises(LatticeError):
         lat.block_slice("nope")
+
+
+def test_block_slice_rejects_ambiguous_label():
+    lat = direct_sum([U2, U2])
+    assert lat.block_slice(1) == slice(2, 4)
+    with pytest.raises(LatticeError, match="ambiguous"):
+        lat.block_slice("U(2)")

@@ -21,7 +21,6 @@ from nikulat import (
     pair,
     sigma_star,
     square,
-    star_condition,
     vector_profile,
 )
 from nikulat.lattice import check_embedding
@@ -34,6 +33,7 @@ from nikulat.model import (
     default_generators,
     enumerate_primitive_isotropic,
     eta_from_matrix,
+    lattice_registry,
     minus_two_vectors,
     sigma_invariant_basis,
 )
@@ -53,6 +53,25 @@ def test_lattice_shapes(setup):
     assert model.lambda_fix.rank == 15
     assert model.lambda_Y.rank == 16
     assert discriminant_group(model.lambda_Y) == [2] * 8
+
+
+@pytest.mark.parametrize(
+    "label, names",
+    [
+        ("LX", ["U1", "U2", "U3", "E8a", "E8b", "D"]),
+        ("Lfix", ["U1", "U2", "U3", "E8", "D"]),
+        ("LY", ["U1", "U2", "U3", "E8", "G1", "G2"]),
+    ],
+)
+def test_block_names_unique_and_tiling(label, names):
+    lat = lattice_registry()[label]
+    assert [name for name, _, _ in lat.blocks] == names
+    stops = [0]
+    for name in names:
+        block = lat.block_slice(name)
+        assert block.start == stops[-1] < block.stop
+        stops.append(block.stop)
+    assert stops[-1] == lat.rank
 
 
 def test_named_vector_pins(setup):
@@ -137,29 +156,29 @@ def test_eta_conserves_doubled_form(coords):
 
 def test_star_l0(setup):
     _, nv = setup
-    breakdown = star_condition(nv.L(0))
-    assert breakdown.holds
+    profile = vector_profile(nv.L(0))
+    assert profile.star
     assert (
-        breakdown.u_part_not_divisible_by_2,
-        breakdown.e8_part_divisible_by_2,
-        breakdown.gamma_part_in_delta_sigma_span,
+        not profile.u_part_div_by_2,
+        profile.e8_part_div_by_2,
+        profile.gamma_in_delta_sigma_span,
     ) == (True, True, True)
 
 
 def test_star_gamma_clause_fails(setup):
     _, nv = setup
-    breakdown = star_condition(nv.u[0] + nv.gamma1)
-    assert not breakdown.holds
-    assert not breakdown.gamma_part_in_delta_sigma_span
+    profile = vector_profile(nv.u[0] + nv.gamma1)
+    assert not profile.star
+    assert not profile.gamma_in_delta_sigma_span
 
 
 def test_star_u_clause_fails(setup):
     _, nv = setup
-    breakdown = star_condition(2 * nv.L(1) - nv.deltaY)
-    assert not breakdown.holds
-    assert not breakdown.u_part_not_divisible_by_2
-    assert breakdown.e8_part_divisible_by_2
-    assert breakdown.gamma_part_in_delta_sigma_span
+    profile = vector_profile(2 * nv.L(1) - nv.deltaY)
+    assert not profile.star
+    assert profile.u_part_div_by_2
+    assert profile.e8_part_div_by_2
+    assert profile.gamma_in_delta_sigma_span
 
 
 # --- profiles -----------------------------------------------------------------------

@@ -15,8 +15,6 @@ from nikulat import intmat
 from nikulat.isometry import reflection
 from nikulat.lattice import E8_NEG_GRAM, Lattice, coords_divisibility, divisibility, pair, square
 from nikulat.model import (
-    Y_BLOCK_SIZES,
-    Y_BLOCKS,
     _block_table,
     _e8_square,
     build_model,
@@ -104,9 +102,8 @@ def test_reflection_matches_dense_matrix(name, iso, x):
 
 def test_block_table_squares_match_dense_on_e8():
     lat = MODEL.lambda_Y
-    offset, size = Y_BLOCKS["E8"], Y_BLOCK_SIZES["E8"]
-    table = _block_table(lat, offset, size, 1)
-    assert [t for t, _ in table] == list(product((-1, 0, 1), repeat=size))
+    table = _block_table(lat, lat.block_slice("E8"), 1)
+    assert [t for t, _ in table] == list(product((-1, 0, 1), repeat=8))
     for t, q in table:
         assert q == dense_pair(E8_NEG_GRAM, t, t)
 
