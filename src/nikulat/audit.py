@@ -1,22 +1,24 @@
 """Machine-checked audit of the displayed computations behind the classifier.
 
 Every claim in the catalog pins one arithmetic statement from the derivation
-this package mechanizes: the stated values are recorded as structured data,
-the checker recomputes them with exact arithmetic, and the verdict is one of
-Verified / Refuted / NotCheckable.  Refuted is reserved for statements
-contradicted by exact computation and always carries a counter-witness; three
-catalog entries are EXPECTED to be refuted as printed (a transposed
-divisibility remark and the index-2 statements about the doubling embedding),
-so a run is "clean" when every verdict matches its expectation.
+this package mechanizes: ``@_claim`` declares its stated values next to the
+checker, which recomputes them with exact arithmetic and compares against
+them.  The verdict is Verified, Refuted (always with a counter-witness) or
+NotCheckable (the lattice operations rejected the input).  Three catalog
+entries are EXPECTED to be refuted as printed (a transposed divisibility
+remark and the index-2 statements about the doubling embedding), so a run is
+"clean" when every verdict matches its expectation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 from typing import Callable
 
+from .exprs import parse_vector
 from .isometry import OrbitBudget, orbit_explore, reflection
 from .lattice import (
     LatticeError,
@@ -31,6 +33,7 @@ from .lattice import (
 )
 from .model import (
     DEFAULT_WINDOW,
+    ORBIT_CASES,
     SECOND_WINDOW,
     EnumerationWindow,
     build_model,
@@ -104,11 +107,35 @@ class AuditContext:
 
 @dataclass(frozen=True)
 class Claim:
+    """One printed statement.  ``check(ctx, stated)`` returns ``(verified, computed,
+    note)``; ``eta_dependent`` claims are expected only of the as-written eta variant."""
+
     id: str
-    description: str
-    stated: dict
     expected_status: str
-    checker: Callable[[AuditContext], ClaimResult]
+    stated: dict
+    check: Callable[[AuditContext, dict], tuple[bool, dict, str]]
+    eta_dependent: bool = False
+
+    def run(self, ctx: AuditContext) -> ClaimResult:
+        """The claim's verdict; input the lattice operations reject is NotCheckable."""
+        try:
+            verified, computed, note = self.check(ctx, self.stated)
+            status = VERIFIED if verified else REFUTED
+        except LatticeError as exc:
+            status, computed, note = NOT_CHECKABLE, {"error": str(exc)}, ""
+        return ClaimResult(self.id, status, computed, note)
+
+
+#: the claims in report order, registered by ``_claim`` as the checkers are defined
+CATALOG: list[Claim] = []
+
+
+def _claim(claim_id: str, expected_status: str, eta_dependent: bool = False, **stated):
+    """Register the decorated checker as a catalog claim with these stated values."""
+    def register(check):
+        CATALOG.append(Claim(claim_id, expected_status, stated, check, eta_dependent))
+        return check
+    return register
 
 
 @dataclass(frozen=True)
@@ -117,10 +144,10 @@ class MtCoefficients:
 
     ok: bool
     a: int | None
-    k_candidates: tuple[int, ...]
-    pair_sigma_values: tuple[int, ...]
-    pair_sigma_mod4: int | None
-    type_label: str | None
+    k_candidates: tuple[int, ...] = ()
+    pair_sigma_values: tuple[int, ...] = ()
+    pair_sigma_mod4: int | None = None
+    type_label: str | None = None
     reason: str = ""
 
     def to_obj(self) -> dict:
@@ -150,26 +177,16 @@ def mt_coefficients(q_h: int, intersection_number: int, q_h_minus_delta: int) ->
         return MtCoefficients(
             ok=False,
             a=None,
-            k_candidates=(),
-            pair_sigma_values=(),
-            pair_sigma_mod4=None,
-            type_label=None,
             reason=f"intersection number {intersection_number} is not divisible by 3*qH^2 = {denom}",
         )
     a = intersection_number // denom
     k_sq_twice = a * a * q_h_minus_delta
     if k_sq_twice % 2:
-        return MtCoefficients(
-            ok=False, a=a, k_candidates=(), pair_sigma_values=(), pair_sigma_mod4=None,
-            type_label=None, reason=f"a^2 * q(H-delta) = {k_sq_twice} is odd",
-        )
+        return MtCoefficients(ok=False, a=a, reason=f"a^2 * q(H-delta) = {k_sq_twice} is odd")
     k_sq = k_sq_twice // 2
     k = isqrt(k_sq) if k_sq >= 0 else -1
     if k < 0 or k * k != k_sq:
-        return MtCoefficients(
-            ok=False, a=a, k_candidates=(), pair_sigma_values=(), pair_sigma_mod4=None,
-            type_label=None, reason=f"k^2 = {k_sq} is not a perfect square",
-        )
+        return MtCoefficients(ok=False, a=a, reason=f"k^2 = {k_sq} is not a perfect square")
     sigma_values = (-2 * k, 2 * k) if k else (0,)
     mod4 = (2 * k) % 4
     return MtCoefficients(
@@ -183,50 +200,50 @@ def mt_coefficients(q_h: int, intersection_number: int, q_h_minus_delta: int) ->
 
 
 # ---------------------------------------------------------------------------
-# claim checkers
+# the catalog: one checker per claim, in report order
 
 
 def _vec_obj(v: LatticeVector) -> dict:
     return {"lattice": v.lattice.label, "coords": list(v.coords)}
 
 
-def _claim_table_selfconsistency(ctx: AuditContext) -> ClaimResult:
-    cases = ["Star1"] + [f"Case{k}" for k in range(2, 10)]
+@_claim("table-selfconsistency", VERIFIED, rows=9, i_range=(0, 3))
+def _claim_table_selfconsistency(ctx: AuditContext, stated: dict):
+    """each printed representative satisfies its own row of the decision table"""
+    rows = ORBIT_CASES[:-1]  # the last case is "Unmatched", which has no row
+    lo, hi = stated["i_range"]
     checked = 0
     mismatches = []
-    for case in cases:
-        for i in range(4):
+    for case in rows:
+        for i in range(lo, hi + 1):
             rep, expr = case_representative(case, i)
             got = classify_orbit(rep)
             checked += 1
             if (got.case, got.i) != (case, i):
                 mismatches.append({"case": case, "i": i, "got": [got.case, got.i], "rep": expr})
     computed = {"checked": checked, "mismatches": mismatches}
-    if mismatches:
-        computed["counter_witness"] = mismatches[0]
-        return ClaimResult("table-selfconsistency", REFUTED, computed)
-    return ClaimResult(
-        "table-selfconsistency",
-        VERIFIED,
-        computed,
-        note="every printed representative, i in 0..3, classifies back to its own row",
-    )
+    if mismatches or len(rows) != stated["rows"]:
+        computed["counter_witness"] = mismatches[0] if mismatches else {"rows": len(rows)}
+        return False, computed, ""
+    return True, computed, f"every printed representative, i in {lo}..{hi}, classifies back to its own row"
 
 
-def _claim_reflection_chain(ctx: AuditContext) -> ClaimResult:
+@_claim("reflection-chain", VERIFIED, w_square=-2, pairing=5, image="6*L(1)+e2+5*ew+5*gamma1",
+        e8_square=-94, e8_square_mod4=2, image_div=1, image_case="Case8")
+def _claim_reflection_chain(ctx: AuditContext, stated: dict):
+    """the reflection in w maps L(1)+e2 to L(1)+e2+5w with E8-square residue 2 mod 4"""
     _, nv = build_model()
     start = nv.L(1) + nv.e2
     w_sq = square(nv.w)
     pairing = pair(start, nv.w)
     image = reflection(nv.w)(start)
-    expected_image = start + pairing * nv.w
-    e8_sq = square(nv.e2 + 5 * nv.ew)
+    e8_sq = square(nv.e2 + stated["pairing"] * nv.ew)
     cls = classify_orbit(image)
     computed = {
         "w_square": w_sq,
         "pairing": pairing,
         "image": _vec_obj(image),
-        "image_expr": "6*L(1)+e2+5*ew+5*gamma1",
+        "image_expr": stated["image"],
         "e8_square": e8_sq,
         "e8_square_mod4": e8_sq % 4,
         "image_primitive": is_primitive(image),
@@ -235,39 +252,34 @@ def _claim_reflection_chain(ctx: AuditContext) -> ClaimResult:
         "image_case": [cls.case, cls.i],
     }
     ok = (
-        w_sq == -2
-        and pairing == 5
-        and image == expected_image
-        and e8_sq == -94
-        and e8_sq % 4 == 2
+        w_sq == stated["w_square"]
+        and pairing == stated["pairing"]
+        and image == start + stated["pairing"] * nv.w
+        and image == parse_vector(stated["image"])
+        and e8_sq == stated["e8_square"]
+        and e8_sq % 4 == stated["e8_square_mod4"]
         and computed["image_primitive"]
         and computed["image_isotropic"]
-        and computed["image_div"] == 1
-        and cls.case == "Case8"
+        and computed["image_div"] == stated["image_div"]
+        and cls.case == stated["image_case"]
     )
     if not ok:
         computed["counter_witness"] = computed.copy()
-        return ClaimResult("reflection-chain", REFUTED, computed)
-    return ClaimResult(
-        "reflection-chain",
-        VERIFIED,
-        computed,
-        note=(
-            "cross term is 2*5*(e2,ew) = 10; pairing e2 with e1 instead would give "
-            "square -108 and residue 0 mod 4, so the stated residue 2 identifies (e2,ew)"
-        ),
+        return False, computed, ""
+    return True, computed, (
+        "cross term is 2*5*(e2,ew) = 10; pairing e2 with e1 instead would give "
+        "square -108 and residue 0 mod 4, so the stated residue 2 identifies (e2,ew)"
     )
 
 
 def _div_census(vectors) -> dict[str, int]:
-    census: dict[str, int] = {}
-    for v in vectors:
-        key = str(divisibility(v))
-        census[key] = census.get(key, 0) + 1
-    return census
+    return dict(Counter(str(divisibility(v)) for v in vectors))
 
 
-def _claim_two_orbit_dichotomy(ctx: AuditContext) -> ClaimResult:
+@_claim("two-orbit-dichotomy", VERIFIED, div_classes=(1, 2))
+def _claim_two_orbit_dichotomy(ctx: AuditContext, stated: dict):
+    """enumerated primitive isotropic vectors split into divisibility classes 1 and 2;
+    reflection orbits of L(0) and L(1)+e2 are disjoint and invariant-pure"""
     _, nv = build_model()
     census1 = _div_census(ctx.window1_vectors)
     census2 = _div_census(ctx.window2_vectors)
@@ -276,8 +288,10 @@ def _claim_two_orbit_dichotomy(ctx: AuditContext) -> ClaimResult:
     orbit_a = orbit_explore(nv.L(1) + nv.e2, gens, ctx.budget)
     overlap = [c for c in orbit_b.members if c in orbit_a.member_set]
     lat = nv.L(0).lattice
-    pure_b = all(coords_divisibility(lat, c) == 2 for c in orbit_b.members)
-    pure_a = all(coords_divisibility(lat, c) == 1 for c in orbit_a.members)
+    # invariant-pure: every member has the divisibility of its orbit's start
+    div_b, div_a = divisibility(nv.L(0)), divisibility(nv.L(1) + nv.e2)
+    pure_b = all(coords_divisibility(lat, c) == div_b for c in orbit_b.members)
+    pure_a = all(coords_divisibility(lat, c) == div_a for c in orbit_a.members)
     computed = {
         "window1_div_census": census1,
         "window2_div_census": census2,
@@ -289,32 +303,35 @@ def _claim_two_orbit_dichotomy(ctx: AuditContext) -> ClaimResult:
         "orbit_L0_div_pure": pure_b,
         "orbit_L1e2_div_pure": pure_a,
     }
-    divs_ok = set(census1) | set(census2) <= {"1", "2"} and set(census1) == {"1", "2"}
+    classes = {str(d) for d in stated["div_classes"]}
+    divs_ok = set(census1) == classes and set(census2) <= classes
     if not (divs_ok and not overlap and pure_a and pure_b):
         computed["counter_witness"] = {
             "overlap": overlap[:3],
             "censuses": [census1, census2],
         }
-        return ClaimResult("two-orbit-dichotomy", REFUTED, computed)
+        return False, computed, ""
     notes = [ctx.coverage_note()]
     if not (orbit_a.exhausted and orbit_b.exhausted):
         notes.append("reflection orbits truncated by the budget (exhausted flags in computed)")
-    return ClaimResult(
-        "two-orbit-dichotomy", VERIFIED, computed, note="; ".join(n for n in notes if n)
-    )
+    return True, computed, "; ".join(n for n in notes if n)
 
 
-def _claim_divisibility_remark(ctx: AuditContext) -> ClaimResult:
+@_claim("divisibility-remark", REFUTED, div_L0=1, div_L1e2=2)
+def _claim_divisibility_remark(ctx: AuditContext, stated: dict):
+    """the printed divisibilities of the two isotropic representatives"""
     _, nv = build_model()
     div_l0 = divisibility(nv.L(0))
     div_l1e2 = divisibility(nv.L(1) + nv.e2)
+    as_printed = (div_l0, div_l1e2) == (stated["div_L0"], stated["div_L1e2"])
+    swapped = (div_l0, div_l1e2) == (stated["div_L1e2"], stated["div_L0"])
     computed = {
         "div_L0": div_l0,
         "div_L1e2": div_l1e2,
-        "stated_div_L0": 1,
-        "stated_div_L1e2": 2,
-        "as_printed": REFUTED,
-        "with_swap": VERIFIED if (div_l0, div_l1e2) == (2, 1) else REFUTED,
+        "stated_div_L0": stated["div_L0"],
+        "stated_div_L1e2": stated["div_L1e2"],
+        "as_printed": VERIFIED if as_printed else REFUTED,
+        "with_swap": VERIFIED if swapped else REFUTED,
         "counter_witness": {
             "div_L0": div_l0,
             "div_L1e2": div_l1e2,
@@ -322,27 +339,27 @@ def _claim_divisibility_remark(ctx: AuditContext) -> ClaimResult:
             "L1e2_odd_pairing": f"(L(1)+e2, eps4) = {pair(nv.L(1) + nv.e2, nv.eps[3])}",
         },
     }
-    if (div_l0, div_l1e2) == (1, 2):
-        return ClaimResult("divisibility-remark", VERIFIED, computed)
-    return ClaimResult(
-        "divisibility-remark",
-        REFUTED,
-        computed,
-        note="refuted as printed; verified with the two values swapped, which is the "
-        "assignment the decision table and the type definitions rely on",
+    if as_printed:
+        return True, computed, ""
+    return False, computed, (
+        "refuted as printed; verified with the two values swapped, which is the "
+        "assignment the decision table and the type definitions rely on"
     )
 
 
-def _claim_third_orbit_discriminant(ctx: AuditContext) -> ClaimResult:
+@_claim("third-orbit-discriminant", VERIFIED, div=2, pair_sigma_mod4=0)
+def _claim_third_orbit_discriminant(ctx: AuditContext, stated: dict):
+    """divisibility-2 isotropic vectors pair with SigmaY to 0 mod 4, with the parity
+    chain on the gamma coordinates"""
     checked = 0
     counterexamples = []
     parity_violations = []
     for v in ctx.window1_vectors + ctx.window2_vectors:
-        if divisibility(v) != 2:
+        if divisibility(v) != stated["div"]:
             continue
         checked += 1
         profile = vector_profile(v)
-        if profile.pair_sigma_mod4 != 0:
+        if profile.pair_sigma_mod4 != stated["pair_sigma_mod4"]:
             counterexamples.append(_vec_obj(v))
         if not (profile.gamma_in_delta_sigma_span and profile.e8_part_div_by_2):
             parity_violations.append(_vec_obj(v))
@@ -353,15 +370,18 @@ def _claim_third_orbit_discriminant(ctx: AuditContext) -> ClaimResult:
     }
     if counterexamples or parity_violations:
         computed["counter_witness"] = (counterexamples + parity_violations)[0]
-        return ClaimResult("third-orbit-discriminant", REFUTED, computed)
+        return False, computed, ""
     note = "contrapositive: (v,SigmaY) = 2 mod 4 forces divisibility 1, hence the L(1)+e2 orbit"
     cov = ctx.coverage_note()
     if cov:
         note += "; " + cov
-    return ClaimResult("third-orbit-discriminant", VERIFIED, computed, note=note)
+    return True, computed, note
 
 
-def _claim_eta_embedding(ctx: AuditContext) -> ClaimResult:
+@_claim("eta-embedding", REFUTED, eta_dependent=True, isometric=True, primitive=False, saturation_index=2)
+def _claim_eta_embedding(ctx: AuditContext, stated: dict):
+    """the doubling embedding conserves the doubled form, is non-primitive, and its
+    image has index 2 in its saturation"""
     emb = ctx.eta_map
     report = check_embedding(emb)
     dom = emb.domain
@@ -381,22 +401,21 @@ def _claim_eta_embedding(ctx: AuditContext) -> ClaimResult:
         "primitive": report.primitive,
         "saturation_index": report.saturation_index,
         "index_invariant_factors": list(report.index_invariant_factors),
-        "stated_saturation_index": 2,
+        "stated_saturation_index": stated["saturation_index"],
     }
-    ok_as_printed = report.isometric and not report.primitive and report.saturation_index == 2
-    if ok_as_printed:
-        return ClaimResult("eta-embedding", VERIFIED, computed)
+    form_ok = report.isometric == stated["isometric"] and report.primitive == stated["primitive"]
+    if form_ok and report.saturation_index == stated["saturation_index"]:
+        return True, computed, ""
     computed["counter_witness"] = {
         "saturation_index": report.saturation_index,
         "index_invariant_factors": list(report.index_invariant_factors),
     }
-    note = (
-        "isometric and non-primitive confirmed; the stated saturation index 2 is refuted "
-        "for this variant (computed 2^8: the E8 block lands on 2*E8(-1))"
-        if report.isometric and not report.primitive
+    return False, computed, (
+        f"isometric and non-primitive confirmed; the stated saturation index {stated['saturation_index']} "
+        "is refuted for this variant (computed 2^8: the E8 block lands on 2*E8(-1))"
+        if form_ok
         else "embedding fails the isometric/non-primitive sub-statements for this variant"
     )
-    return ClaimResult("eta-embedding", REFUTED, computed, note=note)
 
 
 def _fix_u_only_samples() -> tuple[LatticeVector, ...]:
@@ -420,8 +439,9 @@ def _fix_mixed_samples() -> tuple[tuple[str, LatticeVector], ...]:
     )
 
 
-def _claim_invariant_type_a(ctx: AuditContext) -> ClaimResult:
-    model, _ = build_model()
+@_claim("invariant-type-a", VERIFIED, eta_dependent=True, half_divisibility=1, type="A")
+def _claim_invariant_type_a(ctx: AuditContext, stated: dict):
+    """halves of 2-divisible embedded invariant classes have divisibility 1 (type A)"""
     emb = ctx.eta_map
     dom = emb.domain
     u_only = _fix_u_only_samples()
@@ -438,11 +458,11 @@ def _claim_invariant_type_a(ctx: AuditContext) -> ClaimResult:
         half = image.lattice.vector(tuple(c // 2 for c in image.coords))
         d = divisibility(half)
         verdict = classify_isotropic_type(half)
-        if d != 1 or verdict.type_label != "A":
+        if d != stated["half_divisibility"] or verdict.type_label != stated["type"]:
             bad.append({"sample": _vec_obj(sample), "half_div": d, "type": verdict.type_label})
         elif len(witnesses) < 2:
             witnesses.append(
-                {"sample_expr": label, "half_image": _vec_obj(half), "half_div": d, "type": "A"}
+                {"sample_expr": label, "half_image": _vec_obj(half), "half_div": d, "type": stated["type"]}
             )
     computed = {
         "u_only_samples": len(u_only),
@@ -453,28 +473,28 @@ def _claim_invariant_type_a(ctx: AuditContext) -> ClaimResult:
     }
     if bad or halvable == 0:
         computed["counter_witness"] = bad[0] if bad else {"images_divisible_by_2": 0}
-        return ClaimResult("invariant-type-a", REFUTED, computed)
-    return ClaimResult(
-        "invariant-type-a",
-        VERIFIED,
-        computed,
-        note="whenever the embedded class is divisible by 2, its half has divisibility 1, "
+        return False, computed, ""
+    return True, computed, (
+        "whenever the embedded class is divisible by 2, its half has divisibility 1, "
         "hence type A; U^3-supported samples are never divisible by 2 and do not arise "
-        "from this construction",
+        "from this construction"
     )
 
 
-def _claim_antiinvariant_type_b(ctx: AuditContext) -> ClaimResult:
+@_claim("antiinvariant-type-b", VERIFIED, eta_dependent=True, divisibility_parity="even", type="B")
+def _claim_antiinvariant_type_b(ctx: AuditContext, stated: dict):
+    """embedded classes have even divisibility (type B when primitive)"""
     emb = ctx.eta_map
     dom = emb.domain
     samples = [v for v in _fix_u_only_samples()] + [v for _, v in _fix_mixed_samples()]
+    stated_even = stated["divisibility_parity"] == "even"
     odd_div = []
     primitive_images = 0
     types = set()
     for sample in samples:
         image = emb(dom.vector(sample.coords))
         d = divisibility(image)
-        if d % 2:
+        if (d % 2 == 0) != stated_even:
             odd_div.append({"sample": _vec_obj(sample), "div": d})
             continue
         if is_primitive(image):
@@ -486,54 +506,50 @@ def _claim_antiinvariant_type_b(ctx: AuditContext) -> ClaimResult:
         "primitive_images": primitive_images,
         "types_of_primitive_images": sorted(types),
     }
-    if odd_div or types - {"B"}:
+    if odd_div or types - {stated["type"]}:
         computed["counter_witness"] = odd_div[0] if odd_div else {"types": sorted(types)}
-        return ClaimResult("antiinvariant-type-b", REFUTED, computed)
-    return ClaimResult(
-        "antiinvariant-type-b",
-        VERIFIED,
-        computed,
-        note="every embedded class has even divisibility; the primitive ones are type B",
-    )
+        return False, computed, ""
+    return True, computed, "every embedded class has even divisibility; the primitive ones are type B"
 
 
-def _claim_mt_coefficients(ctx: AuditContext) -> ClaimResult:
-    record = mt_coefficients(4, 48, 2)
+@_claim("mt-coefficients", VERIFIED, q_h=4, intersection_number=48, q_h_minus_delta=2,
+        a=1, abs_k=1, pair_sigma_mod4=2, type="A")
+def _claim_mt_coefficients(ctx: AuditContext, stated: dict):
+    """the coefficient solve a=1, k=+-1, (l_Y,SigmaY) = 2 mod 4, type A"""
+    record = mt_coefficients(stated["q_h"], stated["intersection_number"], stated["q_h_minus_delta"])
     computed = record.to_obj()
     ok = (
         record.ok
-        and record.a == 1
-        and set(record.k_candidates) == {1, -1}
-        and record.pair_sigma_mod4 == 2
-        and record.type_label == "A"
+        and record.a == stated["a"]
+        and set(record.k_candidates) == {stated["abs_k"], -stated["abs_k"]}
+        and record.pair_sigma_mod4 == stated["pair_sigma_mod4"]
+        and record.type_label == stated["type"]
     )
     if not ok:
         computed["counter_witness"] = computed.copy()
-        return ClaimResult("mt-coefficients", REFUTED, computed)
-    return ClaimResult(
-        "mt-coefficients",
-        VERIFIED,
-        computed,
-        note="3*4*4a = 48 gives a = 1, k = +-1, (l_Y, SigmaY) = -+2 = 2 mod 4, type A",
-    )
+        return False, computed, ""
+    return True, computed, "3*4*4a = 48 gives a = 1, k = +-1, (l_Y, SigmaY) = -+2 = 2 mod 4, type A"
 
 
-def _claim_type_polarisation_map(ctx: AuditContext) -> ClaimResult:
+@_claim("type-polarisation-map", VERIFIED, A=(1, 2), B=(1, 1))
+def _claim_type_polarisation_map(ctx: AuditContext, stated: dict):
+    """type A carries fiber polarisation (1,2) and type B carries (1,1)"""
     _, nv = build_model()
     t_a = classify_isotropic_type(nv.L(1) + nv.e2)
     t_b = classify_isotropic_type(nv.L(0))
     computed = {
-        "A": {"representative": "L(1)+e2", "polarisation": list(t_a.polarisation_type)},
-        "B": {"representative": "L(0)", "polarisation": list(t_b.polarisation_type)},
+        "A": {"representative": t_a.representative_expr, "polarisation": list(t_a.polarisation_type)},
+        "B": {"representative": t_b.representative_expr, "polarisation": list(t_b.polarisation_type)},
     }
-    ok = t_a.polarisation_type == (1, 2) and t_b.polarisation_type == (1, 1)
+    ok = t_a.polarisation_type == stated["A"] and t_b.polarisation_type == stated["B"]
     if not ok:
         computed["counter_witness"] = computed.copy()
-        return ClaimResult("type-polarisation-map", REFUTED, computed)
-    return ClaimResult("type-polarisation-map", VERIFIED, computed)
+    return ok, computed, ""
 
 
-def _claim_picard_sublattice_index(ctx: AuditContext) -> ClaimResult:
+@_claim("picard-sublattice-index", REFUTED, eta_dependent=True, index=2)
+def _claim_picard_sublattice_index(ctx: AuditContext, stated: dict):
+    """index-2 statements for the embedded sublattices next to SigmaY"""
     model, nv = build_model()
     emb = ctx.eta_map
     dom = emb.domain
@@ -562,117 +578,22 @@ def _claim_picard_sublattice_index(ctx: AuditContext) -> ClaimResult:
         "full_rank_index": full.total_index,
         "full_rank_invariant_factors": list(full.index_invariant_factors),
         "rank2_span_indices": rank2,
-        "stated_index": 2,
+        "stated_index": stated["index"],
     }
-    ok = full.total_index == 2 and all(v == 2 for v in rank2.values())
-    if ok:
-        return ClaimResult("picard-sublattice-index", VERIFIED, computed)
+    if full.total_index == stated["index"] and all(v == stated["index"] for v in rank2.values()):
+        return True, computed, ""
     computed["counter_witness"] = {
         "full_rank_index": full.total_index,
         "rank2_span_indices": rank2,
     }
-    return ClaimResult(
-        "picard-sublattice-index",
-        REFUTED,
-        computed,
-        note="refuted as printed for this variant; note the even-U-part analogue "
-        "2*u1+2*u2+eps1-alpha does realize index 2, matching the a=1, k=+-1 arithmetic",
+    return False, computed, (
+        "refuted as printed for this variant; note the even-U-part analogue "
+        "2*u1+2*u2+eps1-alpha does realize index 2, matching the a=1, k=+-1 arithmetic"
     )
 
 
-CATALOG: tuple[Claim, ...] = (
-    Claim(
-        "table-selfconsistency",
-        "each printed representative satisfies its own row of the decision table",
-        stated={"rows": 9, "i_range": [0, 3]},
-        expected_status=VERIFIED,
-        checker=_claim_table_selfconsistency,
-    ),
-    Claim(
-        "reflection-chain",
-        "the reflection in w maps L(1)+e2 to L(1)+e2+5w with E8-square residue 2 mod 4",
-        stated={"pairing": 5, "e8_square_mod4": 2},
-        expected_status=VERIFIED,
-        checker=_claim_reflection_chain,
-    ),
-    Claim(
-        "two-orbit-dichotomy",
-        "enumerated primitive isotropic vectors split into divisibility classes 1 and 2; "
-        "reflection orbits of L(0) and L(1)+e2 are disjoint and invariant-pure",
-        stated={"div_classes": [1, 2]},
-        expected_status=VERIFIED,
-        checker=_claim_two_orbit_dichotomy,
-    ),
-    Claim(
-        "divisibility-remark",
-        "the printed divisibilities of the two isotropic representatives",
-        stated={"div_L0": 1, "div_L1e2": 2},
-        expected_status=REFUTED,
-        checker=_claim_divisibility_remark,
-    ),
-    Claim(
-        "third-orbit-discriminant",
-        "divisibility-2 isotropic vectors pair with SigmaY to 0 mod 4, with the parity "
-        "chain on the gamma coordinates",
-        stated={"pair_sigma_mod4_when_div2": 0},
-        expected_status=VERIFIED,
-        checker=_claim_third_orbit_discriminant,
-    ),
-    Claim(
-        "eta-embedding",
-        "the doubling embedding conserves the doubled form, is non-primitive, and its "
-        "image has index 2 in its saturation",
-        stated={"isometric": True, "primitive": False, "saturation_index": 2},
-        expected_status=REFUTED,
-        checker=_claim_eta_embedding,
-    ),
-    Claim(
-        "invariant-type-a",
-        "halves of 2-divisible embedded invariant classes have divisibility 1 (type A)",
-        stated={"half_divisibility": 1, "type": "A"},
-        expected_status=VERIFIED,
-        checker=_claim_invariant_type_a,
-    ),
-    Claim(
-        "antiinvariant-type-b",
-        "embedded classes have even divisibility (type B when primitive)",
-        stated={"divisibility_parity": "even", "type": "B"},
-        expected_status=VERIFIED,
-        checker=_claim_antiinvariant_type_b,
-    ),
-    Claim(
-        "mt-coefficients",
-        "the coefficient solve a=1, k=+-1, (l_Y,SigmaY) = 2 mod 4, type A",
-        stated={"a": 1, "abs_k": 1, "pair_sigma_mod4": 2, "type": "A"},
-        expected_status=VERIFIED,
-        checker=_claim_mt_coefficients,
-    ),
-    Claim(
-        "type-polarisation-map",
-        "type A carries fiber polarisation (1,2) and type B carries (1,1)",
-        stated={"A": [1, 2], "B": [1, 1]},
-        expected_status=VERIFIED,
-        checker=_claim_type_polarisation_map,
-    ),
-    Claim(
-        "picard-sublattice-index",
-        "index-2 statements for the embedded sublattices next to SigmaY",
-        stated={"index": 2},
-        expected_status=REFUTED,
-        checker=_claim_picard_sublattice_index,
-    ),
-)
-
 _CATALOG_BY_ID = {c.id: c for c in CATALOG}
 assert len(_CATALOG_BY_ID) == len(CATALOG), "claim ids must be unique"
-
-#: claims whose expectation is tied to the as-written eta variant
-_ETA_DEPENDENT = {
-    "eta-embedding",
-    "invariant-type-a",
-    "antiinvariant-type-b",
-    "picard-sublattice-index",
-}
 
 
 @dataclass(frozen=True)
@@ -681,14 +602,16 @@ class AuditReport:
     budget: OrbitBudget
     eta_label: str
 
+    def _per_variant(self, claim: Claim) -> bool:
+        """A user-supplied eta variant is exploratory: its dependent claims carry no expectation."""
+        return claim.eta_dependent and self.eta_label != "as-written"
+
     @property
     def unexpected(self) -> tuple[str, ...]:
         out = []
         for result in self.results:
             claim = _CATALOG_BY_ID[result.id]
-            if self.eta_label != "as-written" and result.id in _ETA_DEPENDENT:
-                continue  # user-supplied variants are exploratory, not expectations
-            if result.status != claim.expected_status:
+            if not self._per_variant(claim) and result.status != claim.expected_status:
                 out.append(result.id)
         return tuple(out)
 
@@ -718,7 +641,7 @@ class AuditReport:
             claim = _CATALOG_BY_ID[result.id]
             expected = claim.expected_status
             marker = "" if result.status == expected else "  << UNEXPECTED"
-            if self.eta_label != "as-written" and result.id in _ETA_DEPENDENT:
+            if self._per_variant(claim):
                 marker = "  (per-variant)"
             lines.append(f"{result.id:28s} {result.status:12s} expected {expected}{marker}")
             if result.note:
@@ -742,7 +665,7 @@ def run_claim(
     if claim_id not in _CATALOG_BY_ID:
         raise LatticeError(f"unknown claim id {claim_id!r}")
     ctx = AuditContext(budget or OrbitBudget(), eta_label=eta_label, eta_map=eta_map)
-    return _CATALOG_BY_ID[claim_id].checker(ctx)
+    return _CATALOG_BY_ID[claim_id].run(ctx)
 
 
 def run_all(
@@ -753,5 +676,5 @@ def run_all(
     """Run the full catalog in order; claim failures are data, not errors."""
     budget = budget or OrbitBudget()
     ctx = AuditContext(budget, eta_label=eta_label, eta_map=eta_map)
-    results = tuple(claim.checker(ctx) for claim in CATALOG)
+    results = tuple(claim.run(ctx) for claim in CATALOG)
     return AuditReport(results=results, budget=budget, eta_label=eta_label)

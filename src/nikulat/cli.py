@@ -86,7 +86,7 @@ def _add_budget_flags(parser, prefix="") -> None:
 def cmd_classify(args) -> int:
     v = _read_vector(args)
     result = classify_orbit(v)
-    profile = vector_profile(v)
+    profile = result.profile
     fibration = None
     if profile.q == 0:
         fibration = classify_isotropic_type(v)

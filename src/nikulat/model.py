@@ -347,6 +347,7 @@ class OrbitClass:
     i: int
     representative: LatticeVector
     representative_expr: str
+    profile: VectorProfile  # the invariants the row was decided from
     note: str = ""
 
     def __post_init__(self) -> None:
@@ -432,6 +433,7 @@ def classify_orbit(v: LatticeVector) -> OrbitClass:
                 i=0,
                 representative=v,
                 representative_expr="(input)",
+                profile=profile,
                 note=f"no printed row matches profile {profile}",
             )
         case, i = matches[0]
@@ -441,7 +443,8 @@ def classify_orbit(v: LatticeVector) -> OrbitClass:
             f"representative {expr} fails invariant match for case {case}, i={i}"
         )
     note = "" if i >= 0 else "parameter i is negative: outside the table's stated range i in N"
-    return OrbitClass(case=case, i=i, representative=rep, representative_expr=expr, note=note)
+    return OrbitClass(case=case, i=i, representative=rep, representative_expr=expr,
+                      profile=profile, note=note)
 
 
 @dataclass(frozen=True)

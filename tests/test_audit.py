@@ -1,5 +1,6 @@
 """The claim catalog: statuses, witnesses, determinism, coefficient solver."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -7,8 +8,11 @@ import pytest
 
 from nikulat import OrbitBudget, divisibility, mt_coefficients, run_all, run_claim
 from nikulat import serialize
-from nikulat.audit import CATALOG, REFUTED, VERIFIED, AuditReport
-from nikulat.model import build_model, eta_from_matrix
+from nikulat.audit import CATALOG, NOT_CHECKABLE, REFUTED, VERIFIED, AuditContext, AuditReport
+from nikulat.exprs import parse_vector
+from nikulat.model import build_model, eta_as_written_matrix, eta_from_matrix
+
+TINY = OrbitBudget(coord_bound=1, max_frontier=2000, max_depth=2)
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +171,64 @@ def test_user_eta_variant_is_exploratory():
     assert report.exit_code == 0
 
 
+def test_non_isometric_eta_variant_is_not_checkable():
+    """Claims whose checks the variant makes impossible are NotCheckable, not a crash."""
+    rows = [list(row) for row in eta_as_written_matrix()]
+    rows[0][0] = 2  # no longer isometric
+    report = run_all(budget=TINY, eta_label="broken", eta_map=eta_from_matrix(rows))
+    by_id = {r.id: r for r in report.results}
+    assert by_id["invariant-type-a"].status == NOT_CHECKABLE
+    assert by_id["invariant-type-a"].computed == {"error": "vector is not isotropic: q = 4"}
+    assert by_id["antiinvariant-type-b"].status == NOT_CHECKABLE
+    assert by_id["antiinvariant-type-b"].computed == {"error": "vector is not isotropic: q = 16"}
+    assert report.counts()[NOT_CHECKABLE] == 2
+    assert report.unexpected == ()
+    assert report.exit_code == 0
+    assert "not-checkable 2" in report.to_text()
+
+
+def test_third_orbit_parity_chain_fires():
+    """u1+gamma1 is primitive with divisibility 2, (v, SigmaY) = 2 mod 4 and gamma
+    part (1, 0), so it trips both the residue check and the parity chain.
+
+    The chain's E8 clause (E8 part divisible by 2) cannot be tripped alone:
+    divisibility 2 makes (v, eps_i) even for every i, and E8(-1) is unimodular,
+    so the E8 part of a divisibility-2 vector is always even.
+    """
+    v = parse_vector("u1+gamma1")
+    ctx = AuditContext(TINY)
+    ctx.window1_vectors = (v,)
+    ctx.window2_vectors = ()
+    claim = next(c for c in CATALOG if c.id == "third-orbit-discriminant")
+    result = claim.run(ctx)
+    obj = {"lattice": "LY", "coords": list(v.coords)}
+    assert result.status == REFUTED
+    assert result.computed["sigma_pairing_counterexamples"] == [obj]
+    assert result.computed["parity_chain_violations"] == [obj]
+
+
+def _changed(value):
+    """A different value of the same type, for a stated value of the catalog."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, tuple):
+        return value[:-1] + (value[-1] + 1,)
+    return {"even": "odd", "A": "B", "B": "A", "Case8": "Case9"}.get(value, value + "+2*e1")
+
+
+def test_stated_values_drive_every_claim():
+    """Every stated value is read: changing any one of them changes the claim's result."""
+    ctx = AuditContext(TINY)
+    for claim in CATALOG:
+        assert claim.stated, claim.id
+        baseline = claim.run(ctx).to_obj()
+        for key, value in claim.stated.items():
+            variant = dataclasses.replace(claim, stated={**claim.stated, key: _changed(value)})
+            assert variant.run(ctx).to_obj() != baseline, (claim.id, key)
+
+
 # --- mt_coefficients -------------------------------------------------------------
 
 
@@ -200,6 +262,27 @@ def test_mt_non_square_k():
     record = mt_coefficients(4, 48, 6)  # k^2 = 3
     assert not record.ok
     assert "perfect square" in record.reason
+
+
+@pytest.mark.parametrize(
+    "args, a, reason",
+    [
+        ((4, 50, 2), None, "intersection number 50 is not divisible by 3*qH^2 = 48"),
+        ((4, 48, 1), 1, "a^2 * q(H-delta) = 1 is odd"),
+        ((4, 48, 6), 1, "k^2 = 3 is not a perfect square"),
+    ],
+    ids=["non-integral-a", "odd-k-square", "non-square-k"],
+)
+def test_mt_failure_records(args, a, reason):
+    assert mt_coefficients(*args).to_obj() == {
+        "ok": False,
+        "a": a,
+        "k_candidates": [],
+        "pair_sigma_values": [],
+        "pair_sigma_mod4": None,
+        "type": None,
+        "reason": reason,
+    }
 
 
 def test_mt_requires_positive_qh():

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from nikulat.cli import main
-from nikulat.model import ORBIT_CASES, build_model, case_representative
+from nikulat.model import ORBIT_CASES, build_model, case_representative, eta_as_written_matrix
 
 
 def run(capsys, *argv):
@@ -248,6 +248,29 @@ def test_audit_writes_reports(tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     assert len(report) == 11
     assert (tmp_path / "report.txt").read_text().startswith("claim audit")
+
+
+def test_audit_non_isometric_eta_matrix_is_reported(tmp_path, capsys):
+    """A non-isometric --eta-matrix is accepted: its impossible checks are NotCheckable."""
+    rows = [list(row) for row in eta_as_written_matrix()]
+    rows[0][0] = 2
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps({"matrix": rows}))
+    code, out, _ = run(
+        capsys,
+        "audit",
+        "--budget-coord-bound", "1",
+        "--budget-max-frontier", "2000",
+        "--budget-max-depth", "2",
+        "--eta-matrix", str(path),
+        "--output-dir", str(tmp_path),
+    )
+    assert code == 0
+    assert "not-checkable 2" in out
+    report = {obj["id"]: obj for obj in json.loads((tmp_path / "report.json").read_text())}
+    assert report["invariant-type-a"]["status"] == "NotCheckable"
+    assert report["antiinvariant-type-b"]["status"] == "NotCheckable"
+    assert "not-checkable 2" in (tmp_path / "report.txt").read_text()
 
 
 def test_audit_unwritable_dir_exits_2(tmp_path, capsys):

@@ -241,6 +241,7 @@ def test_classify_examples(setup, expr_i, expected):
     }[expr_i]
     got = classify_orbit(vec)
     assert (got.case, got.i) == expected
+    assert got.profile == vector_profile(vec)
 
 
 @pytest.mark.parametrize("case", ["Star1"] + [f"Case{k}" for k in range(2, 10)])
@@ -269,6 +270,7 @@ def test_classify_unmatched_pocket(setup):
     got = classify_orbit(v)
     assert got.case == "Unmatched"
     assert got.representative == v
+    assert got.profile == vector_profile(v)
 
 
 def test_classify_rejects_bad_input(setup):
