@@ -46,6 +46,7 @@ from .model import (
     eta_embedding,
     vector_profile,
 )
+from .serialize import vector_to_obj
 
 VERIFIED = "Verified"
 REFUTED = "Refuted"
@@ -71,7 +72,11 @@ class ClaimResult:
 
 @dataclass
 class AuditContext:
-    """Shared state for one audit run; enumeration windows are computed once."""
+    """Shared state for one audit run; enumeration windows are computed once.
+
+    Without ``eta_map`` the run checks the as-written eta, and ``eta_label``
+    must say so; a user-supplied map is labelled freely.
+    """
 
     budget: OrbitBudget
     eta_label: str = "as-written"
@@ -79,7 +84,10 @@ class AuditContext:
 
     def __post_init__(self) -> None:
         if self.eta_map is None:
-            self.eta_map = eta_embedding("as-written")
+            if self.eta_label != "as-written":
+                raise LatticeError(f"eta label {self.eta_label!r} needs its eta_map: only the "
+                                   "as-written eta is built in")
+            self.eta_map = eta_embedding()
 
     @cached_property
     def window1(self) -> EnumerationWindow:
@@ -108,7 +116,7 @@ class AuditContext:
 @dataclass(frozen=True)
 class Claim:
     """One printed statement.  ``check(ctx, stated)`` returns ``(verified, computed,
-    note)``; ``eta_dependent`` claims are expected only of the as-written eta variant."""
+    note)``; ``eta_dependent`` claims are expected only of the as-written eta."""
 
     id: str
     expected_status: str
@@ -203,10 +211,6 @@ def mt_coefficients(q_h: int, intersection_number: int, q_h_minus_delta: int) ->
 # the catalog: one checker per claim, in report order
 
 
-def _vec_obj(v: LatticeVector) -> dict:
-    return {"lattice": v.lattice.label, "coords": list(v.coords)}
-
-
 @_claim("table-selfconsistency", VERIFIED, rows=9, i_range=(0, 3))
 def _claim_table_selfconsistency(ctx: AuditContext, stated: dict):
     """each printed representative satisfies its own row of the decision table"""
@@ -242,7 +246,7 @@ def _claim_reflection_chain(ctx: AuditContext, stated: dict):
     computed = {
         "w_square": w_sq,
         "pairing": pairing,
-        "image": _vec_obj(image),
+        "image": vector_to_obj(image),
         "image_expr": stated["image"],
         "e8_square": e8_sq,
         "e8_square_mod4": e8_sq % 4,
@@ -360,9 +364,9 @@ def _claim_third_orbit_discriminant(ctx: AuditContext, stated: dict):
         checked += 1
         profile = vector_profile(v)
         if profile.pair_sigma_mod4 != stated["pair_sigma_mod4"]:
-            counterexamples.append(_vec_obj(v))
+            counterexamples.append(vector_to_obj(v))
         if not (profile.gamma_in_delta_sigma_span and profile.e8_part_div_by_2):
-            parity_violations.append(_vec_obj(v))
+            parity_violations.append(vector_to_obj(v))
     computed = {
         "div2_isotropic_checked": checked,
         "sigma_pairing_counterexamples": counterexamples,
@@ -459,10 +463,10 @@ def _claim_invariant_type_a(ctx: AuditContext, stated: dict):
         d = divisibility(half)
         verdict = classify_isotropic_type(half)
         if d != stated["half_divisibility"] or verdict.type_label != stated["type"]:
-            bad.append({"sample": _vec_obj(sample), "half_div": d, "type": verdict.type_label})
+            bad.append({"sample": vector_to_obj(sample), "half_div": d, "type": verdict.type_label})
         elif len(witnesses) < 2:
             witnesses.append(
-                {"sample_expr": label, "half_image": _vec_obj(half), "half_div": d, "type": stated["type"]}
+                {"sample_expr": label, "half_image": vector_to_obj(half), "half_div": d, "type": stated["type"]}
             )
     computed = {
         "u_only_samples": len(u_only),
@@ -495,7 +499,7 @@ def _claim_antiinvariant_type_b(ctx: AuditContext, stated: dict):
         image = emb(dom.vector(sample.coords))
         d = divisibility(image)
         if (d % 2 == 0) != stated_even:
-            odd_div.append({"sample": _vec_obj(sample), "div": d})
+            odd_div.append({"sample": vector_to_obj(sample), "div": d})
             continue
         if is_primitive(image):
             primitive_images += 1
@@ -601,10 +605,11 @@ class AuditReport:
     results: tuple[ClaimResult, ...]
     budget: OrbitBudget
     eta_label: str
+    eta_supplied: bool = False  # the run checked a user-supplied eta map
 
     def _per_variant(self, claim: Claim) -> bool:
         """A user-supplied eta variant is exploratory: its dependent claims carry no expectation."""
-        return claim.eta_dependent and self.eta_label != "as-written"
+        return claim.eta_dependent and self.eta_supplied
 
     @property
     def unexpected(self) -> tuple[str, ...]:
@@ -677,4 +682,4 @@ def run_all(
     budget = budget or OrbitBudget()
     ctx = AuditContext(budget, eta_label=eta_label, eta_map=eta_map)
     results = tuple(claim.run(ctx) for claim in CATALOG)
-    return AuditReport(results=results, budget=budget, eta_label=eta_label)
+    return AuditReport(results, budget, eta_label, eta_supplied=eta_map is not None)

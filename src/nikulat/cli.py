@@ -3,7 +3,7 @@
 Verbs: classify, profile, reflect, orbit, embed, saturate, enumerate, audit.
 Exit codes: 0 success, 1 domain-level failure (non-primitive input, refuted
 expectations, lattice mismatch), 2 usage or I/O failure (parse errors,
-malformed JSON, unwritable paths).
+malformed JSON, unwritable paths, flag values a verb cannot use).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .lattice import (
     LatticeVector,
     check_embedding,
     divisibility,
-    is_primitive,
     saturate,
     square,
 )
@@ -211,8 +210,7 @@ def cmd_embed(args) -> int:
         emb = eta_from_matrix(serialize.matrix_from_obj(serialize.load_json(args.matrix_file)))
         label = args.matrix_file
     else:
-        emb = eta_embedding(args.eta_variant)
-        label = args.eta_variant
+        emb, label = eta_embedding(), "as-written"
     report = check_embedding(emb)
     image_obj = None
     if args.vector or args.coords:
@@ -271,7 +269,12 @@ def cmd_saturate(args) -> int:
 
 def cmd_enumerate(args) -> int:
     blocks = tuple(name.strip() for name in args.blocks.split(",") if name.strip())
-    window = EnumerationWindow(blocks, args.bound)
+    try:
+        window = EnumerationWindow(blocks, args.bound)
+    except LatticeError as exc:
+        raise UsageError(f"bad enumerate flags: {exc}") from exc
+    if args.limit < 0:
+        raise UsageError(f"bad enumerate flags: --limit must be >= 0, got {args.limit}")
     count = 0
     for v in enumerate_primitive_isotropic(window):
         count += 1
@@ -287,8 +290,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    eta_map = None
-    eta_label = args.eta_variant
+    eta_map, eta_label = None, "as-written"
     if args.eta_matrix:
         eta_map = eta_from_matrix(serialize.matrix_from_obj(serialize.load_json(args.eta_matrix)))
         eta_label = os.path.basename(args.eta_matrix)
@@ -340,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("embed", help="check an eta variant and optionally map a vector")
-    p.add_argument("--eta-variant", default="as-written")
     p.add_argument("--matrix-file", help='JSON file {"matrix": [[...], ...]} (16x15)')
     p.add_argument("--vector", help="JSON list of 15 Lfix coordinates to map")
     p.add_argument("--coords", help="JSON vector file of an Lfix vector to map")
@@ -363,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="run the claim catalog and write report files")
     _add_budget_flags(p, prefix="budget-")
-    p.add_argument("--eta-variant", default="as-written")
     p.add_argument("--eta-matrix", help="JSON matrix file for a user-supplied eta variant")
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_audit)

@@ -14,10 +14,16 @@ IntVector = tuple[int, ...]
 
 
 def freeze(rows) -> Matrix:
-    """Copy a row-iterable of int-iterables into a rectangular tuple matrix."""
-    out = tuple(tuple(int(x) for x in row) for row in rows)
+    """Copy a row-iterable of int-iterables into a rectangular tuple matrix.
+
+    Entries are not coerced: a float, bool or string raises ``ValueError``.
+    """
+    out = tuple(map(tuple, rows))
     if not out or not out[0]:
         raise ValueError("matrix must be nonempty")
+    bad = [x for row in out for x in row if type(x) is not int]
+    if bad:
+        raise ValueError(f"matrix entry {bad[0]!r} is not an integer")
     width = len(out[0])
     if any(len(row) != width for row in out):
         raise ValueError("matrix rows have unequal lengths")
@@ -75,8 +81,8 @@ class SmithDecomposition:
     """left @ m @ right == diag, with all four transform matrices unimodular.
 
     ``diag`` has nonnegative diagonal entries, each dividing the next; the
-    inverses are accumulated during elimination so callers (saturation,
-    unimodular inversion) never leave integer arithmetic.
+    inverses are accumulated during elimination so callers (saturation) never
+    leave integer arithmetic.
     """
 
     left: Matrix
@@ -199,18 +205,3 @@ def smith_decomposition(m: Matrix) -> SmithDecomposition:
         right_inv=freeze(right_inv),
     )
 
-
-def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (left, D, right) with left @ m @ right == D in Smith form."""
-    dec = smith_decomposition(m)
-    return dec.left, dec.diag, dec.right
-
-
-def invert_unimodular(m: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    dec = smith_decomposition(m)
-    n = len(m)
-    if len(m[0]) != n or dec.diag != identity(n):
-        raise ValueError("matrix is not unimodular")
-    # left @ m @ right == I  =>  m^-1 == right @ left
-    return matmul(dec.right, dec.left)

@@ -8,12 +8,12 @@ invariant (square, divisibility, primitivity), never by a failed search.
 
 Orbit closure and witness search share one generation step on packed keys
 (balanced base-(2B+1) digits, B >= every |x_i|, so integer order is lexicographic
-order and a reflection adds c.key(r)); every generator must be a reflection.
+order and a reflection adds c.key(r)); every generator is a reflection by type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import intmat
@@ -23,27 +23,27 @@ from .lattice import Lattice, LatticeError, LatticeVector, divisibility, is_prim
 
 @dataclass(frozen=True)
 class Isometry:
-    """An integer matrix on a lattice that conserves the Gram form.
+    """The reflection x |-> x + (x, r) r of a lattice in a root r of square -2.
 
-    Construction validates Gram conservation exactly; use :func:`is_isometry`
-    for the non-raising test.  ``root`` is set when the isometry is a
-    reflection, enabling the O(support) path of ``apply_coords`` and of the
-    orbit searches: (x, r) sums over the nonzero entries of G.r, x is returned
+    Every isometry here is such a reflection; build one with :func:`reflection`.
+    Construction derives ``matrix`` from ``root`` and validates exactly that it
+    conserves the Gram form.  ``apply_coords`` and the orbit searches take the
+    O(support) path: (x, r) sums over the nonzero entries of G.r, x is returned
     unchanged when (x, r) = 0, and otherwise only r's support is updated.
     """
 
     lattice: Lattice
-    matrix: Matrix
-    root: IntVector | None = None
+    root: IntVector
+    matrix: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        matrix = intmat.freeze(self.matrix)
+        lat, r = self.lattice, self.root
+        gr = intmat.matvec(lat.gram, r)
+        n = lat.rank
+        matrix = intmat.freeze([[int(i == j) + r[i] * gr[j] for j in range(n)] for i in range(n)])
+        if intmat.matmul(intmat.matmul(intmat.transpose(matrix), lat.gram), matrix) != lat.gram:
+            raise LatticeError(f"the reflection in {r} does not conserve the Gram form")
         object.__setattr__(self, "matrix", matrix)
-        n = self.lattice.rank
-        if len(matrix) != n or len(matrix[0]) != n:
-            raise LatticeError(f"isometry matrix must be {n}x{n}")
-        if not _conserves_gram(self.lattice.gram, matrix):
-            raise LatticeError("matrix does not conserve the Gram form")
 
     def __call__(self, v: LatticeVector) -> LatticeVector:
         if v.lattice != self.lattice:
@@ -51,8 +51,6 @@ class Isometry:
         return self.lattice.vector(self.apply_coords(v.coords))
 
     def apply_coords(self, x: IntVector) -> IntVector:
-        if self.root is None:
-            return intmat.matvec(self.matrix, x)
         gram_root, root = self._supports
         c = 0
         for j, g in gram_root:
@@ -66,29 +64,10 @@ class Isometry:
 
     @cached_property
     def _supports(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-        """Nonzero entries of G.r and of r as (index, value) pairs, for a reflection."""
+        """Nonzero entries of G.r and of r as (index, value) pairs."""
         r = self.root
         gram_root = ((i, sum(g * r[j] for j, g in row)) for i, row in enumerate(self.lattice.sparse_rows))
         return tuple((i, c) for i, c in gram_root if c), tuple((i, c) for i, c in enumerate(r) if c)
-
-    def determinant(self) -> int:
-        return intmat.det(self.matrix)
-
-
-def _conserves_gram(gram: Matrix, m: Matrix) -> bool:
-    return intmat.matmul(intmat.matmul(intmat.transpose(m), gram), m) == gram
-
-
-def is_isometry(lat: Lattice, m) -> bool:
-    """True iff m^T . gram . m == gram.  Raises on a wrongly shaped matrix."""
-    m = intmat.freeze(m)
-    if len(m) != lat.rank or len(m[0]) != lat.rank:
-        raise LatticeError(f"matrix must be {lat.rank}x{lat.rank}")
-    return _conserves_gram(lat.gram, m)
-
-
-def identity_isometry(lat: Lattice) -> Isometry:
-    return Isometry(lat, intmat.identity(lat.rank))
 
 
 def reflection(v: LatticeVector) -> Isometry:
@@ -103,22 +82,7 @@ def reflection(v: LatticeVector) -> Isometry:
             f"reflection root must have square -2, got {sq}; "
             "generalized reflections are not provided"
         )
-    lat = v.lattice
-    gv = intmat.matvec(lat.gram, v.coords)
-    n = lat.rank
-    cols = []
-    for j in range(n):
-        col = [int(i == j) + gv[j] * v.coords[i] for i in range(n)]
-        cols.append(col)
-    matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return Isometry(lat, matrix, root=v.coords)
-
-
-def compose(a: Isometry, b: Isometry) -> Isometry:
-    """Function composition a after b: (a . b)(x) = a(b(x))."""
-    if a.lattice != b.lattice:
-        raise LatticeError("cannot compose isometries of different lattices")
-    return Isometry(a.lattice, intmat.matmul(a.matrix, b.matrix))
+    return Isometry(v.lattice, v.coords)
 
 
 @dataclass(frozen=True)
@@ -164,15 +128,6 @@ class OrbitSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, v) -> bool:
-        coords = v.coords if isinstance(v, LatticeVector) else tuple(v)
-        return coords in self.member_set
-
-    def vectors(self):
-        lat = self.seed.lattice
-        for coords in self.members:
-            yield lat.vector(coords)
-
 
 def _check_orbit_inputs(seed: LatticeVector, gens) -> None:
     if seed.is_zero():
@@ -180,8 +135,6 @@ def _check_orbit_inputs(seed: LatticeVector, gens) -> None:
     for g in gens:
         if g.lattice != seed.lattice:
             raise LatticeError("generator acts on a different lattice than the seed")
-        if g.root is None:
-            raise LatticeError("orbit search generators must be reflections")
 
 
 def _pack(x: IntVector, width: int) -> int:

@@ -63,28 +63,17 @@ class Lattice:
         return len(self.gram)
 
     @cached_property
-    def det(self) -> int:
-        return intmat.det(self.gram)
-
-    @cached_property
     def sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per Gram row, its nonzero entries as (column, value) pairs."""
         return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram)
 
-    @property
-    def is_even(self) -> bool:
-        return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
-
     def vector(self, coords) -> LatticeVector:
-        return LatticeVector(self, tuple(int(c) for c in coords))
+        return LatticeVector(self, coords)
 
     def basis_vector(self, i: int) -> LatticeVector:
         if not 0 <= i < self.rank:
             raise LatticeError(f"basis index {i} out of range for rank {self.rank}")
         return self.vector(tuple(int(j == i) for j in range(self.rank)))
-
-    def zero(self) -> LatticeVector:
-        return self.vector((0,) * self.rank)
 
     def block_slice(self, label_or_index) -> slice:
         """Coordinate slice of a direct summand, by position or by a label naming one block."""
@@ -108,18 +97,23 @@ class Lattice:
 
 @dataclass(frozen=True)
 class LatticeVector:
-    """An element of a lattice, given by integer coordinates in its basis."""
+    """An element of a lattice, given by integer coordinates in its basis.
+
+    Coordinates are not coerced: a float, bool or string raises ``LatticeError``.
+    """
 
     lattice: Lattice
     coords: IntVector
 
     def __post_init__(self) -> None:
-        coords = tuple(int(c) for c in self.coords)
+        coords = tuple(self.coords)
         object.__setattr__(self, "coords", coords)
         if len(coords) != self.lattice.rank:
             raise LatticeError(
                 f"vector of length {len(coords)} in lattice of rank {self.lattice.rank}"
             )
+        if any(type(c) is not int for c in coords):
+            raise LatticeError(f"vector coordinates must be integers, got {list(coords)!r}")
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -164,7 +158,7 @@ def standard_lattice(kind: str, param: int | None = None) -> Lattice:
     if kind == "rank1":
         if param is None or param == 0:
             raise LatticeError("rank1 lattice needs a nonzero self-pairing")
-        return Lattice(f"<{param}>", ((int(param),),))
+        return Lattice(f"<{param}>", ((param,),))
     raise LatticeError(f"unknown standard lattice kind {kind!r}")
 
 

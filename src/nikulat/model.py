@@ -25,7 +25,6 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterator
 
-from . import intmat
 from .intmat import IntVector, Matrix
 from .isometry import Isometry, reflection
 from .lattice import (
@@ -188,12 +187,6 @@ def sigma_star(v: LatticeVector) -> LatticeVector:
     return model.lambda_X.vector(tuple(v.coords[j] for j in _sigma_permutation()))
 
 
-def sigma_star_isometry() -> Isometry:
-    model, _ = build_model()
-    rows = intmat.identity(model.lambda_X.rank)
-    return Isometry(model.lambda_X, tuple(rows[j] for j in _sigma_permutation()))
-
-
 def sigma_invariant_basis() -> tuple[LatticeVector, ...]:
     """A basis of the sigma_star-invariant sublattice of LX (rank 15).
 
@@ -223,32 +216,16 @@ def eta_as_written_matrix() -> Matrix:
     return tuple(tuple(r) for r in rows)
 
 
-@lru_cache(maxsize=None)
-def eta_embedding(variant: str = "as-written") -> EmbeddingMap:
-    """The registered eta variants as embeddings Lfix(2) -> LY."""
-    if variant != "as-written":
-        raise LatticeError(f"unknown eta variant {variant!r}")
-    model, _ = build_model()
-    return EmbeddingMap(rescale(model.lambda_fix, 2), model.lambda_Y, eta_as_written_matrix())
-
-
 def eta_from_matrix(matrix) -> EmbeddingMap:
     """A user-supplied eta candidate; accepted even when not isometric (flagged downstream)."""
     model, _ = build_model()
-    return EmbeddingMap(rescale(model.lambda_fix, 2), model.lambda_Y, intmat.freeze(matrix))
+    return EmbeddingMap(rescale(model.lambda_fix, 2), model.lambda_Y, matrix)
 
 
-def eta(variant: str, v: LatticeVector) -> LatticeVector:
-    """Apply a registered eta variant to a vector of Lfix (or Lfix(2)).
-
-    The underlying module of Lfix and Lfix(2) is the same, so coordinates are
-    accepted from either presentation.
-    """
-    emb = eta_embedding(variant)
-    model, _ = build_model()
-    if v.lattice.gram not in (model.lambda_fix.gram, emb.domain.gram):
-        raise LatticeError("eta applies to vectors of Lfix")
-    return emb(emb.domain.vector(v.coords))
+@lru_cache(maxsize=1)
+def eta_embedding() -> EmbeddingMap:
+    """The doubling embedding Lfix(2) -> LY as written in the source derivation."""
+    return eta_from_matrix(eta_as_written_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -598,14 +575,6 @@ def enumerate_primitive_isotropic(window: EnumerationWindow) -> Iterator[Lattice
     """Primitive isotropic vectors of LY supported on the window's blocks."""
     model, _ = build_model()
     yield from enumerate_with_square(model.lambda_Y, window.blocks, window.bound, target=0)
-
-
-def minus_two_vectors(window: EnumerationWindow) -> Iterator[LatticeVector]:
-    """Vectors of square -2 (reflection roots) supported on the window's blocks."""
-    model, _ = build_model()
-    yield from enumerate_with_square(
-        model.lambda_Y, window.blocks, window.bound, target=-2, primitive_only=False
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """JSON interchange formats.
 
-Lattice file:   {"label": str, "rank": int, "gram": [[int, ...], ...]}
-Vector file:    {"lattice": label, "coords": [int, ...]}
-Matrix file:    {"matrix": [[int, ...], ...]}   nonempty and rectangular
+Vector file:    {"lattice": label, "coords": [int, ...]}   label one of LX, Lfix, LY;
+                read by --coords, and a list of them by orbit --gens-file
+Matrix file:    {"matrix": [[int, ...], ...]}   nonempty and rectangular;
+                read by embed --matrix-file and audit --eta-matrix
 Orbit file:     {"seed": vector, "members": [vector, ...], "exhausted": bool}
                 members sorted lexicographically by coordinates
 Witness file:   {"from": vector, "to": vector, "word": [generator index, ...]}
 Audit report:   [{"id": str, "status": str, "computed": {...}, "note": str}, ...]
 
+Every vector written, audit witnesses included, has the shape of :func:`vector_to_obj`.
 Readers take integers only: a float, boolean or string where an int belongs
 raises :class:`FormatError`, as does a missing key.  ``dumps`` is canonical
 (sorted keys, fixed separators), so equal objects serialize to identical bytes.
@@ -25,10 +27,6 @@ from .lattice import Lattice, LatticeError, LatticeVector
 
 def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
-
-
-def lattice_to_obj(lat: Lattice) -> dict:
-    return {"label": lat.label, "rank": lat.rank, "gram": [list(row) for row in lat.gram]}
 
 
 class FormatError(LatticeError):
@@ -55,19 +53,6 @@ def matrix_from_obj(obj: dict) -> Matrix:
     return matrix
 
 
-def lattice_from_obj(obj: dict) -> Lattice:
-    try:
-        label, rank, gram = obj["label"], obj["rank"], obj["gram"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed lattice object: missing {exc}") from None
-    if type(rank) is not int or not isinstance(gram, list):
-        raise FormatError("lattice rank must be an integer and gram a list of rows")
-    lat = Lattice(str(label), tuple(tuple(int_list(row, "gram row")) for row in gram))
-    if lat.rank != rank:
-        raise LatticeError(f"lattice file says rank {rank}, Gram matrix has rank {lat.rank}")
-    return lat
-
-
 def vector_to_obj(v: LatticeVector) -> dict:
     return {"lattice": v.lattice.label, "coords": list(v.coords)}
 
@@ -83,10 +68,10 @@ def vector_from_obj(obj: dict, registry: dict[str, Lattice]) -> LatticeVector:
 
 
 def orbit_to_obj(orbit: OrbitSet) -> dict:
-    label = orbit.seed.lattice.label
+    lat = orbit.seed.lattice
     return {
         "seed": vector_to_obj(orbit.seed),
-        "members": [{"lattice": label, "coords": list(c)} for c in orbit.members],
+        "members": [vector_to_obj(lat.vector(c)) for c in orbit.members],
         "exhausted": orbit.exhausted,
     }
 

@@ -35,9 +35,8 @@ from nikulat.model import (
     classify_orbit,
     default_generators,
     enumerate_primitive_isotropic,
+    enumerate_with_square,
     eta_embedding,
-    minus_two_vectors,
-    EnumerationWindow,
 )
 
 
@@ -162,7 +161,7 @@ def test_criterion_5_sigma_pairing_discriminant(model_vectors, desk_scale_run):
 
 def test_criterion_6_eta_audit():
     start = time.monotonic()
-    emb = eta_embedding("as-written")
+    emb = eta_embedding()
     cols = emb.column_vectors()
     pairs_checked = 0
     gram_ok = True
@@ -246,7 +245,9 @@ def test_criterion_9_infrastructure(model_vectors):
     cartan = tuple(tuple(-x for x in row) for row in E8_NEG_GRAM)
     dets_ok = order == 256 and det(cartan) == 1
 
-    roots = list(minus_two_vectors(EnumerationWindow(("U1", "E8", "G1", "G2"), 1)))
+    roots = list(
+        enumerate_with_square(model.lambda_Y, ("U1", "E8", "G1", "G2"), 1, target=-2, primitive_only=False)
+    )
     invariance_ok = True
     for _ in range(1000):
         root = roots[rng.randrange(len(roots))]

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from nikulat import OrbitBudget, divisibility, mt_coefficients, run_all, run_claim
+from nikulat import LatticeError, OrbitBudget, divisibility, mt_coefficients, run_all, run_claim
 from nikulat import serialize
 from nikulat.audit import CATALOG, NOT_CHECKABLE, REFUTED, VERIFIED, AuditContext, AuditReport
 from nikulat.exprs import parse_vector
@@ -103,7 +103,7 @@ def test_refuted_witness_recheck(report):
     from nikulat import check_embedding, eta_embedding
 
     assert (
-        check_embedding(eta_embedding("as-written")).saturation_index
+        check_embedding(eta_embedding()).saturation_index
         == witness["eta-embedding"]["saturation_index"]
     )
 
@@ -169,6 +169,25 @@ def test_user_eta_variant_is_exploratory():
     assert by_id["eta-embedding"].status == REFUTED  # not even isometric
     assert "eta-embedding" not in report.unexpected  # per-variant, not an expectation
     assert report.exit_code == 0
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_all(budget=TINY, eta_label="bogus"),
+    lambda: run_claim("eta-embedding", eta_label="bogus"),
+    lambda: AuditContext(TINY, eta_label="bogus"),
+], ids=["run_all", "run_claim", "AuditContext"])
+def test_eta_label_without_map_raises(run):
+    """Only the as-written eta is built in; another label needs its matrix."""
+    with pytest.raises(LatticeError, match="bogus"):
+        run()
+
+
+def test_user_map_labelled_as_written_is_still_per_variant():
+    """Per-variant marking follows whether a map was supplied, not the label text."""
+    report = run_all(budget=TINY, eta_map=eta_from_matrix(eta_as_written_matrix()))
+    assert report.to_obj() == run_all(budget=TINY).to_obj()
+    assert "(per-variant)" in report.to_text()
+    assert "(per-variant)" not in run_all(budget=TINY).to_text()
 
 
 def test_non_isometric_eta_variant_is_not_checkable():

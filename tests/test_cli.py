@@ -226,9 +226,31 @@ def test_enumerate_json_lines(capsys):
     assert all(obj["lattice"] == "LY" for obj in lines)
 
 
-def test_enumerate_bad_block_exits_1(capsys):
+def test_enumerate_bad_block_exits_2(capsys):
     code, _, err = run(capsys, "enumerate", "--blocks", "U9")
-    assert code == 1
+    assert code == 2
+    assert "no block 'U9'" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--bound", "0"], ["--blocks", ","], ["--limit", "-1"]],
+    ids=["bound-0", "no-block", "negative-limit"],
+)
+def test_enumerate_bad_flag_exits_2(capsys, flags):
+    code, out, err = run(capsys, "enumerate", "--blocks", "U1", *flags)
+    assert code == 2
+    assert "bad enumerate flags" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("verb", ["embed", "audit"])
+def test_eta_variant_flag_is_gone(tmp_path, capsys, verb):
+    """Only the as-written eta is built in; other variants come in as matrix files."""
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--eta-variant", "x", *(["--output-dir", str(tmp_path)] if verb == "audit" else [])])
+    assert exc.value.code == 2
+    assert not (tmp_path / "report.json").exists()
 
 
 # --- audit -------------------------------------------------------------------------

@@ -32,19 +32,16 @@ def random_matrix(rng, max_size=6, lo=-9, hi=9):
 
 def test_snf_hyperbolic_rescaled():
     # hand elimination: [[0,2],[2,0]] -> swap rows -> [[2,0],[0,2]]
-    _, diag, _ = intmat.smith_normal_form(((0, 2), (2, 0)))
-    assert diag == ((2, 0), (0, 2))
+    assert intmat.smith_decomposition(((0, 2), (2, 0))).diag == ((2, 0), (0, 2))
 
 
 def test_snf_identity():
-    left, diag, right = intmat.smith_normal_form(intmat.identity(5))
-    assert diag == intmat.identity(5)
+    assert intmat.smith_decomposition(intmat.identity(5)).diag == intmat.identity(5)
 
 
 def test_snf_e8_cartan_is_unimodular():
     cartan = tuple(tuple(-x for x in row) for row in E8_NEG_GRAM)
-    _, diag, _ = intmat.smith_normal_form(cartan)
-    assert diag == intmat.identity(8)
+    assert intmat.smith_decomposition(cartan).diag == intmat.identity(8)
     assert sympy_det(cartan) == 1  # independent determinant oracle
 
 
@@ -98,22 +95,24 @@ def test_det_big_integers_are_exact():
 @settings(max_examples=150, deadline=None)
 def test_snf_round_trip_property(rows):
     m = intmat.freeze(rows)
-    left, diag, right = intmat.smith_normal_form(m)
-    assert intmat.matmul(intmat.matmul(left, m), right) == diag
+    dec = intmat.smith_decomposition(m)
+    assert intmat.matmul(intmat.matmul(dec.left, m), dec.right) == dec.diag
 
 
 def test_invert_unimodular():
+    """left @ m @ right == I, so right @ left is the exact inverse of a unimodular m."""
     m = ((1, 2, 0), (0, 1, 5), (0, 0, 1))
-    inv = intmat.invert_unimodular(m)
+    dec = intmat.smith_decomposition(m)
+    assert dec.diag == intmat.identity(3)
+    inv = intmat.matmul(dec.right, dec.left)
     assert intmat.matmul(m, inv) == intmat.identity(3)
     assert intmat.matmul(inv, m) == intmat.identity(3)
 
 
 def test_invert_rejects_non_unimodular():
-    with pytest.raises(ValueError):
-        intmat.invert_unimodular(((2, 0), (0, 1)))
-    with pytest.raises(ValueError):
-        intmat.invert_unimodular(((1, 2, 3),))
+    """The Smith form tells a non-unimodular matrix from a unimodular one."""
+    assert intmat.smith_decomposition(((2, 0), (0, 1))).diagonal() == (1, 2)
+    assert intmat.smith_decomposition(((1, 2, 3),)).diag == ((1, 0, 0),)
 
 
 def test_freeze_rejects_ragged():
@@ -124,3 +123,9 @@ def test_freeze_rejects_ragged():
 def test_matmul_shape_check():
     with pytest.raises(ValueError):
         intmat.matmul(((1, 2),), ((1, 2),))
+
+
+@pytest.mark.parametrize("bad", [1.9, 2.0, True, "1"])
+def test_freeze_rejects_non_int_entries(bad):
+    with pytest.raises(ValueError, match="not an integer"):
+        intmat.freeze([[1, bad], [3, 4]])

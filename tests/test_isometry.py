@@ -6,12 +6,11 @@ import random
 import pytest
 
 from nikulat import (
+    EmbeddingMap,
     LatticeError,
     OrbitBudget,
-    compose,
+    check_embedding,
     divisibility,
-    identity_isometry,
-    is_isometry,
     is_primitive,
     orbit_explore,
     pair,
@@ -21,14 +20,14 @@ from nikulat import (
     square,
     standard_lattice,
 )
+from nikulat import intmat
 from nikulat.isometry import Isometry
 from nikulat.model import (
-    EnumerationWindow,
     build_model,
     default_generator_names,
     default_generators,
-    minus_two_vectors,
-    sigma_star_isometry,
+    enumerate_with_square,
+    sigma_star,
 )
 
 
@@ -69,8 +68,8 @@ def test_reflection_is_involution_and_isometry(setup):
     roots = [nv.w, nv.gamma1, nv.e1, nv.u[0] + nv.e1]
     for root in roots:
         r = reflection(root)
-        assert compose(r, r).matrix == identity_isometry(model.lambda_Y).matrix
-        assert r.determinant() == -1
+        assert intmat.matmul(r.matrix, r.matrix) == intmat.identity(16)
+        assert intmat.det(r.matrix) == -1
         for _ in range(20):
             v = model.lambda_Y.vector([rng.randint(-9, 9) for _ in range(16)])
             if v.is_zero():
@@ -81,38 +80,34 @@ def test_reflection_is_involution_and_isometry(setup):
 
 
 def test_compose(setup):
+    """Applying two reflections in turn is applying their matrix product."""
     model, nv = setup
-    rw = reflection(nv.w)
-    ident = identity_isometry(model.lambda_Y)
-    assert compose(ident, rw).matrix == rw.matrix
-    both = compose(reflection(nv.gamma1), reflection(nv.gamma2))
+    r1, r2 = reflection(nv.gamma1), reflection(nv.gamma2)
     v = model.lambda_Y.vector([1, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, -1])
-    assert both(v).coords[14:] == (-3, 1)
-    assert both(v).coords[:14] == v.coords[:14]
+    both = r1(r2(v))
+    assert both.coords == intmat.matvec(intmat.matmul(r1.matrix, r2.matrix), v.coords)
+    assert both.coords[14:] == (-3, 1)
+    assert both.coords[:14] == v.coords[:14]
 
 
-def test_compose_lattice_mismatch(setup):
-    model, nv = setup
-    u = standard_lattice("U")
-    other = identity_isometry(u)
-    with pytest.raises(LatticeError):
-        compose(identity_isometry(model.lambda_Y), other)
+# --- Gram conservation, read off check_embedding of a lattice into itself ---------
 
 
-# --- is_isometry -----------------------------------------------------------------
+def is_isometry(lat, m) -> bool:
+    return check_embedding(EmbeddingMap(lat, lat, m)).isometric
 
 
 def test_is_isometry_identity(setup):
     model, _ = setup
-    from nikulat.intmat import identity
-
-    assert is_isometry(model.lambda_Y, identity(16))
+    assert is_isometry(model.lambda_Y, intmat.identity(16))
 
 
 def test_is_isometry_sigma_swap(setup):
+    """sigma_star, exchanging the two E8(-1) blocks of LX, conserves the form."""
     model, _ = setup
-    iso = sigma_star_isometry()
-    assert is_isometry(model.lambda_X, iso.matrix)
+    lx = model.lambda_X
+    images = [sigma_star(lx.basis_vector(j)).coords for j in range(lx.rank)]
+    assert is_isometry(lx, intmat.transpose(images))  # column j is the image of basis vector j
 
 
 def test_is_isometry_scaling_fails(setup):
@@ -128,10 +123,10 @@ def test_is_isometry_wrong_shape(setup):
 
 
 def test_isometry_constructor_validates(setup):
-    model, _ = setup
-    bad = tuple(tuple(2 * int(i == j) for j in range(16)) for i in range(16))
-    with pytest.raises(LatticeError):
-        Isometry(model.lambda_Y, bad)
+    """x |-> x + (x, r) r conserves the form only for (r, r) = -2; e2 has square -4."""
+    model, nv = setup
+    with pytest.raises(LatticeError, match="Gram form"):
+        Isometry(model.lambda_Y, nv.e2.coords)
 
 
 # --- orbit exploration -------------------------------------------------------------
@@ -153,10 +148,10 @@ def test_orbit_contains_reflection_image(setup):
 
 def test_orbit_invariant_purity(setup):
     model, nv = setup
-    window = EnumerationWindow(("E8", "G1", "G2"), 1)
-    gens = [reflection(r) for r in itertools.islice(minus_two_vectors(window), 40)]
+    roots = enumerate_with_square(model.lambda_Y, ("E8", "G1", "G2"), 1, target=-2, primitive_only=False)
+    gens = [reflection(r) for r in itertools.islice(roots, 40)]
     orbit = orbit_explore(nv.L(0), gens, OrbitBudget(1, 5000, 3))
-    for v in orbit.vectors():
+    for v in map(model.lambda_Y.vector, orbit.members):
         assert divisibility(v) == 2
         assert square(v) == 0
 
@@ -183,7 +178,7 @@ def test_orbit_truncation_is_flagged(setup):
 def test_orbit_rejects_zero_seed(setup):
     model, _ = setup
     with pytest.raises(LatticeError):
-        orbit_explore(model.lambda_Y.zero(), default_generators())
+        orbit_explore(model.lambda_Y.vector((0,) * 16), default_generators())
 
 
 def test_orbit_rank2_brute_force_cross_check():

@@ -11,6 +11,7 @@ from nikulat import (
     EmbeddingMap,
     Lattice,
     LatticeError,
+    LatticeVector,
     check_embedding,
     direct_sum,
     discriminant_group,
@@ -75,7 +76,7 @@ def test_rescale():
 
 def test_rescale_determinant_scaling():
     # det(L(n)) = n^rank * det(L); on U(2): 2^2 * (-1) = -4
-    assert U2.det == -4 == 2**2 * U.det
+    assert det(U2.gram) == -4 == 2**2 * det(U.gram)
 
 
 def test_rescale_by_zero():
@@ -121,6 +122,16 @@ def test_degenerate_gram_rejected():
 def test_asymmetric_gram_rejected():
     with pytest.raises(LatticeError):
         Lattice("bad", ((0, 1), (2, 0)))
+
+
+def test_vector_float_coords_rejected_not_truncated(ly):
+    with pytest.raises(LatticeError, match="must be integers"):
+        ly.vector([1.9] * 16)
+
+
+def test_vector_bool_coord_rejected(ly):
+    with pytest.raises(LatticeError, match="must be integers"):
+        LatticeVector(ly, [True] + [0] * 15)
 
 
 # --- pairings and invariants -------------------------------------------------
@@ -171,7 +182,7 @@ def test_divisibility_values(nv):
 
 def test_divisibility_zero_vector(ly):
     with pytest.raises(LatticeError):
-        divisibility(ly.zero())
+        divisibility(ly.vector((0,) * 16))
 
 
 def test_is_primitive(nv):
@@ -179,7 +190,7 @@ def test_is_primitive(nv):
     assert is_primitive(2 * nv.L(1) - nv.deltaY)
     assert not is_primitive(2 * nv.L(0))
     with pytest.raises(LatticeError):
-        is_primitive(nv.L(0).lattice.zero())
+        is_primitive(nv.L(0).lattice.vector((0,) * 16))
 
 
 @given(
@@ -215,7 +226,7 @@ def test_divisibility_scales(k, x):
 def test_divisibility_divides_square_in_even_lattice(x):
     model, _ = build_model()
     v = model.lambda_Y.vector(x)
-    assert model.lambda_Y.is_even
+    assert all(model.lambda_Y.gram[i][i] % 2 == 0 for i in range(16))  # LY is even
     assert square(v) % divisibility(v) == 0
 
 
@@ -242,7 +253,7 @@ def test_saturate_delta_sigma(ly, nv):
 
 
 def test_saturate_eta_image_index(ly):
-    emb = eta_embedding("as-written")
+    emb = eta_embedding()
     report = saturate(ly, list(emb.column_vectors()))
     assert report.total_index == 2**8
     assert report.index_invariant_factors == (2,) * 8
@@ -288,7 +299,7 @@ def test_identity_embedding(ly):
 
 
 def test_eta_as_written_report():
-    report = check_embedding(eta_embedding("as-written"))
+    report = check_embedding(eta_embedding())
     assert report.isometric
     assert not report.primitive
     assert report.saturation_index == 2**8
@@ -311,7 +322,7 @@ def test_embedding_rejects_rank_deficient(ly):
 
 def test_isometric_embedding_preserves_squares():
     rng = random.Random(5)
-    emb = eta_embedding("as-written")
+    emb = eta_embedding()
     for _ in range(1000):
         coords = [rng.randint(-8, 8) for _ in range(15)]
         v = emb.domain.vector(coords)

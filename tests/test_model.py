@@ -14,7 +14,6 @@ from nikulat import (
     classify_orbit,
     discriminant_group,
     divisibility,
-    eta,
     eta_embedding,
     is_primitive,
     orbit_explore,
@@ -32,9 +31,9 @@ from nikulat.model import (
     case_representative,
     default_generators,
     enumerate_primitive_isotropic,
+    enumerate_with_square,
     eta_from_matrix,
     lattice_registry,
-    minus_two_vectors,
     sigma_invariant_basis,
 )
 
@@ -115,23 +114,23 @@ def test_sigma_invariant_sublattice_is_lfix(setup):
 # --- eta -----------------------------------------------------------------------
 
 
+def eta(v):
+    """The as-written eta on a vector of Lfix, whose module is that of Lfix(2)."""
+    emb = eta_embedding()
+    return emb(emb.domain.vector(v.coords))
+
+
 def test_eta_on_u_part(setup):
     model, _ = setup
     u1 = model.lambda_fix.basis_vector(0)
-    assert eta("as-written", u1).coords == (1,) + (0,) * 15
+    assert eta(u1).coords == (1,) + (0,) * 15
 
 
 def test_eta_alpha_maps_to_delta(setup):
     model, nv = setup
     alpha = model.lambda_fix.basis_vector(14)
-    assert eta("as-written", alpha) == nv.deltaY
+    assert eta(alpha) == nv.deltaY
     assert square(alpha) == -2 and square(nv.deltaY) == -4  # doubled form
-
-
-def test_eta_unknown_variant(setup):
-    model, _ = setup
-    with pytest.raises(LatticeError):
-        eta("mystery", model.lambda_fix.basis_vector(0))
 
 
 def test_eta_user_variant_flagged_not_rejected(setup):
@@ -147,7 +146,7 @@ def test_eta_user_variant_flagged_not_rejected(setup):
 def test_eta_conserves_doubled_form(coords):
     model, _ = build_model()
     v = model.lambda_fix.vector(coords)
-    image = eta("as-written", v)
+    image = eta(v)
     assert square(image) == 2 * square(v)
 
 
@@ -278,7 +277,7 @@ def test_classify_rejects_bad_input(setup):
     with pytest.raises(LatticeError):
         classify_orbit(2 * nv.L(0))
     with pytest.raises(LatticeError):
-        classify_orbit(model.lambda_Y.zero())
+        classify_orbit(model.lambda_Y.vector((0,) * 16))
 
 
 def test_classify_random_vectors_land_once(setup):
@@ -344,16 +343,18 @@ def test_type_constant_on_reflection_orbits(setup):
     budget = OrbitBudget(2, 3000, 3)
     for seed, expected in [(nv.L(0), "B"), (nv.L(1) + nv.e2, "A")]:
         orbit = orbit_explore(seed, default_generators(), budget)
-        for v in orbit.vectors():
-            assert classify_isotropic_type(v).type_label == expected
+        for c in orbit.members:
+            assert classify_isotropic_type(orbit.seed.lattice.vector(c)).type_label == expected
 
 
 def test_classifier_oracle_agreement(setup):
     _, nv = setup
     budget = OrbitBudget(3, 4000, 3)
-    for v in orbit_explore(nv.L(0), default_generators(), budget).vectors():
-        assert classify_orbit(v).case == "Star1"
-    for v in orbit_explore(nv.L(1) + nv.e2, default_generators(), budget).vectors():
+    ly = nv.L(0).lattice
+    for c in orbit_explore(nv.L(0), default_generators(), budget).members:
+        assert classify_orbit(ly.vector(c)).case == "Star1"
+    for c in orbit_explore(nv.L(1) + nv.e2, default_generators(), budget).members:
+        v = ly.vector(c)
         got = classify_orbit(v)
         assert got.case in ("Case8", "Case9")
         p = vector_profile(v)
@@ -416,8 +417,8 @@ def test_sigma_pairing_discriminant_on_windows(setup):
 
 
 def test_minus_two_vectors_are_roots(setup):
-    window = EnumerationWindow(("E8",), 1)
-    roots = list(minus_two_vectors(window))
+    model, _ = setup
+    roots = list(enumerate_with_square(model.lambda_Y, ("E8",), 1, target=-2, primitive_only=False))
     assert all(square(r) == -2 for r in roots)
     # connected-subgraph count of the E8 diagram, times two signs
     assert len(roots) == 2 * 44

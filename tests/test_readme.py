@@ -1,0 +1,67 @@
+"""The README's examples run as documented.
+
+The "Library quick tour" block is executed as it stands.  Every ``nikulat``
+line of "Command line" runs through ``cli.main`` in a temporary directory and
+must exit 0; the ``# ...`` lines under a command are its documented output.
+The witness search is skipped (about 12 s): ``test_isometry.py`` replays its
+word.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from nikulat.cli import main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def section(title: str) -> str:
+    start = README.index(f"\n## {title}\n")
+    end = README.find("\n## ", start + 1)
+    return README[start:end if end >= 0 else None]
+
+
+def commands() -> list[tuple[list[str], list[str]]]:
+    """(argv after ``nikulat``, documented output lines) per command line."""
+    found = []
+    for line in section("Command line").splitlines():
+        if line.startswith("    nikulat "):
+            found.append((shlex.split(line)[1:], []))
+        elif line.startswith("    # ") and found:
+            found[-1][1].append(line[len("    # "):])
+    return found
+
+
+COMMANDS = [(argv, out) for argv, out in commands() if "--witness" not in " ".join(argv)]
+
+
+def test_command_list_is_complete():
+    assert len(commands()) == len(COMMANDS) + 1 == 10  # the witness line is the one skipped
+
+
+@pytest.mark.parametrize("argv, documented", COMMANDS, ids=[" ".join(argv) for argv, _ in COMMANDS])
+def test_command_line_example(tmp_path, monkeypatch, capsys, argv, documented):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if documented:
+        assert out.splitlines() == documented
+
+
+def test_classify_example_output_is_documented():
+    documented = dict((" ".join(argv), out) for argv, out in COMMANDS)
+    assert documented["classify L(1)+e2"] == [
+        "Case9 i=0 rep=L(1)+e2 [q=0 div=1]",
+        "isotropic: type A, polarisation (1, 2), (v,SigmaY) mod 4 = 0",
+    ]
+
+
+def test_library_quick_tour_runs():
+    (block,) = re.findall(r"```python\n(.*?)```", section("Library quick tour"), re.S)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["classify_orbit"](namespace["v"]).case == "Case9"
+    assert namespace["orbit"].exhausted is False

@@ -1,10 +1,10 @@
-"""JSON interchange: lattice files, vector files, orbits, canonical dumps."""
+"""JSON interchange: vector and matrix files, orbits, canonical dumps; strict integers."""
 
 import json
 
 import pytest
 
-from nikulat import LatticeError, OrbitBudget, orbit_explore, reflection, standard_lattice
+from nikulat import Lattice, LatticeError, OrbitBudget, orbit_explore, reflection, standard_lattice
 from nikulat import serialize
 from nikulat.model import build_model, lattice_registry
 
@@ -15,21 +15,23 @@ def setup():
 
 
 def test_lattice_round_trip():
+    """A lattice is its label and Gram matrix: rebuilt from them, it is equal."""
     u = standard_lattice("U")
-    obj = serialize.lattice_to_obj(u)
-    assert obj == {"label": "U", "rank": 2, "gram": [[0, 1], [1, 0]]}
-    back = serialize.lattice_from_obj(obj)
-    assert back.gram == u.gram and back.label == u.label
+    assert (u.label, u.gram) == ("U", ((0, 1), (1, 0)))
+    assert Lattice(u.label, u.gram) == u
 
 
 def test_lattice_rank_mismatch_rejected():
-    with pytest.raises(LatticeError):
-        serialize.lattice_from_obj({"label": "U", "rank": 3, "gram": [[0, 1], [1, 0]]})
+    """A vector file whose coordinates do not match its lattice's rank is rejected."""
+    with pytest.raises(LatticeError, match="rank 16"):
+        serialize.vector_from_obj({"lattice": "LY", "coords": [1, 0, 0]}, lattice_registry())
 
 
 def test_lattice_missing_key():
-    with pytest.raises(LatticeError):
-        serialize.lattice_from_obj({"label": "U"})
+    with pytest.raises(serialize.FormatError):
+        serialize.vector_from_obj({"coords": [1] + [0] * 15}, lattice_registry())
+    with pytest.raises(serialize.FormatError):
+        serialize.matrix_from_obj({"gram": [[0, 1], [1, 0]]})
 
 
 def test_vector_round_trip(setup):
@@ -84,13 +86,17 @@ def test_vector_rejects_coords_that_are_not_a_list():
         serialize.vector_from_obj({"lattice": "LY", "coords": "1" + "0" * 15}, lattice_registry())
 
 
-@pytest.mark.parametrize("bad", [1.5, False, "0"])
+@pytest.mark.parametrize("bad", [1.5, 2.0, False, "0"])
 def test_lattice_rejects_non_int_gram_entries(bad):
+    """A Gram entry that is not an int is rejected, not truncated, in a file and in the library."""
     with pytest.raises(serialize.FormatError):
-        serialize.lattice_from_obj({"label": "U", "rank": 2, "gram": [[bad, 1], [1, 0]]})
+        serialize.matrix_from_obj({"matrix": [[bad, 1], [1, 0]]})
+    with pytest.raises(ValueError, match="not an integer"):
+        Lattice("U", ((bad, 1), (1, 0)))
 
 
 @pytest.mark.parametrize("bad", [2.0, True, "2"])
 def test_lattice_rejects_non_int_rank(bad):
-    with pytest.raises(serialize.FormatError):
-        serialize.lattice_from_obj({"label": "U", "rank": bad, "gram": [[0, 1], [1, 0]]})
+    """The integer parameter of a rank-1 lattice is not coerced either."""
+    with pytest.raises(ValueError, match="not an integer"):
+        standard_lattice("rank1", bad)
