@@ -21,6 +21,7 @@ from typing import Callable
 from .exprs import parse_vector
 from .isometry import OrbitBudget, orbit_explore, reflection
 from .lattice import (
+    EmbeddingReport,
     LatticeError,
     LatticeVector,
     check_embedding,
@@ -75,19 +76,22 @@ class AuditContext:
     """Shared state for one audit run; enumeration windows are computed once.
 
     Without ``eta_map`` the run checks the as-written eta, and ``eta_label``
-    must say so; a user-supplied map is labelled freely.
+    must say so or be left out; a user-supplied map is labelled freely, and
+    "user-supplied" when no label is given.
     """
 
     budget: OrbitBudget
-    eta_label: str = "as-written"
+    eta_label: str | None = None
     eta_map: object = None
 
     def __post_init__(self) -> None:
         if self.eta_map is None:
-            if self.eta_label != "as-written":
+            if self.eta_label not in (None, "as-written"):
                 raise LatticeError(f"eta label {self.eta_label!r} needs its eta_map: only the "
                                    "as-written eta is built in")
-            self.eta_map = eta_embedding()
+            self.eta_label, self.eta_map = "as-written", eta_embedding()
+        elif self.eta_label is None:
+            self.eta_label = "user-supplied"
 
     @cached_property
     def window1(self) -> EnumerationWindow:
@@ -415,11 +419,21 @@ def _claim_eta_embedding(ctx: AuditContext, stated: dict):
         "index_invariant_factors": list(report.index_invariant_factors),
     }
     return False, computed, (
-        f"isometric and non-primitive confirmed; the stated saturation index {stated['saturation_index']} "
-        "is refuted for this variant (computed 2^8: the E8 block lands on 2*E8(-1))"
+        _refuted_index_note(stated["saturation_index"], report)
         if form_ok
         else "embedding fails the isometric/non-primitive sub-statements for this variant"
     )
+
+
+def _refuted_index_note(stated_index: int, report: EmbeddingReport) -> str:
+    """The note of an isometric, non-primitive eta whose saturation index is not the stated one."""
+    index = report.saturation_index
+    k = index.bit_length() - 1
+    computed = f"2^{k}" if k > 1 and index == 1 << k else str(index)
+    if report.index_invariant_factors == (2,) * 8:  # what doubling the rank-8 E8 block gives
+        computed += ": the E8 block lands on 2*E8(-1)"
+    return (f"isometric and non-primitive confirmed; the stated saturation index {stated_index} "
+            f"is refuted for this variant (computed {computed})")
 
 
 def _fix_u_only_samples() -> tuple[LatticeVector, ...]:
@@ -663,7 +677,7 @@ class AuditReport:
 def run_claim(
     claim_id: str,
     budget: OrbitBudget | None = None,
-    eta_label: str = "as-written",
+    eta_label: str | None = None,
     eta_map=None,
 ) -> ClaimResult:
     """Run one catalog entry and return its deterministic result."""
@@ -675,11 +689,11 @@ def run_claim(
 
 def run_all(
     budget: OrbitBudget | None = None,
-    eta_label: str = "as-written",
+    eta_label: str | None = None,
     eta_map=None,
 ) -> AuditReport:
     """Run the full catalog in order; claim failures are data, not errors."""
     budget = budget or OrbitBudget()
     ctx = AuditContext(budget, eta_label=eta_label, eta_map=eta_map)
     results = tuple(claim.run(ctx) for claim in CATALOG)
-    return AuditReport(results, budget, eta_label, eta_supplied=eta_map is not None)
+    return AuditReport(results, budget, ctx.eta_label, eta_supplied=eta_map is not None)

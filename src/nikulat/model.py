@@ -21,8 +21,9 @@ would give e2^2 = -2 instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd
+from functools import lru_cache, partial
+from itertools import product
+from math import gcd, isqrt, lcm
 from typing import Iterator
 
 from .intmat import IntVector, Matrix
@@ -267,11 +268,13 @@ def _e8_terms():
     return _block_terms(model.lambda_Y, model.lambda_Y.block_slice("E8"))
 
 
+def _terms_square(terms, t: IntVector) -> int:
+    """The square of block coordinates ``t`` from the block's :func:`_block_terms`."""
+    return sum(x * (diag * x + sum(g * t[j] for j, g in lower)) for x, (diag, lower) in zip(t, terms))
+
+
 def _e8_square(e8_part: IntVector) -> int:
-    return sum(
-        t * (diag * t + sum(g * e8_part[j] for j, g in lower))
-        for t, (diag, lower) in zip(e8_part, _e8_terms())
-    )
+    return _terms_square(_e8_terms(), e8_part)
 
 
 @dataclass(frozen=True)
@@ -502,27 +505,85 @@ DEFAULT_WINDOW = EnumerationWindow(("U1", "E8", "G1", "G2"), 1)
 SECOND_WINDOW = EnumerationWindow(("U1", "U2", "G1", "G2"), 2)
 
 
-def _block_table(lattice: Lattice, block: slice, bound: int):
-    """All coordinate tuples of one block with |c| <= bound, lex order, with squares
-    accumulated along the recursion from the block's :func:`_block_terms`."""
+@lru_cache(maxsize=None)
+def _ellipsoid(gram: Matrix):
+    """Integer Fincke-Pohst data of a negative-definite block Gram matrix, else None.
+
+    Eliminating over the rationals from the last coordinate back to the first
+    writes -t.G.t = sum_k a_k (t_k + sum_{j<k} mu_kj t_j)^2, and every a_k > 0
+    exactly when G is negative definite.  The terms k <= i are then the least
+    -q over all real completions of the prefix t_0..t_i.  Scaled to integers,
+    the data ``(scale, ((e_k, den_k, ((j, n_kj), ...)), ...))`` satisfies
+    scale * (-q) = sum_k e_k (den_k t_k + sum_j n_kj t_j)^2.
+    """
+    from fractions import Fraction  # here, not at module level: the import costs every start-up
+
+    a = [[-Fraction(g) for g in row] for row in gram]
+    terms = [None] * len(a)
+    for k in range(len(a) - 1, -1, -1):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return None
+        mu = [a[k][j] / pivot for j in range(k)]
+        for i in range(k):
+            for j in range(k):
+                a[i][j] -= a[i][k] * mu[j]
+        den = lcm(1, *(m.denominator for m in mu))
+        terms[k] = (pivot / (den * den), den, tuple((j, int(m * den)) for j, m in enumerate(mu) if m))
+    scale = lcm(*(e.denominator for e, _, _ in terms))
+    return scale, tuple((int(e * scale), den, lower) for e, den, lower in terms)
+
+
+def _ellipsoid_walk(ellipsoid, bound: int, lo: int, hi: int) -> Iterator[tuple[IntVector, int]]:
+    """(t, q(t)) for the block coordinates t with |t_k| <= bound and lo <= q(t) <= hi,
+    in lexicographic order; a prefix is cut once its bound on -q exceeds -lo."""
+    scale, rows = ellipsoid
+    budget, least = -lo * scale, -hi * scale
+    if budget < 0:
+        return iter(())
+    last = len(rows) - 1
+    t = [0] * len(rows)
+
+    def walk(k: int, spent: int) -> Iterator[tuple[IntVector, int]]:
+        e, den, lower = rows[k]
+        c = 0
+        for j, n in lower:
+            c += n * t[j]
+        r = isqrt((budget - spent) // e)  # the largest |den t_k + c| that stays within budget
+        for x in range(max(-bound, -((r + c) // den)), min(bound, (r - c) // den) + 1):
+            t[k] = x
+            total = spent + e * (den * x + c) ** 2
+            if k < last:
+                yield from walk(k + 1, total)
+            elif total >= least:
+                yield tuple(t), -(total // scale)
+
+    return walk(0, 0)
+
+
+def _slice_gram(lattice: Lattice, block: slice) -> Matrix:
+    return tuple(row[block] for row in lattice.gram[block])
+
+
+def _block_walker(lattice: Lattice, block: slice, bound: int):
+    """``(qmin, qmax, walk)`` for the coordinates ``block`` (one block or a run of
+    adjacent ones) with |coords| <= bound: ``walk(lo, hi)`` yields (coords, square)
+    with lo <= square <= hi in lexicographic order, and every square lies in
+    [qmin, qmax].
+
+    A negative-definite block is walked through its ellipsoid, with the range
+    [-bound^2 * sum |G_ij|, 0].  Any other block (a U or U(2) plane) has no
+    ellipsoid; its box of (2*bound + 1)^size entries is listed once.
+    """
+    gram = _slice_gram(lattice, block)
+    ellipsoid = _ellipsoid(gram)
+    if ellipsoid is not None:
+        qmin = -bound * bound * sum(abs(g) for row in gram for g in row)
+        return qmin, 0, partial(_ellipsoid_walk, ellipsoid, bound)
     terms = _block_terms(lattice, block)
-    size = len(terms)
-    values = range(-bound, bound + 1)
-    table = []
-    coords = [0] * size
-
-    def rec(i: int, q: int) -> None:
-        if i == size:
-            table.append((tuple(coords), q))
-            return
-        diag, lower = terms[i]
-        cross = sum(g * coords[j] for j, g in lower)
-        for v in values:
-            coords[i] = v
-            rec(i + 1, q + v * (diag * v + cross))
-
-    rec(0, 0)
-    return table
+    box = [(t, _terms_square(terms, t)) for t in product(range(-bound, bound + 1), repeat=len(terms))]
+    squares = [q for _, q in box]
+    return min(squares), max(squares), lambda lo, hi: ((t, q) for t, q in box if lo <= q <= hi)
 
 
 def enumerate_with_square(
@@ -534,39 +595,46 @@ def enumerate_with_square(
 ) -> Iterator[LatticeVector]:
     """All vectors supported on the named ``blocks`` with |coords| <= bound and the given square.
 
-    Deterministic lexicographic order on full coordinate tuples.  Branches are
-    pruned with per-block achievable ranges, so the negative-definite blocks
-    cut the search long before full expansion.
+    Deterministic lexicographic order on full coordinate tuples.  The blocks
+    are chosen one after another, each within the square range that the
+    blocks after it can still make up.  Negative-definite blocks (E8(-1),
+    <-2>), and runs of adjacent ones such as E8 + G1 + G2, are walked lazily
+    through their ellipsoid: no box of them is built, the first vector comes
+    after a few steps, and memory does not grow with the (2*bound + 1)^8 box
+    of E8.
     """
-    ordered = sorted(map(lattice.block_slice, set(blocks)), key=lambda block: block.start)
-    tables = [_block_table(lattice, block, bound) for block in ordered]
-    mins = [min(q for _, q in t) for t in tables]
-    maxs = [max(q for _, q in t) for t in tables]
-    suffix_min = [0] * (len(tables) + 1)
-    suffix_max = [0] * (len(tables) + 1)
-    for idx in range(len(tables) - 1, -1, -1):
-        suffix_min[idx] = suffix_min[idx + 1] + mins[idx]
-        suffix_max[idx] = suffix_max[idx + 1] + maxs[idx]
+    runs: list[slice] = []
+    for block in sorted(map(lattice.block_slice, set(blocks)), key=lambda block: block.start):
+        joined = slice(runs[-1].start, block.stop) if runs and runs[-1].stop == block.start else None
+        if joined is not None and _ellipsoid(_slice_gram(lattice, joined)) is not None:
+            runs[-1] = joined  # adjacent definite blocks are walked as one ellipsoid
+        else:
+            runs.append(block)
+    walkers = [_block_walker(lattice, run, bound) for run in runs]
+    suffix_min = [0] * (len(walkers) + 1)
+    suffix_max = [0] * (len(walkers) + 1)
+    for idx in range(len(walkers) - 1, -1, -1):
+        qmin, qmax, _ = walkers[idx]
+        suffix_min[idx] = suffix_min[idx + 1] + qmin
+        suffix_max[idx] = suffix_max[idx + 1] + qmax
 
     rank = lattice.rank
     chosen: list[IntVector] = []
 
     def rec(idx: int, acc: int) -> Iterator[LatticeVector]:
-        if idx == len(tables):
+        if idx == len(walkers):
             if acc == target:
                 full = [0] * rank
-                for block, block_coords in zip(ordered, chosen):
-                    full[block] = block_coords
+                for run, run_coords in zip(runs, chosen):
+                    full[run] = run_coords
                 if any(full) and (not primitive_only or gcd(*full) == 1):
                     yield lattice.vector(full)
             return
-        lo = target - acc - suffix_max[idx + 1]
-        hi = target - acc - suffix_min[idx + 1]
-        for block_coords, q in tables[idx]:
-            if lo <= q <= hi:
-                chosen.append(block_coords)
-                yield from rec(idx + 1, acc + q)
-                chosen.pop()
+        walk = walkers[idx][2]
+        for run_coords, q in walk(target - acc - suffix_max[idx + 1], target - acc - suffix_min[idx + 1]):
+            chosen.append(run_coords)
+            yield from rec(idx + 1, acc + q)
+            chosen.pop()
 
     yield from rec(0, 0)
 

@@ -8,8 +8,17 @@ import pytest
 
 from nikulat import LatticeError, OrbitBudget, divisibility, mt_coefficients, run_all, run_claim
 from nikulat import serialize
-from nikulat.audit import CATALOG, NOT_CHECKABLE, REFUTED, VERIFIED, AuditContext, AuditReport
+from nikulat.audit import (
+    CATALOG,
+    NOT_CHECKABLE,
+    REFUTED,
+    VERIFIED,
+    AuditContext,
+    AuditReport,
+    _refuted_index_note,
+)
 from nikulat.exprs import parse_vector
+from nikulat.lattice import EmbeddingReport
 from nikulat.model import build_model, eta_as_written_matrix, eta_from_matrix
 
 TINY = OrbitBudget(coord_bound=1, max_frontier=2000, max_depth=2)
@@ -184,10 +193,32 @@ def test_eta_label_without_map_raises(run):
 
 def test_user_map_labelled_as_written_is_still_per_variant():
     """Per-variant marking follows whether a map was supplied, not the label text."""
-    report = run_all(budget=TINY, eta_map=eta_from_matrix(eta_as_written_matrix()))
+    report = run_all(budget=TINY, eta_label="as-written", eta_map=eta_from_matrix(eta_as_written_matrix()))
     assert report.to_obj() == run_all(budget=TINY).to_obj()
     assert "(per-variant)" in report.to_text()
     assert "(per-variant)" not in run_all(budget=TINY).to_text()
+
+
+def test_user_map_without_label_is_user_supplied():
+    """A supplied eta map with no label is named "user-supplied", not "as-written"."""
+    eta = eta_from_matrix(eta_as_written_matrix())
+    report = run_all(budget=TINY, eta_map=eta)
+    assert "eta variant: user-supplied" in report.to_text()
+    assert {r.computed["eta_variant"] for r in report.results if "eta_variant" in r.computed} == {"user-supplied"}
+    assert run_claim("eta-embedding", eta_map=eta).computed["eta_variant"] == "user-supplied"
+    assert AuditContext(TINY, eta_map=eta).eta_label == "user-supplied"
+
+
+def test_refuted_index_note_names_the_computed_index():
+    def note(index, factors):
+        return _refuted_index_note(2, EmbeddingReport(True, False, index, factors))
+
+    prefix = "isometric and non-primitive confirmed; the stated saturation index 2 is refuted for this variant "
+    assert note(256, (2,) * 8) == prefix + "(computed 2^8: the E8 block lands on 2*E8(-1))"
+    assert note(256, (4, 4, 4, 4)) == prefix + "(computed 2^8)"
+    assert note(4, (2, 2)) == prefix + "(computed 2^2)"
+    assert note(12, (2, 6)) == prefix + "(computed 12)"
+    assert note(2, (2,)) == prefix + "(computed 2)"
 
 
 def test_non_isometric_eta_variant_is_not_checkable():

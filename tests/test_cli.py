@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from nikulat import is_primitive, parse_vector, square
 from nikulat.cli import main
 from nikulat.model import ORBIT_CASES, build_model, case_representative, eta_as_written_matrix
 
@@ -224,6 +225,16 @@ def test_enumerate_json_lines(capsys):
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert all(obj["lattice"] == "LY" for obj in lines)
+
+
+def test_enumerate_e8_bound_3_first_vector(capsys):
+    """The E8 box at bound 3 has 5.76M entries; the first vector must not wait for it."""
+    code, out, _ = run(capsys, "enumerate", "--blocks", "U1,E8", "--bound", "3", "--limit", "1")
+    assert code == 0
+    expr, count = out.strip().splitlines()
+    assert count == "# 1 vectors"
+    v = parse_vector(expr.split(" [")[0])
+    assert square(v) == 0 and is_primitive(v)
 
 
 def test_enumerate_bad_block_exits_2(capsys):

@@ -1,9 +1,11 @@
 """Sparse Gram kernels against the dense reference ``intmat.matvec``.
 
 Pairings, divisibility, reflections and block squares read only the nonzero
-Gram entries; each must agree exactly with the dense matrix formula.
+Gram entries; each must agree exactly with the dense matrix formula.  The
+lazy block walker of the enumeration is checked against a full box table.
 """
 
+from functools import lru_cache
 from itertools import product
 from math import gcd
 
@@ -15,8 +17,10 @@ from nikulat import intmat
 from nikulat.isometry import reflection
 from nikulat.lattice import E8_NEG_GRAM, Lattice, coords_divisibility, divisibility, pair, square
 from nikulat.model import (
-    _block_table,
+    _block_terms,
+    _block_walker,
     _e8_square,
+    _ellipsoid,
     build_model,
     default_generator_table,
 )
@@ -100,9 +104,32 @@ def test_reflection_matches_dense_matrix(name, iso, x):
     assert iso.apply_coords(fixed) == fixed == intmat.matvec(iso.matrix, fixed)
 
 
+def block_table(lattice, block, bound):
+    """Oracle: all coordinate tuples of one block with |c| <= bound, lex order, with
+    squares accumulated along the recursion from the block's ``_block_terms``."""
+    terms = _block_terms(lattice, block)
+    size = len(terms)
+    values = range(-bound, bound + 1)
+    table = []
+    coords = [0] * size
+
+    def rec(i, q):
+        if i == size:
+            table.append((tuple(coords), q))
+            return
+        diag, lower = terms[i]
+        cross = sum(g * coords[j] for j, g in lower)
+        for v in values:
+            coords[i] = v
+            rec(i + 1, q + v * (diag * v + cross))
+
+    rec(0, 0)
+    return table
+
+
 def test_block_table_squares_match_dense_on_e8():
     lat = MODEL.lambda_Y
-    table = _block_table(lat, lat.block_slice("E8"), 1)
+    table = block_table(lat, lat.block_slice("E8"), 1)
     assert [t for t, _ in table] == list(product((-1, 0, 1), repeat=8))
     for t, q in table:
         assert q == dense_pair(E8_NEG_GRAM, t, t)
@@ -112,3 +139,66 @@ def test_block_table_squares_match_dense_on_e8():
 @given(t=coords(8))
 def test_e8_square_matches_dense(t):
     assert _e8_square(t) == dense_pair(E8_NEG_GRAM, t, t)
+
+
+# --- the block walker of enumerate_with_square against the box oracle --------------
+
+
+def ly_run(first, last):
+    """The coordinates of LY's blocks from ``first`` to ``last``, as enumerate walks
+    adjacent definite blocks together."""
+    lat = MODEL.lambda_Y
+    return slice(lat.block_slice(first).start, lat.block_slice(last).stop)
+
+
+@lru_cache(maxsize=1)
+def ly_run_table(first, last, bound):
+    # one table at a time: E8 at bound 2 alone holds 390,625 entries
+    return block_table(MODEL.lambda_Y, ly_run(first, last), bound)
+
+
+def assert_walker_matches_oracle(lattice, block, bound, table, lo, hi):
+    qmin, qmax, walk = _block_walker(lattice, block, bound)
+    assert all(qmin <= q <= qmax for _, q in table)
+    assert list(walk(lo, hi)) == [(t, q) for t, q in table if lo <= q <= hi]
+
+
+@pytest.mark.parametrize("first,last,bound", [
+    ("E8", "E8", 1), ("E8", "E8", 2), ("G1", "G1", 1), ("G1", "G1", 2), ("U1", "U1", 2),
+    ("E8", "G2", 1), ("G1", "G2", 2),
+])
+@settings(max_examples=10, deadline=None)
+@given(lo=st.integers(-24, 4), width=st.integers(-1, 30))
+def test_walker_matches_box_oracle_on_ly_blocks(first, last, bound, lo, width):
+    table = ly_run_table(first, last, bound)
+    assert_walker_matches_oracle(MODEL.lambda_Y, ly_run(first, last), bound, table, lo, lo + width)
+
+
+@st.composite
+def negative_definite_gram(draw):
+    """-(M^T M) - D with D a positive diagonal: negative definite for any integer M."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n))
+    d = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    return tuple(
+        tuple(-sum(row[i] * row[j] for row in m) - (d[i] if i == j else 0) for j in range(n))
+        for i in range(n)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(gram=negative_definite_gram(), bound=st.integers(1, 2), lo=st.integers(-200, 4), width=st.integers(-1, 80))
+def test_walker_matches_box_oracle_on_random_definite_blocks(gram, bound, lo, width):
+    lat = Lattice("definite", gram)
+    block = lat.block_slice(0)
+    assert _ellipsoid(lat.gram) is not None
+    assert_walker_matches_oracle(lat, block, bound, block_table(lat, block, bound), lo, lo + width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lat=small_symmetric_lattice())
+def test_ellipsoid_exists_exactly_for_negative_definite_blocks(lat):
+    """Sylvester's criterion on -G: every leading principal minor is positive."""
+    minus = tuple(tuple(-g for g in row) for row in lat.gram)
+    definite = all(intmat.det(tuple(row[:k] for row in minus[:k])) > 0 for k in range(1, lat.rank + 1))
+    assert (_ellipsoid(lat.gram) is not None) == definite
