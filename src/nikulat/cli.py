@@ -174,14 +174,23 @@ def cmd_orbit(args) -> int:
     if args.witness:
         other = parse_vector(args.witness)
         word = same_orbit_witness(seed, other, gens, budget)
+        # None means either cause; only a differing invariant proves distinct orbits
+        differ = [
+            f"{name} {f(seed)} vs {f(other)}"
+            for name, f in (("square", square), ("divisibility", divisibility))
+            if f(seed) != f(other)
+        ]
         if args.json:
             obj = serialize.witness_to_obj(seed, other, word) if word is not None else {
                 "from": serialize.vector_to_obj(seed),
                 "to": serialize.vector_to_obj(other),
                 "word": None,
-                "note": "no witness within budget; this does NOT prove distinct orbits",
+                "note": "distinct orbits: " + ", ".join(differ) if differ
+                else "no witness within budget; this does NOT prove distinct orbits",
             }
             _emit(obj)
+        elif differ:
+            print("distinct orbits:", ", ".join(differ))
         elif word is None:
             print("no witness within budget (absence is not a proof of distinct orbits)")
         else:

@@ -150,14 +150,18 @@ def _moves(gens, width: int):
     return tuple((j, *g._supports, _pack(g.root, width)) for j, g in enumerate(gens))
 
 
-def _generation(frontier: dict, seen: dict, moves, bound: int, cap):
+def _generation(frontier: dict, seen: dict, moves, bound: int, cap, other=frozenset()):
     """One breadth-first generation on packed keys, shared by both searches.
 
     ``frontier`` (key -> coordinates) is expanded in key order, each vector by
     every move in generator order.  A new image inside ``bound`` is recorded as
-    ``seen[key] = generator index`` and in ``fresh``; expansion stops once
-    ``seen`` holds more than ``cap`` keys.  Returns fresh, whether an image
-    left the box, and whether the cap stopped the expansion.
+    ``seen[key] = generator index`` and in ``fresh``.  Expansion stops at the
+    first inserted key that ``other`` (the opposite search's parent map; empty
+    for orbit closure) already holds, or else once ``seen`` holds more than
+    ``cap`` keys.  ``fresh`` is insertion-ordered, so that meeting key is the
+    first key of the full generation's ``fresh`` found in ``other``.  Returns
+    fresh, whether an image left the box, whether the cap stopped the
+    expansion, and the meeting key (None if the sides did not meet).
     """
     fresh = {}
     clipped = False
@@ -188,9 +192,11 @@ def _generation(frontier: dict, seen: dict, moves, bound: int, cap):
                     y[i] += c * r
                 seen[k] = j
                 fresh[k] = tuple(y)
+                if k in other:
+                    return fresh, clipped, False, k
                 if len(seen) > cap:
-                    return fresh, clipped, True
-    return fresh, clipped, False
+                    return fresh, clipped, True, None
+    return fresh, clipped, False, None
 
 
 def orbit_explore(seed: LatticeVector, gens, budget: OrbitBudget = OrbitBudget()) -> OrbitSet:
@@ -214,7 +220,7 @@ def orbit_explore(seed: LatticeVector, gens, budget: OrbitBudget = OrbitBudget()
     frontier = {key: seed.coords}
     exhausted = True
     for _ in range(budget.max_depth):
-        fresh, clipped, _ = _generation(frontier, members, moves, bound, float("inf"))
+        fresh, clipped, _, _ = _generation(frontier, members, moves, bound, float("inf"))
         room = budget.max_frontier - len(members) + len(fresh)
         capped = len(fresh) > room
         if capped:
@@ -260,11 +266,12 @@ def same_orbit_witness(
     """A word in the reflections ``gens`` carrying v to u, if one is found within budget.
 
     The word [j0, j1, ...] means gens[j0] is applied first.  Search is
-    bidirectional on packed keys, and stops as soon as either side holds more
-    than ``max_frontier`` vectors.  The endpoints may lie outside the box, so
-    keys use B = max(coord_bound, |endpoint coordinates|).  Absence of a
-    witness is NOT a proof of distinct orbits, merely of distance beyond the
-    budget.
+    bidirectional on packed keys: each generation stops at the first new key
+    the other side holds, and the search gives up as soon as either side
+    holds more than ``max_frontier`` vectors.  The endpoints may lie outside
+    the box, so keys use B = max(coord_bound, |endpoint coordinates|).
+    Absence of a witness is NOT a proof of distinct orbits, merely of distance
+    beyond the budget.
     """
     if v.lattice != u.lattice:
         raise LatticeError("witness search needs both vectors in one lattice")
@@ -300,12 +307,15 @@ def same_orbit_witness(
             return None
         # expand the smaller live frontier to keep the two searches balanced
         if dst_frontier and (not src_frontier or len(src_frontier) > len(dst_frontier)):
-            dst_frontier, _, overflow = _generation(dst_frontier, dst, moves, bound, budget.max_frontier)
-            fresh, other = dst_frontier, src
+            dst_frontier, _, overflow, meet = _generation(
+                dst_frontier, dst, moves, bound, budget.max_frontier, src
+            )
+            fresh = dst_frontier
         else:
-            src_frontier, _, overflow = _generation(src_frontier, src, moves, bound, budget.max_frontier)
-            fresh, other = src_frontier, dst
-        meet = next((k for k in fresh if k in other), None)
+            src_frontier, _, overflow, meet = _generation(
+                src_frontier, src, moves, bound, budget.max_frontier, dst
+            )
+            fresh = src_frontier
         if meet is not None:
             word = path(src, meet, fresh[meet])[::-1] + path(dst, meet, fresh[meet])
             cur = v.coords

@@ -132,6 +132,21 @@ def test_orbit_witness(capsys):
     assert "gamma1" in out
 
 
+def test_orbit_witness_distinct_invariants_text(capsys):
+    # div L(0) = 2, div L(1)+e2 = 1: distinct orbits, not an inconclusive search
+    code, out, _ = run(capsys, "orbit", "L(0)", "--witness", "L(1)+e2")
+    assert code == 0
+    assert out == "distinct orbits: divisibility 2 vs 1\n"
+
+
+def test_orbit_witness_distinct_invariants_json(capsys):
+    code, out, _ = run(capsys, "orbit", "L(0)", "--witness", "L(1)+e2", "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["word"] is None
+    assert obj["note"] == "distinct orbits: divisibility 2 vs 1"
+
+
 def test_orbit_gens_file(tmp_path, capsys):
     _, nv = build_model()
     path = tmp_path / "gens.json"

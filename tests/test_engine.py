@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from nikulat import OrbitBudget, orbit_explore, reflection, same_orbit_witness
 from nikulat.intmat import det
-from nikulat.isometry import _pack
+from nikulat.isometry import _generation, _moves, _pack
 from nikulat.lattice import Lattice, square
 from nikulat.model import build_model, default_generators
 
@@ -244,6 +244,72 @@ def test_witness_keys_are_wide_enough_for_the_endpoints():
     gens = [reflection(lat.vector(r)) for r in roots]
     v, u = lat.vector((-1, -1, 1)), lat.vector((0, -1, -2))
     assert assert_witness_matches(v, u, gens, OrbitBudget(1, 1000, 4)) == [2, 5]
+
+
+# --- meeting on insertion ------------------------------------------------------------
+
+
+def assert_meets_on_insertion(v, u, gens, budget, generations, side):
+    """Grow both parent maps for ``generations`` steps, then expand ``side`` once with
+    the other side's map and once without it; the early stop must cut the full
+    run's insertions just after the key that ``oracle_witness`` would meet at."""
+    bound, cap = budget.coord_bound, budget.max_frontier
+    width = 2 * max(bound, *map(abs, v.coords), *map(abs, u.coords)) + 1
+    moves = _moves(gens, width)
+    trees = [{_pack(v.coords, width): None}, {_pack(u.coords, width): None}]
+    frontiers = [{k: v.coords for k in trees[0]}, {k: u.coords for k in trees[1]}]
+    for step in range(generations):
+        s = step % 2
+        frontiers[s], _, capped, _ = _generation(frontiers[s], trees[s], moves, bound, cap)
+        if capped:
+            break
+    frontier, tree, other = frontiers[side], trees[side], trees[1 - side]
+
+    full_seen = dict(tree)
+    full, full_clipped, full_capped, no_meet = _generation(frontier, full_seen, moves, bound, cap)
+    assert no_meet is None
+    seen = dict(tree)
+    fresh, clipped, capped, meet = _generation(frontier, seen, moves, bound, cap, other)
+
+    assert meet == next((k for k in full if k in other), None)  # the post-hoc meeting
+    if meet is None:
+        assert (fresh, seen, clipped, capped) == (full, full_seen, full_clipped, full_capped)
+    else:
+        assert not capped and next(reversed(fresh)) == meet
+        assert list(fresh.items()) == list(full.items())[: len(fresh)]
+        assert list(seen.items()) == list(full_seen.items())[: len(seen)]
+        assert clipped <= full_clipped
+    return meet
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=small_lattice_case(), data=st.data())
+def test_meet_on_insertion_matches_full_generation_on_small_lattices(case, data):
+    v, gens, budget = case
+    u = walk_from(data.draw, v, gens, 1, 6)
+    assume(u != v)
+    generations = data.draw(st.integers(min_value=0, max_value=4))
+    assert_meets_on_insertion(v, u, gens, budget, generations, data.draw(st.sampled_from((0, 1))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_meet_on_insertion_matches_full_generation_on_ly(data):
+    budget = data.draw(budgets(max_bound=3, max_depth=1))
+    v = data.draw(st.sampled_from([NV.L(0), NV.L(1) + NV.e2]))
+    u = walk_from(data.draw, v, LY_GENS, 1, 4)
+    assume(u != v)
+    generations = data.draw(st.integers(min_value=0, max_value=2))
+    assert_meets_on_insertion(v, u, LY_GENS, budget, generations, data.draw(st.sampled_from((0, 1))))
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_meet_on_insertion_stops_inside_the_generation(side):
+    # u is two reflections away, so the third step meets the other map early in the generation
+    start = NV.L(1) + NV.e2
+    u = LY_GENS[3](LY_GENS[0](start))
+    meet = assert_meets_on_insertion(start, u, LY_GENS, OrbitBudget(4, 10**6, 3), 2, side)
+    assert meet is not None
 
 
 # --- keys and contract ---------------------------------------------------------------

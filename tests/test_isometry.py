@@ -24,6 +24,7 @@ from nikulat import intmat
 from nikulat.isometry import Isometry
 from nikulat.model import (
     build_model,
+    classify_orbit,
     default_generator_names,
     default_generators,
     enumerate_with_square,
@@ -239,11 +240,21 @@ def test_witness_word_applies(setup):
     assert cur == target
 
 
+def test_readme_witness_endpoints_are_cases_9_and_8(setup):
+    """The README witness joins the two isotropic divisibility-1 rows."""
+    _, nv = setup
+    start, target = classify_orbit(nv.L(1) + nv.e2), classify_orbit(nv.L(1) + nv.e1 - nv.gamma1)
+    assert (start.case, start.i) == ("Case9", 0)
+    assert (target.case, target.i) == ("Case8", 1)
+
+
 def test_cases_8_and_9_frozen_witness_word(setup):
     """A 16-step word in the default generators carrying L(1)+e2 to
-    L(1)+e1-gamma1, found by the bidirectional search at coordinate bound 5.
-    Re-applying it verifies that the two isotropic divisibility-1 cases merge
-    under (-2)-reflections alone."""
+    L(1)+e1-gamma1 inside the box |coords| <= 5, found by the bidirectional
+    search under an earlier generator order.  It is an independent certificate,
+    not the word the search prints today (the README's, which
+    ``tests/test_readme.py`` runs).  Re-applying it verifies that the two
+    isotropic divisibility-1 cases merge under (-2)-reflections alone."""
     _, nv = setup
     gens = default_generators()
     names = list(default_generator_names())

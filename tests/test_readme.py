@@ -3,8 +3,7 @@
 The "Library quick tour" block is executed as it stands.  Every ``nikulat``
 line of "Command line" runs through ``cli.main`` in a temporary directory and
 must exit 0; the ``# ...`` lines under a command are its documented output.
-The witness search is skipped (about 12 s): ``test_isometry.py`` replays its
-word.
+That includes the witness search (about 6 s), whose printed word is checked.
 """
 
 import re
@@ -35,11 +34,11 @@ def commands() -> list[tuple[list[str], list[str]]]:
     return found
 
 
-COMMANDS = [(argv, out) for argv, out in commands() if "--witness" not in " ".join(argv)]
+COMMANDS = commands()
 
 
 def test_command_list_is_complete():
-    assert len(commands()) == len(COMMANDS) + 1 == 10  # the witness line is the one skipped
+    assert len(COMMANDS) == 10
 
 
 @pytest.mark.parametrize("argv, documented", COMMANDS, ids=[" ".join(argv) for argv, _ in COMMANDS])
@@ -56,6 +55,13 @@ def test_classify_example_output_is_documented():
     assert documented["classify L(1)+e2"] == [
         "Case9 i=0 rep=L(1)+e2 [q=0 div=1]",
         "isotropic: type A, polarisation (1, 2), (v,SigmaY) mod 4 = 0",
+    ]
+
+
+def test_witness_example_output_is_documented():
+    (word,) = [out for argv, out in COMMANDS if "--witness" in " ".join(argv)]
+    assert word == [
+        "word: w31 eps3 eps7 eps6 w31 u1+gamma1 eps7 eps2 eps3 eps4 u1+eps1 w11 u2+eps1 eps3 w31 eps2"
     ]
 
 
