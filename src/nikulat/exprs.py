@@ -19,6 +19,7 @@ sensitive.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .lattice import LatticeVector
 from .model import build_model
@@ -43,18 +44,21 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
                 break
             raise ExpressionError(f"unexpected character {text[pos]!r} at position {pos}")
         pos = m.end()
-        for kind in ("int", "name", "punct"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val))
-                break
+        tokens.append((m.lastgroup, m[m.lastgroup]))
     return tokens
 
 
-def parse_vector(text: str) -> LatticeVector:
-    """Parse an expression into a vector of LY."""
+@lru_cache(maxsize=1)
+def _names() -> dict[str, LatticeVector]:
     _, nv = build_model()
-    names = nv.by_name()
+    return nv.by_name()
+
+
+def parse_vector(text: str) -> LatticeVector:
+    """Parse an expression into a vector of LY, summing the terms into one list of ints."""
+    model, nv = build_model()
+    names = _names()
+    total = [0] * model.lambda_Y.rank
     tokens = _tokenize(text)
     if not tokens:
         raise ExpressionError("empty expression")
@@ -72,7 +76,7 @@ def parse_vector(text: str) -> LatticeVector:
         pos += 1
         return tok
 
-    def parse_term(sign: int) -> LatticeVector:
+    def add_term(sign: int) -> None:
         coeff = sign
         kind, val = take()
         if kind == "int":
@@ -108,20 +112,22 @@ def parse_vector(text: str) -> LatticeVector:
             if name not in names:
                 raise ExpressionError(f"unknown vector name {name!r}")
             base = names[name]
-        return coeff * base
+        for i, c in enumerate(base.coords):
+            if c:
+                total[i] += coeff * c
 
     sign = 1
     first = peek()
     if first is not None and first[0] == "punct" and first[1] in "+-":
         take()
         sign = -1 if first[1] == "-" else 1
-    result = parse_term(sign)
+    add_term(sign)
     while (nxt := peek()) is not None:
         if nxt[0] != "punct" or nxt[1] not in "+-":
             raise ExpressionError(f"expected '+' or '-', got {nxt[1]!r}")
         take()
-        result = result + parse_term(-1 if nxt[1] == "-" else 1)
-    return result
+        add_term(-1 if nxt[1] == "-" else 1)
+    return LatticeVector._of_ints(model.lambda_Y, tuple(total))
 
 
 def format_vector(v: LatticeVector) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
+from operator import add, sub
 
 from . import intmat
 from .intmat import IntVector, Matrix
@@ -100,6 +101,10 @@ class LatticeVector:
     """An element of a lattice, given by integer coordinates in its basis.
 
     Coordinates are not coerced: a float, bool or string raises ``LatticeError``.
+    They are checked here, where every reader and :meth:`Lattice.vector` enter.
+    Sums, differences and int multiples of checked vectors, and the enumerator's
+    and parser's vectors (from ``range`` and parsed digits), skip the re-check
+    through :meth:`_of_ints`: ints are closed under these operations.
     """
 
     lattice: Lattice
@@ -115,29 +120,38 @@ class LatticeVector:
         if any(type(c) is not int for c in coords):
             raise LatticeError(f"vector coordinates must be integers, got {list(coords)!r}")
 
+    @classmethod
+    def _of_ints(cls, lattice: Lattice, coords: IntVector) -> LatticeVector:
+        """The vector with ``coords``, trusted to be a tuple of exact ints of the lattice's rank."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "lattice", lattice)
+        object.__setattr__(v, "coords", coords)
+        return v
+
     def is_zero(self) -> bool:
         return not any(self.coords)
 
     def __add__(self, other: LatticeVector) -> LatticeVector:
         _same_lattice(self, other)
-        return LatticeVector(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return LatticeVector._of_ints(self.lattice, tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: LatticeVector) -> LatticeVector:
         _same_lattice(self, other)
-        return LatticeVector(self.lattice, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return LatticeVector._of_ints(self.lattice, tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> LatticeVector:
-        return LatticeVector(self.lattice, tuple(-a for a in self.coords))
+        return LatticeVector._of_ints(self.lattice, tuple(-a for a in self.coords))
 
     def __rmul__(self, k: int) -> LatticeVector:
-        return LatticeVector(self.lattice, tuple(k * a for a in self.coords))
+        make = LatticeVector._of_ints if type(k) is int else LatticeVector  # other scalars: checked
+        return make(self.lattice, tuple(k * a for a in self.coords))
 
     def __repr__(self) -> str:
         return f"{self.lattice.label}{list(self.coords)}"
 
 
 def _same_lattice(v: LatticeVector, w: LatticeVector) -> None:
-    if v.lattice != w.lattice:
+    if v.lattice is not w.lattice and v.lattice != w.lattice:
         raise LatticeError(
             f"vectors live in different lattices: {v.lattice.label!r} vs {w.lattice.label!r}"
         )

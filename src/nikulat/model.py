@@ -235,7 +235,7 @@ def eta_embedding() -> EmbeddingMap:
 
 def _require_in_LY(v: LatticeVector) -> None:
     model, _ = build_model()
-    if v.lattice != model.lambda_Y:
+    if v.lattice is not model.lambda_Y and v.lattice != model.lambda_Y:
         raise LatticeError("expected a vector of LY")
 
 
@@ -628,7 +628,7 @@ def enumerate_with_square(
                 for run, run_coords in zip(runs, chosen):
                     full[run] = run_coords
                 if any(full) and (not primitive_only or gcd(*full) == 1):
-                    yield lattice.vector(full)
+                    yield LatticeVector._of_ints(lattice, tuple(full))  # every coordinate came from a range
             return
         walk = walkers[idx][2]
         for run_coords, q in walk(target - acc - suffix_max[idx + 1], target - acc - suffix_min[idx + 1]):

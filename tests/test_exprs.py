@@ -1,9 +1,14 @@
 """The vector-expression grammar."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nikulat import ExpressionError, format_vector, parse_vector
-from nikulat.model import build_model
+from nikulat import ExpressionError, enumerate_primitive_isotropic, format_vector, parse_vector
+from nikulat.model import EnumerationWindow, build_model
+
+_, _NV = build_model()
+_NAMES = _NV.by_name()
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +74,58 @@ def test_format_rejects_other_lattices():
 
     with pytest.raises(ExpressionError):
         format_vector(standard_lattice("U").basis_vector(0))
+
+
+# The reference: each term's coefficient times its named vector, summed with
+# the checked vector arithmetic of the lattice module.
+_terms = st.lists(
+    st.tuples(
+        st.sampled_from("+-"),
+        st.none() | st.integers(0, 10**6),
+        st.sampled_from(sorted(_NAMES)) | st.integers(-(10**6), 10**6),  # an int i stands for L(i)
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _render(terms, lead, space):
+    parts = []
+    for n, (sign, coeff, name) in enumerate(terms):
+        text = f"L({name})" if isinstance(name, int) else name
+        if coeff is not None:
+            text = f"{coeff}{space}*{space}{text}"
+        parts.append((lead if n == 0 else sign) + space + text)
+    return space.join(parts)
+
+
+def _fold(terms, lead):
+    total = 0 * _NV.L(0)
+    for n, (sign, coeff, name) in enumerate(terms):
+        base = _NV.L(name) if isinstance(name, int) else _NAMES[name]
+        k = (1 if coeff is None else coeff) * (-1 if (lead if n == 0 else sign) == "-" else 1)
+        total = total + k * base
+    return total
+
+
+@given(terms=_terms, lead=st.sampled_from(["", "+", "-"]), space=st.sampled_from(["", " "]))
+@settings(max_examples=200, deadline=None)
+def test_parse_matches_term_fold(terms, lead, space):
+    assert parse_vector(_render(terms, lead, space)) == _fold(terms, lead)
+
+
+@given(terms=_terms, lead=st.sampled_from(["", "+", "-"]))
+@settings(max_examples=100, deadline=None)
+def test_parse_cancelling_sum_is_zero(terms, lead):
+    flip = {"+": "-", "-": "+", "": "-"}
+    negated = [(flip[lead if n == 0 else sign], coeff, name) for n, (sign, coeff, name) in enumerate(terms)]
+    text = _render(terms, lead, "") + _render(negated, negated[0][0], "")
+    v = parse_vector(text)
+    assert v == _fold(terms + negated, lead) and v.is_zero()
+
+
+def test_format_round_trip_on_census_window():
+    vectors = list(enumerate_primitive_isotropic(EnumerationWindow(("U1", "E8"), 2)))
+    assert len(vectors) == 53172
+    for v in vectors[::10]:
+        assert parse_vector(format_vector(v)) == v

@@ -1,6 +1,8 @@
 """Lattice construction, pairings, vector invariants, saturation, embeddings."""
 
 import random
+from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -16,15 +18,17 @@ from nikulat import (
     direct_sum,
     discriminant_group,
     divisibility,
+    enumerate_primitive_isotropic,
     is_primitive,
     pair,
+    parse_vector,
     rescale,
     saturate,
     square,
     standard_lattice,
 )
 from nikulat.intmat import det
-from nikulat.model import build_model, eta_embedding
+from nikulat.model import DEFAULT_WINDOW, build_model, eta_embedding
 
 U = standard_lattice("U")
 U2 = rescale(U, 2)
@@ -132,6 +136,44 @@ def test_vector_float_coords_rejected_not_truncated(ly):
 def test_vector_bool_coord_rejected(ly):
     with pytest.raises(LatticeError, match="must be integers"):
         LatticeVector(ly, [True] + [0] * 15)
+
+
+# Arithmetic, the enumerator and the parser build vectors without re-checking
+# their coordinates; only an int scalar may take that path.
+
+
+@pytest.mark.parametrize("k", [1.5, Fraction(1, 2), Fraction(2)])
+def test_non_int_scalar_rejected(nv, k):
+    with pytest.raises(LatticeError, match="must be integers"):
+        k * nv.w
+
+
+def test_bool_scalar_is_an_int(nv):
+    v = True * nv.w
+    assert v == 1 * nv.w
+    assert all(type(c) is int for c in v.coords)
+
+
+def test_sum_across_lattices_rejected(nv):
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(LatticeError, match="different lattices"):
+            op(U.basis_vector(0), U2.basis_vector(0))
+        with pytest.raises(LatticeError, match="different lattices"):
+            op(nv.w, U.basis_vector(0))
+    twin = Lattice("U", ((0, 1), (1, 0)))  # equal to U, but another object
+    assert U.basis_vector(0) + twin.basis_vector(1) == U.vector((1, 1))
+
+
+def test_trusted_vectors_equal_checked_ones(ly, nv):
+    enumerated = list(islice(enumerate_primitive_isotropic(DEFAULT_WINDOW), 20))
+    assert len(enumerated) == 20
+    arithmetic = [nv.w + nv.e2, nv.w - nv.e2, -nv.w, -7 * nv.w, 0 * nv.w, 2**70 * nv.L(3)]
+    parsed = [parse_vector("-u1+2*u2-3*u3+eps1-2*eps4+eps8+gamma1-gamma2"), parse_vector("L(1)-L(1)")]
+    for v in arithmetic + enumerated + parsed:
+        checked = ly.vector(v.coords)
+        assert v == checked and hash(v) == hash(checked)
+        assert type(v.coords) is tuple and len(v.coords) == ly.rank
+        assert all(type(c) is int for c in v.coords)
 
 
 # --- pairings and invariants -------------------------------------------------
