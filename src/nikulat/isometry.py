@@ -9,6 +9,7 @@ invariant (square, divisibility, primitivity), never by a failed search.
 Orbit closure and witness search share one generation step on packed keys
 (balanced base-(2B+1) digits, B >= every |x_i|, so integer order is lexicographic
 order and a reflection adds c.key(r)); every generator is a reflection by type.
+A reflection reads only its lattice's sparse Gram rows; its one check is (r, r) = -2.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import intmat
-from .intmat import IntVector, Matrix
-from .lattice import Lattice, LatticeError, LatticeVector, divisibility, is_primitive, square
+from .lattice import IntVector, Lattice, LatticeError, LatticeVector, divisibility, is_primitive, square
 
 
 @dataclass(frozen=True)
@@ -26,24 +25,28 @@ class Isometry:
     """The reflection x |-> x + (x, r) r of a lattice in a root r of square -2.
 
     Every isometry here is such a reflection; build one with :func:`reflection`.
-    Construction derives ``matrix`` from ``root`` and validates exactly that it
-    conserves the Gram form.  ``apply_coords`` and the orbit searches take the
-    O(support) path: (x, r) sums over the nonzero entries of G.r, x is returned
-    unchanged when (x, r) = 0, and otherwise only r's support is updated.
+    Construction reads the supports of G.r and r off ``lattice.sparse_rows`` and
+    checks (r, r) = -2 on them.  That is Gram conservation: with c = (x, r),
+    (s x, s x) = (x, x) + c^2 (2 + (r, r)), and c != 0 for some x since the
+    lattice is nondegenerate.  ``apply_coords`` and the orbit searches take the
+    O(support) path: x is returned unchanged when (x, r) = 0, and otherwise only
+    r's support is updated.
     """
 
     lattice: Lattice
     root: IntVector
-    matrix: Matrix = field(init=False, repr=False, compare=False)
+    _supports: tuple = field(init=False, repr=False, compare=False)  # nonzero (i, (G.r)_i), (i, r_i)
 
     def __post_init__(self) -> None:
-        lat, r = self.lattice, self.root
-        gr = intmat.matvec(lat.gram, r)
-        n = lat.rank
-        matrix = intmat.freeze([[int(i == j) + r[i] * gr[j] for j in range(n)] for i in range(n)])
-        if intmat.matmul(intmat.matmul(intmat.transpose(matrix), lat.gram), matrix) != lat.gram:
-            raise LatticeError(f"the reflection in {r} does not conserve the Gram form")
-        object.__setattr__(self, "matrix", matrix)
+        r = self.root
+        if len(r) != self.lattice.rank:
+            raise LatticeError(f"root has {len(r)} coordinates, the lattice has rank {self.lattice.rank}")
+        gram_root = ((i, sum(g * r[j] for j, g in row)) for i, row in enumerate(self.lattice.sparse_rows))
+        gram_root = tuple((i, c) for i, c in gram_root if c)
+        sq = sum(c * r[i] for i, c in gram_root)
+        if sq != -2:
+            raise LatticeError(f"reflection root must have square -2 to conserve the Gram form, got {sq}")
+        object.__setattr__(self, "_supports", (gram_root, tuple((i, c) for i, c in enumerate(r) if c)))
 
     def __call__(self, v: LatticeVector) -> LatticeVector:
         if v.lattice != self.lattice:
@@ -62,26 +65,13 @@ class Isometry:
             y[i] += c * r
         return tuple(y)
 
-    @cached_property
-    def _supports(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-        """Nonzero entries of G.r and of r as (index, value) pairs."""
-        r = self.root
-        gram_root = ((i, sum(g * r[j] for j, g in row)) for i, row in enumerate(self.lattice.sparse_rows))
-        return tuple((i, c) for i, c in gram_root if c), tuple((i, c) for i, c in enumerate(r) if c)
-
 
 def reflection(v: LatticeVector) -> Isometry:
     """The reflection x |-> x + (x, v) v in a vector of square -2.
 
-    For other negative squares the analogous formula is not integral, so such
-    roots are rejected rather than approximated.
+    For other negative squares the analogous formula is not integral, so the
+    :class:`Isometry` built here rejects such roots rather than approximating.
     """
-    sq = square(v)
-    if sq != -2:
-        raise LatticeError(
-            f"reflection root must have square -2, got {sq}; "
-            "generalized reflections are not provided"
-        )
     return Isometry(v.lattice, v.coords)
 
 

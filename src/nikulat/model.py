@@ -43,18 +43,19 @@ from .lattice import (
     standard_lattice,
 )
 
-ORBIT_CASES = (
-    "Star1",
-    "Case2",
-    "Case3",
-    "Case4",
-    "Case5",
-    "Case6",
-    "Case7",
-    "Case8",
-    "Case9",
-    "Unmatched",
-)
+#: The rows of the decision table, each with its printed representative in i (and j = i + 1).
+_REPRESENTATIVES = {
+    "Star1": "L({i})",
+    "Case2": "2*L({i})-deltaY",
+    "Case3": "2*L({j})+2*e2-deltaY",
+    "Case4": "L({i})-gamma1",
+    "Case5": "L({j})+e2-gamma1",
+    "Case6": "L({i})+e1",
+    "Case7": "2*L({i})+2*e1-deltaY",
+    "Case8": "L({i})+e1-gamma1",
+    "Case9": "L({j})+e2",
+}
+ORBIT_CASES = (*_REPRESENTATIVES, "Unmatched")
 
 
 @dataclass(frozen=True)
@@ -246,35 +247,15 @@ def _ly_slices() -> tuple[slice, ...]:
     return tuple(map(model.lambda_Y.block_slice, ("U1", "U2", "U3", "E8", "G1", "G2")))
 
 
-def _parts(v: LatticeVector) -> tuple[IntVector, IntVector, int, int]:
-    """The U(2)^3 part, the E8 part and the two gamma coordinates of a vector of LY."""
-    u1, u2, u3, e8, (k,), (m,) = (v.coords[s] for s in _ly_slices())
-    return u1 + u2 + u3, e8, k, m
-
-
-def _block_terms(lattice: Lattice, block: slice):
-    """Per block coordinate i: (G_ii, ((j, 2 G_ij) for j < i with G_ij != 0)), read
-    from the sparse Gram rows; a block vector t has square sum_i t_i (G_ii t_i + sum_j 2 G_ij t_j)."""
-    terms = []
-    for i, row in enumerate(lattice.sparse_rows[block]):
-        entries = {j - block.start: g for j, g in row}
-        terms.append((entries.get(i, 0), tuple((j, 2 * g) for j, g in entries.items() if j < i)))
-    return tuple(terms)
-
-
-@lru_cache(maxsize=1)
-def _e8_terms():
-    model, _ = build_model()
-    return _block_terms(model.lambda_Y, model.lambda_Y.block_slice("E8"))
-
-
-def _terms_square(terms, t: IntVector) -> int:
-    """The square of block coordinates ``t`` from the block's :func:`_block_terms`."""
-    return sum(x * (diag * x + sum(g * t[j] for j, g in lower)) for x, (diag, lower) in zip(t, terms))
-
-
-def _e8_square(e8_part: IntVector) -> int:
-    return _terms_square(_e8_terms(), e8_part)
+def _block_square(lattice: Lattice, block: slice, t: IntVector) -> int:
+    """The square of coordinates ``t`` on ``block``, a direct summand, from its sparse Gram rows."""
+    off = block.start
+    total = 0
+    for x, row in zip(t, lattice.sparse_rows[block]):
+        if x:
+            for j, g in row:
+                total += x * g * t[j - off]
+    return total
 
 
 @dataclass(frozen=True)
@@ -303,16 +284,18 @@ def vector_profile(v: LatticeVector) -> VectorProfile:
     _require_in_LY(v)
     if v.is_zero():
         raise LatticeError("profile of the zero vector is undefined")
-    _, vectors = build_model()
-    u_part, e8_part, k, m = _parts(v)
+    model, vectors = build_model()
+    u1, u2, u3, e8, g1, g2 = _ly_slices()
+    x = v.coords
+    e8_part, (k,), (m,) = x[e8], x[g1], x[g2]
     return VectorProfile(
         q=square(v),
         div=divisibility(v),
         primitive=is_primitive(v),
-        u_part_div_by_2=all(c % 2 == 0 for c in u_part),
+        u_part_div_by_2=all(c % 2 == 0 for c in x[u1] + x[u2] + x[u3]),
         e8_part=e8_part,
         e8_part_div_by_2=all(c % 2 == 0 for c in e8_part),
-        q_e8_mod4=_e8_square(e8_part) % 4,
+        q_e8_mod4=_block_square(model.lambda_Y, e8, e8_part) % 4,
         gamma_coords=(k, m),
         gamma_in_delta_sigma_span=(k - m) % 2 == 0,
         pair_sigma_mod4=pair(v, vectors.SigmaY) % 4,
@@ -368,24 +351,19 @@ def _row_matches(profile: VectorProfile) -> list[tuple[str, int]]:
     return matches
 
 
+@lru_cache(maxsize=1024)
+def _representative_vector(expr: str) -> LatticeVector:
+    """The vector of a representative's expression, parsed once."""
+    from .exprs import parse_vector  # exprs imports this module at load time
+    return parse_vector(expr)
+
+
 def case_representative(case: str, i: int) -> tuple[LatticeVector, str]:
     """The printed representative of a table row, with its expression string."""
-    _, nv = build_model()
-    reps = {
-        "Star1": (lambda: nv.L(i), f"L({i})"),
-        "Case2": (lambda: 2 * nv.L(i) - nv.deltaY, f"2*L({i})-deltaY"),
-        "Case3": (lambda: 2 * nv.L(i + 1) + 2 * nv.e2 - nv.deltaY, f"2*L({i + 1})+2*e2-deltaY"),
-        "Case4": (lambda: nv.L(i) - nv.gamma1, f"L({i})-gamma1"),
-        "Case5": (lambda: nv.L(i + 1) + nv.e2 - nv.gamma1, f"L({i + 1})+e2-gamma1"),
-        "Case6": (lambda: nv.L(i) + nv.e1, f"L({i})+e1"),
-        "Case7": (lambda: 2 * nv.L(i) + 2 * nv.e1 - nv.deltaY, f"2*L({i})+2*e1-deltaY"),
-        "Case8": (lambda: nv.L(i) + nv.e1 - nv.gamma1, f"L({i})+e1-gamma1"),
-        "Case9": (lambda: nv.L(i + 1) + nv.e2, f"L({i + 1})+e2"),
-    }
-    if case not in reps:
+    if case not in _REPRESENTATIVES:
         raise LatticeError(f"no representative for case {case!r}")
-    build, expr = reps[case]
-    return build(), expr
+    expr = _REPRESENTATIVES[case].format(i=i, j=i + 1)
+    return _representative_vector(expr), expr
 
 
 def classify_orbit(v: LatticeVector) -> OrbitClass:
@@ -439,6 +417,10 @@ class FibrationType:
     sigma_pairing_forces_type_a: bool
 
 
+#: divisibility -> (type, orbit representative, fiber polarisation type)
+_FIBRATION_TYPES = {1: ("A", "L(1)+e2", (1, 2)), 2: ("B", "L(0)", (1, 1))}
+
+
 def classify_isotropic_type(v: LatticeVector) -> FibrationType:
     """Type A (div 1, fiber polarisation (1,2)) or B (div 2, polarisation (1,1)).
 
@@ -452,29 +434,20 @@ def classify_isotropic_type(v: LatticeVector) -> FibrationType:
         raise LatticeError(f"vector is not isotropic: q = {square(v)}")
     _, nv = build_model()
     div = divisibility(v)
-    sigma_mod4 = pair(v, nv.SigmaY) % 4
-    if div == 1:
-        result = FibrationType(
-            type_label="A",
-            orbit_representative=nv.L(1) + nv.e2,
-            representative_expr="L(1)+e2",
-            polarisation_type=(1, 2),
-            pair_sigma_mod4=sigma_mod4,
-            sigma_pairing_forces_type_a=sigma_mod4 == 2,
-        )
-    elif div == 2:
-        result = FibrationType(
-            type_label="B",
-            orbit_representative=nv.L(0),
-            representative_expr="L(0)",
-            polarisation_type=(1, 1),
-            pair_sigma_mod4=sigma_mod4,
-            sigma_pairing_forces_type_a=sigma_mod4 == 2,
-        )
-    else:
+    if div not in _FIBRATION_TYPES:
         raise RuntimeError(
             f"internal consistency error: primitive vector with divisibility {div}"
         )
+    type_label, expr, polarisation = _FIBRATION_TYPES[div]
+    sigma_mod4 = pair(v, nv.SigmaY) % 4
+    result = FibrationType(
+        type_label=type_label,
+        orbit_representative=_representative_vector(expr),
+        representative_expr=expr,
+        polarisation_type=polarisation,
+        pair_sigma_mod4=sigma_mod4,
+        sigma_pairing_forces_type_a=sigma_mod4 == 2,
+    )
     if result.sigma_pairing_forces_type_a and result.type_label != "A":
         raise RuntimeError("internal consistency error: (v,SigmaY) = 2 mod 4 with type B")
     return result
@@ -580,8 +553,8 @@ def _block_walker(lattice: Lattice, block: slice, bound: int):
     if ellipsoid is not None:
         qmin = -bound * bound * sum(abs(g) for row in gram for g in row)
         return qmin, 0, partial(_ellipsoid_walk, ellipsoid, bound)
-    terms = _block_terms(lattice, block)
-    box = [(t, _terms_square(terms, t)) for t in product(range(-bound, bound + 1), repeat=len(terms))]
+    size = block.stop - block.start
+    box = [(t, _block_square(lattice, block, t)) for t in product(range(-bound, bound + 1), repeat=size)]
     squares = [q for _, q in box]
     return min(squares), max(squares), lambda lo, hi: ((t, q) for t, q in box if lo <= q <= hi)
 
@@ -591,9 +564,8 @@ def enumerate_with_square(
     blocks: tuple[str, ...],
     bound: int,
     target: int,
-    primitive_only: bool = True,
 ) -> Iterator[LatticeVector]:
-    """All vectors supported on the named ``blocks`` with |coords| <= bound and the given square.
+    """All primitive vectors on the named ``blocks`` with |coords| <= bound and the given square.
 
     Deterministic lexicographic order on full coordinate tuples.  The blocks
     are chosen one after another, each within the square range that the
@@ -627,7 +599,7 @@ def enumerate_with_square(
                 full = [0] * rank
                 for run, run_coords in zip(runs, chosen):
                     full[run] = run_coords
-                if any(full) and (not primitive_only or gcd(*full) == 1):
+                if gcd(*full) == 1:
                     yield LatticeVector._of_ints(lattice, tuple(full))  # every coordinate came from a range
             return
         walk = walkers[idx][2]
@@ -669,8 +641,6 @@ def default_generator_table() -> tuple[tuple[str, LatticeVector], ...]:
         named.append((f"w{blk + 1}2", a + b + nv.ew + nv.gamma2))
     named += [("u1+eps1", nv.u[0] + nv.e1), ("u2+eps1", nv.u[1] + nv.e1)]
     named += [("u1+gamma1", nv.u[0] + nv.gamma1), ("u2+gamma1", nv.u[1] + nv.gamma1)]
-    for name, root in named:
-        assert square(root) == -2, name
     return tuple(named)
 
 

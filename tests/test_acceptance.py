@@ -246,7 +246,7 @@ def test_criterion_9_infrastructure(model_vectors):
     dets_ok = order == 256 and det(cartan) == 1
 
     roots = list(
-        enumerate_with_square(model.lambda_Y, ("U1", "E8", "G1", "G2"), 1, target=-2, primitive_only=False)
+        enumerate_with_square(model.lambda_Y, ("U1", "E8", "G1", "G2"), 1, target=-2)
     )
     invariance_ok = True
     for _ in range(1000):

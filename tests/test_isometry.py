@@ -32,6 +32,13 @@ from nikulat.model import (
 )
 
 
+def dense_reflection(iso):
+    """Oracle: the dense matrix I + r (G r)^T of the reflection ``iso`` in r."""
+    lat, r = iso.lattice, iso.root
+    gr = intmat.matvec(lat.gram, r)
+    return tuple(tuple(int(i == j) + r[i] * gr[j] for j in range(lat.rank)) for i in range(lat.rank))
+
+
 @pytest.fixture(scope="module")
 def setup():
     model, nv = build_model()
@@ -69,8 +76,9 @@ def test_reflection_is_involution_and_isometry(setup):
     roots = [nv.w, nv.gamma1, nv.e1, nv.u[0] + nv.e1]
     for root in roots:
         r = reflection(root)
-        assert intmat.matmul(r.matrix, r.matrix) == intmat.identity(16)
-        assert intmat.det(r.matrix) == -1
+        matrix = dense_reflection(r)
+        assert intmat.matmul(matrix, matrix) == intmat.identity(16)
+        assert intmat.det(matrix) == -1
         for _ in range(20):
             v = model.lambda_Y.vector([rng.randint(-9, 9) for _ in range(16)])
             if v.is_zero():
@@ -86,7 +94,7 @@ def test_compose(setup):
     r1, r2 = reflection(nv.gamma1), reflection(nv.gamma2)
     v = model.lambda_Y.vector([1, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, -1])
     both = r1(r2(v))
-    assert both.coords == intmat.matvec(intmat.matmul(r1.matrix, r2.matrix), v.coords)
+    assert both.coords == intmat.matvec(intmat.matmul(dense_reflection(r1), dense_reflection(r2)), v.coords)
     assert both.coords[14:] == (-3, 1)
     assert both.coords[:14] == v.coords[:14]
 
@@ -130,6 +138,15 @@ def test_isometry_constructor_validates(setup):
         Isometry(model.lambda_Y, nv.e2.coords)
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_isometry_constructor_rejects_a_root_of_the_wrong_length(setup, extra):
+    """A root of square -2 with a coordinate dropped or a nonzero one appended."""
+    model, nv = setup
+    coords = nv.e1.coords[:-1] if extra < 0 else nv.e1.coords + (1,)
+    with pytest.raises(LatticeError, match="rank 16"):
+        Isometry(model.lambda_Y, coords)
+
+
 # --- orbit exploration -------------------------------------------------------------
 
 
@@ -149,7 +166,7 @@ def test_orbit_contains_reflection_image(setup):
 
 def test_orbit_invariant_purity(setup):
     model, nv = setup
-    roots = enumerate_with_square(model.lambda_Y, ("E8", "G1", "G2"), 1, target=-2, primitive_only=False)
+    roots = enumerate_with_square(model.lambda_Y, ("E8", "G1", "G2"), 1, target=-2)
     gens = [reflection(r) for r in itertools.islice(roots, 40)]
     orbit = orbit_explore(nv.L(0), gens, OrbitBudget(1, 5000, 3))
     for v in map(model.lambda_Y.vector, orbit.members):

@@ -438,7 +438,7 @@ def test_sigma_pairing_discriminant_on_windows(setup):
 
 def test_minus_two_vectors_are_roots(setup):
     model, _ = setup
-    roots = list(enumerate_with_square(model.lambda_Y, ("E8",), 1, target=-2, primitive_only=False))
+    roots = list(enumerate_with_square(model.lambda_Y, ("E8",), 1, target=-2))
     assert all(square(r) == -2 for r in roots)
     # connected-subgraph count of the E8 diagram, times two signs
     assert len(roots) == 2 * 44

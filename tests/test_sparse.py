@@ -14,12 +14,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nikulat import intmat
-from nikulat.isometry import reflection
-from nikulat.lattice import E8_NEG_GRAM, Lattice, coords_divisibility, divisibility, pair, square
+from nikulat.isometry import Isometry, reflection
+from nikulat.lattice import (
+    E8_NEG_GRAM,
+    Lattice,
+    LatticeError,
+    coords_divisibility,
+    divisibility,
+    pair,
+    square,
+)
 from nikulat.model import (
-    _block_terms,
+    _block_square,
     _block_walker,
-    _e8_square,
     _ellipsoid,
     build_model,
     default_generator_table,
@@ -36,6 +43,17 @@ COORD = st.integers(min_value=-6, max_value=6)
 
 def dense_pair(gram, x, y):
     return sum(a * b for a, b in zip(x, intmat.matvec(gram, y)))
+
+
+def dense_reflection(lat, r):
+    """Oracle: the dense matrix I + r (G r)^T of x |-> x + (x, r) r."""
+    gr = intmat.matvec(lat.gram, r)
+    return tuple(tuple(int(i == j) + r[i] * gr[j] for j in range(lat.rank)) for i in range(lat.rank))
+
+
+def conserves_gram(lat, m):
+    """Oracle: M^T G M == G, computed densely."""
+    return intmat.matmul(intmat.matmul(intmat.transpose(m), lat.gram), m) == lat.gram
 
 
 def coords(rank):
@@ -96,19 +114,38 @@ REFLECTIONS = [(name, reflection(root)) for name, root in default_generator_tabl
 @settings(max_examples=40, deadline=None)
 @given(x=coords(16))
 def test_reflection_matches_dense_matrix(name, iso, x):
-    assert iso.apply_coords(x) == intmat.matvec(iso.matrix, x)
+    matrix = dense_reflection(iso.lattice, iso.root)
+    assert iso.apply_coords(x) == intmat.matvec(matrix, x)
     # 2x + (x, r) r pairs to zero with r, so the reflection must fix it
     c = dense_pair(MODEL.lambda_Y.gram, x, iso.root)
     fixed = tuple(2 * a + c * b for a, b in zip(x, iso.root))
     assert dense_pair(MODEL.lambda_Y.gram, fixed, iso.root) == 0
-    assert iso.apply_coords(fixed) == fixed == intmat.matvec(iso.matrix, fixed)
+    assert iso.apply_coords(fixed) == fixed == intmat.matvec(matrix, fixed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lat=small_symmetric_lattice(), data=st.data())
+def test_root_check_matches_dense_gram_conservation(lat, data):
+    """Isometry accepts a nonzero root exactly when the dense reflection conserves the
+    Gram form, and then acts as that matrix.  Root entries in -1..1 make about one
+    draw in ten a root of square -2."""
+    r = data.draw(st.lists(st.integers(-1, 1), min_size=lat.rank, max_size=lat.rank).map(tuple).filter(any))
+    matrix = dense_reflection(lat, r)
+    try:
+        iso = Isometry(lat, r)
+    except LatticeError:
+        assert not conserves_gram(lat, matrix)
+        return
+    assert conserves_gram(lat, matrix)
+    x = data.draw(coords(lat.rank))
+    assert iso.apply_coords(x) == intmat.matvec(matrix, x)
 
 
 def block_table(lattice, block, bound):
     """Oracle: all coordinate tuples of one block with |c| <= bound, lex order, with
-    squares accumulated along the recursion from the block's ``_block_terms``."""
-    terms = _block_terms(lattice, block)
-    size = len(terms)
+    squares accumulated along the recursion from the block's dense Gram slice."""
+    gram = [row[block] for row in lattice.gram[block]]
+    size = len(gram)
     values = range(-bound, bound + 1)
     table = []
     coords = [0] * size
@@ -117,8 +154,8 @@ def block_table(lattice, block, bound):
         if i == size:
             table.append((tuple(coords), q))
             return
-        diag, lower = terms[i]
-        cross = sum(g * coords[j] for j, g in lower)
+        diag = gram[i][i]
+        cross = sum(2 * gram[i][j] * coords[j] for j in range(i))
         for v in values:
             coords[i] = v
             rec(i + 1, q + v * (diag * v + cross))
@@ -138,7 +175,8 @@ def test_block_table_squares_match_dense_on_e8():
 @settings(max_examples=100, deadline=None)
 @given(t=coords(8))
 def test_e8_square_matches_dense(t):
-    assert _e8_square(t) == dense_pair(E8_NEG_GRAM, t, t)
+    lat = MODEL.lambda_Y
+    assert _block_square(lat, lat.block_slice("E8"), t) == dense_pair(E8_NEG_GRAM, t, t)
 
 
 # --- the block walker of enumerate_with_square against the box oracle --------------
