@@ -76,15 +76,12 @@ class Lattice:
             raise LatticeError(f"basis index {i} out of range for rank {self.rank}")
         return self.vector(tuple(int(j == i) for j in range(self.rank)))
 
-    def block_slice(self, label_or_index) -> slice:
-        """Coordinate slice of a direct summand, by position or by a label naming one block."""
-        if isinstance(label_or_index, int):
-            _, off, size = self.blocks[label_or_index]
-            return slice(off, off + size)
-        found = [slice(off, off + size) for name, off, size in self.blocks if name == label_or_index]
+    def block_slice(self, label: str) -> slice:
+        """Coordinate slice of the direct summand that ``label`` names, which must be one block."""
+        found = [slice(off, off + size) for name, off, size in self.blocks if name == label]
         if len(found) != 1:
             problem = "ambiguous" if found else "no"
-            raise LatticeError(f"{problem} block {label_or_index!r} in {self.label!r}")
+            raise LatticeError(f"{problem} block {label!r} in {self.label!r}")
         return found[0]
 
     def block_basis(self, *labels) -> tuple[LatticeVector, ...]:

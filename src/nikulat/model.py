@@ -366,6 +366,20 @@ def case_representative(case: str, i: int) -> tuple[LatticeVector, str]:
     return _representative_vector(expr), expr
 
 
+@lru_cache(maxsize=1024)
+def _checked_representative(case: str, i: int, q: int, div: int) -> tuple[LatticeVector, str]:
+    """The representative of a row, checked once to have the input's square and divisibility.
+
+    A mismatch raises on every call: ``lru_cache`` does not cache exceptions.
+    """
+    rep, expr = case_representative(case, i)
+    if square(rep) != q or divisibility(rep) != div:
+        raise LatticeError(
+            f"representative {expr} fails invariant match for case {case}, i={i}"
+        )
+    return rep, expr
+
+
 def classify_orbit(v: LatticeVector) -> OrbitClass:
     """Locate a primitive vector of LY in the monodromy-orbit decision table.
 
@@ -395,11 +409,7 @@ def classify_orbit(v: LatticeVector) -> OrbitClass:
                 note=f"no printed row matches profile {profile}",
             )
         case, i = matches[0]
-    rep, expr = case_representative(case, i)
-    if square(rep) != profile.q or divisibility(rep) != profile.div:
-        raise LatticeError(
-            f"representative {expr} fails invariant match for case {case}, i={i}"
-        )
+    rep, expr = _checked_representative(case, i, profile.q, profile.div)
     note = "" if i >= 0 else "parameter i is negative: outside the table's stated range i in N"
     return OrbitClass(case=case, i=i, representative=rep, representative_expr=expr,
                       profile=profile, note=note)

@@ -1,5 +1,7 @@
 """The vector-expression grammar."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,11 @@ def nv():
         ("SigmaY", lambda nv: nv.SigmaY),
         ("-2*e1+ew", lambda nv: -2 * nv.e1 + nv.ew),
         ("L(1)-L(1)", lambda nv: 0 * nv.L(0)),
+        ("L ( - 2 )", lambda nv: nv.L(-2)),
+        ("- e2", lambda nv: -1 * nv.e2),
+        ("+e2", lambda nv: nv.e2),
+        ("007*e2", lambda nv: 7 * nv.e2),
+        ("0*e2", lambda nv: 0 * nv.e2),
     ],
 )
 def test_parse(nv, text, builder):
@@ -53,6 +60,16 @@ def test_parse(nv, text, builder):
         "e2 e2",
         "3*",
         "$",
+        "+-e2",
+        "--e2",
+        "L(+1)",
+        "L(1)(2)",
+        "2 L(1)",
+        "2*3*e2",
+        "L(1)2",
+        "e2 (3)",
+        "*e2",
+        "L(1 2)",
     ],
 )
 def test_parse_errors(bad):
@@ -78,15 +95,12 @@ def test_format_rejects_other_lattices():
 
 # The reference: each term's coefficient times its named vector, summed with
 # the checked vector arithmetic of the lattice module.
-_terms = st.lists(
-    st.tuples(
-        st.sampled_from("+-"),
-        st.none() | st.integers(0, 10**6),
-        st.sampled_from(sorted(_NAMES)) | st.integers(-(10**6), 10**6),  # an int i stands for L(i)
-    ),
-    min_size=1,
-    max_size=12,
+_term = st.tuples(
+    st.sampled_from("+-"),
+    st.none() | st.integers(0, 10**6),
+    st.sampled_from(sorted(_NAMES)) | st.integers(-(10**6), 10**6),  # an int i stands for L(i)
 )
+_terms = st.lists(_term, min_size=1, max_size=12)
 
 
 def _render(terms, lead, space):
@@ -129,3 +143,122 @@ def test_format_round_trip_on_census_window():
     assert len(vectors) == 53172
     for v in vectors[::10]:
         assert parse_vector(format_vector(v)) == v
+
+
+# The differential oracle: the earlier tokenizer and token parser, kept as
+# they were, which the one-term-pattern parser must agree with on every
+# string, accepted or rejected.
+_REF_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<punct>[+\-*()]))")
+
+
+def _ref_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise ExpressionError(f"unexpected character {text[pos]!r} at position {pos}")
+        pos = m.end()
+        tokens.append((m.lastgroup, m[m.lastgroup]))
+    return tokens
+
+
+def reference_parse(text):
+    total = [0] * 16
+    tokens = _ref_tokenize(text)
+    if not tokens:
+        raise ExpressionError("empty expression")
+
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take():
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ExpressionError("unexpected end of expression")
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def add_term(sign):
+        coeff = sign
+        kind, val = take()
+        if kind == "int":
+            coeff *= int(val)
+            kind, val = take()
+            if (kind, val) != ("punct", "*"):
+                raise ExpressionError(f"expected '*' after coefficient, got {val!r}")
+            kind, val = take()
+        if kind != "name":
+            raise ExpressionError(f"expected a vector name, got {val!r}")
+        name = val
+        arg = None
+        if peek() == ("punct", "("):
+            take()
+            kind, val = take()
+            arg_sign = 1
+            if (kind, val) == ("punct", "-"):
+                arg_sign = -1
+                kind, val = take()
+            if kind != "int":
+                raise ExpressionError(f"expected an integer argument, got {val!r}")
+            arg = arg_sign * int(val)
+            if take() != ("punct", ")"):
+                raise ExpressionError("missing ')' after argument")
+        if name == "L":
+            if arg is None:
+                raise ExpressionError("L requires an argument, e.g. L(1)")
+            base = _NV.L(arg)
+        else:
+            if arg is not None:
+                raise ExpressionError(f"{name!r} does not take an argument")
+            if name not in _NAMES:
+                raise ExpressionError(f"unknown vector name {name!r}")
+            base = _NAMES[name]
+        for i, c in enumerate(base.coords):
+            total[i] += coeff * c
+
+    sign = 1
+    first = peek()
+    if first is not None and first[0] == "punct" and first[1] in "+-":
+        take()
+        sign = -1 if first[1] == "-" else 1
+    add_term(sign)
+    while (nxt := peek()) is not None:
+        if nxt[0] != "punct" or nxt[1] not in "+-":
+            raise ExpressionError(f"expected '+' or '-', got {nxt[1]!r}")
+        take()
+        add_term(-1 if nxt[1] == "-" else 1)
+    return _NV.u[0].lattice.vector(total)
+
+
+_ALPHABET = st.sampled_from(
+    ["L", "e2", "w", "deltaY", "gamma1", "eps8", "u3", "q7", "Lx", "e2e2",
+     "0", "1", "2", "007", "12", "+", "-", "*", "(", ")", " ", "\t", "$"]
+)
+
+
+@st.composite
+def _near_valid(draw):
+    """A short well-formed expression with one character inserted somewhere."""
+    terms = draw(st.lists(_term, min_size=1, max_size=3))
+    text = _render(terms, draw(st.sampled_from(["", "+", "-"])), draw(st.sampled_from(["", " "])))
+    k = draw(st.integers(0, len(text)))
+    return text[:k] + draw(st.sampled_from("+-*()2 \t$")) + text[k:]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ExpressionError:
+        return ExpressionError
+
+
+@given(text=st.lists(_ALPHABET, max_size=12).map("".join) | _near_valid())
+@settings(max_examples=500, deadline=None)
+def test_parse_agrees_with_reference_parser(text):
+    assert _outcome(parse_vector, text) == _outcome(reference_parse, text)

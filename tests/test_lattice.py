@@ -374,7 +374,7 @@ def test_isometric_embedding_preserves_squares():
 def test_direct_sum_block_offsets():
     lat = direct_sum([U2, U2, U2, E8, MINUS2, MINUS2], label="LYlike")
     assert [b[1] for b in lat.blocks] == [0, 2, 4, 6, 14, 15]
-    assert lat.block_slice(3) == slice(6, 14)
+    assert lat.blocks[3] == ("E8(-1)", 6, 8)
     assert lat.block_slice("E8(-1)") == slice(6, 14)
     with pytest.raises(LatticeError):
         lat.block_slice("nope")
@@ -382,6 +382,6 @@ def test_direct_sum_block_offsets():
 
 def test_block_slice_rejects_ambiguous_label():
     lat = direct_sum([U2, U2])
-    assert lat.block_slice(1) == slice(2, 4)
+    assert lat.blocks[1] == ("U(2)", 2, 2)
     with pytest.raises(LatticeError, match="ambiguous"):
         lat.block_slice("U(2)")

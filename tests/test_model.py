@@ -23,6 +23,7 @@ from nikulat import (
     square,
     vector_profile,
 )
+from nikulat import model as model_module
 from nikulat.lattice import check_embedding
 from nikulat.model import (
     DEFAULT_WINDOW,
@@ -252,6 +253,24 @@ def test_table_self_consistency(setup, case, i):
     assert (got.case, got.i) == (case, i)
     assert square(got.representative) == square(rep)
     assert divisibility(got.representative) == divisibility(rep)
+
+
+@pytest.fixture
+def clear_representative_caches():
+    caches = (model_module._representative_vector, model_module._checked_representative)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_wrong_representative_fails_invariant_match(setup, monkeypatch, clear_representative_caches):
+    _, nv = setup
+    monkeypatch.setitem(model_module._REPRESENTATIVES, "Case9", "L({i})+e2")  # square 4i - 4, not 4i
+    for _ in range(2):  # the check is cached, the failure is not
+        with pytest.raises(LatticeError, match="fails invariant match"):
+            classify_orbit(nv.L(1) + nv.e2)
 
 
 def test_classify_negative_i(setup):

@@ -228,7 +228,7 @@ def negative_definite_gram(draw):
 @given(gram=negative_definite_gram(), bound=st.integers(1, 2), lo=st.integers(-200, 4), width=st.integers(-1, 80))
 def test_walker_matches_box_oracle_on_random_definite_blocks(gram, bound, lo, width):
     lat = Lattice("definite", gram)
-    block = lat.block_slice(0)
+    block = lat.block_slice(lat.label)
     assert _ellipsoid(lat.gram) is not None
     assert_walker_matches_oracle(lat, block, bound, block_table(lat, block, bound), lo, lo + width)
 
