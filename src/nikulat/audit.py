@@ -3,11 +3,14 @@
 Every claim in the catalog pins one arithmetic statement from the derivation
 this package mechanizes: ``@_claim`` declares its stated values next to the
 checker, which recomputes them with exact arithmetic and compares against
-them.  The verdict is Verified, Refuted (always with a counter-witness) or
-NotCheckable (the lattice operations rejected the input).  Three catalog
-entries are EXPECTED to be refuted as printed (a transposed divisibility
-remark and the index-2 statements about the doubling embedding), so a run is
-"clean" when every verdict matches its expectation.
+them.  A checker refutes by returning a counter-witness, and holds by
+returning ``None`` in its place; ``AuditContext`` builds the inputs claims
+share, namely the enumeration windows and the eta images of the Lfix
+samples, once per run.  The verdict is Verified, Refuted (always with the
+counter-witness) or NotCheckable (the lattice operations rejected the input).
+Three catalog entries are EXPECTED to be refuted as printed (a transposed
+divisibility remark and the index-2 statements about the doubling embedding),
+so a run is "clean" when every verdict matches its expectation.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import isqrt
 from typing import Callable
 
@@ -53,6 +57,9 @@ VERIFIED = "Verified"
 REFUTED = "Refuted"
 NOT_CHECKABLE = "NotCheckable"
 
+#: the two enumeration windows the audit samples, at their full bounds
+_WINDOWS = (DEFAULT_WINDOW, SECOND_WINDOW)
+
 
 @dataclass(frozen=True)
 class ClaimResult:
@@ -73,7 +80,8 @@ class ClaimResult:
 
 @dataclass
 class AuditContext:
-    """Shared state for one audit run; enumeration windows are computed once.
+    """The inputs claims share in one audit run, each built once: the
+    enumeration windows and their vectors, and the eta images of the Lfix samples.
 
     Without ``eta_map`` the run checks the as-written eta, and ``eta_label``
     must say so or be left out; a user-supplied map is labelled freely, and
@@ -94,24 +102,26 @@ class AuditContext:
             self.eta_label = "user-supplied"
 
     @cached_property
-    def window1(self) -> EnumerationWindow:
-        return EnumerationWindow(DEFAULT_WINDOW.blocks, min(DEFAULT_WINDOW.bound, self.budget.coord_bound))
+    def windows(self) -> tuple[EnumerationWindow, ...]:
+        """The audit windows, their bounds capped by the budget's coordinate bound."""
+        return tuple(EnumerationWindow(w.blocks, min(w.bound, self.budget.coord_bound)) for w in _WINDOWS)
 
     @cached_property
-    def window2(self) -> EnumerationWindow:
-        return EnumerationWindow(SECOND_WINDOW.blocks, min(SECOND_WINDOW.bound, self.budget.coord_bound))
+    def window_vectors(self) -> tuple[tuple[LatticeVector, ...], ...]:
+        return tuple(tuple(enumerate_primitive_isotropic(w)) for w in self.windows)
 
     @cached_property
-    def window1_vectors(self) -> tuple[LatticeVector, ...]:
-        return tuple(enumerate_primitive_isotropic(self.window1))
-
-    @cached_property
-    def window2_vectors(self) -> tuple[LatticeVector, ...]:
-        return tuple(enumerate_primitive_isotropic(self.window2))
+    def eta_images(self) -> tuple[tuple[str, LatticeVector, LatticeVector], ...]:
+        """``(label, sample, eta image)`` for the U^3 samples, labelled "u-only",
+        then for the documented mixed samples."""
+        samples = [("u-only", v) for v in _fix_u_only_samples()] + list(_fix_mixed_samples())
+        assert all(square(v) == 0 and is_primitive(v) for _, v in samples)
+        dom = self.eta_map.domain
+        return tuple((label, v, self.eta_map(dom.vector(v.coords))) for label, v in samples)
 
     def coverage_note(self) -> str:
-        full = (DEFAULT_WINDOW.bound, SECOND_WINDOW.bound)
-        used = (self.window1.bound, self.window2.bound)
+        full = tuple(w.bound for w in _WINDOWS)
+        used = tuple(w.bound for w in self.windows)
         if used == full:
             return ""
         return f"reduced coverage: window bounds {used} instead of {full} under this budget"
@@ -119,23 +129,26 @@ class AuditContext:
 
 @dataclass(frozen=True)
 class Claim:
-    """One printed statement.  ``check(ctx, stated)`` returns ``(verified, computed,
-    note)``; ``eta_dependent`` claims are expected only of the as-written eta."""
+    """One printed statement.  ``check(ctx, stated)`` returns ``(computed,
+    counter_witness, note)``, with ``None`` for the witness when the statement
+    holds; only ``run`` puts a witness into a result.  ``eta_dependent`` claims
+    are expected only of the as-written eta."""
 
     id: str
     expected_status: str
     stated: dict
-    check: Callable[[AuditContext, dict], tuple[bool, dict, str]]
+    check: Callable[[AuditContext, dict], tuple[dict, object, str]]
     eta_dependent: bool = False
 
     def run(self, ctx: AuditContext) -> ClaimResult:
         """The claim's verdict; input the lattice operations reject is NotCheckable."""
         try:
-            verified, computed, note = self.check(ctx, self.stated)
-            status = VERIFIED if verified else REFUTED
+            computed, witness, note = self.check(ctx, self.stated)
         except LatticeError as exc:
-            status, computed, note = NOT_CHECKABLE, {"error": str(exc)}, ""
-        return ClaimResult(self.id, status, computed, note)
+            return ClaimResult(self.id, NOT_CHECKABLE, {"error": str(exc)})
+        if witness is None:
+            return ClaimResult(self.id, VERIFIED, computed, note)
+        return ClaimResult(self.id, REFUTED, {**computed, "counter_witness": witness}, note)
 
 
 #: the claims in report order, registered by ``_claim`` as the checkers are defined
@@ -231,9 +244,8 @@ def _claim_table_selfconsistency(ctx: AuditContext, stated: dict):
                 mismatches.append({"case": case, "i": i, "got": [got.case, got.i], "rep": expr})
     computed = {"checked": checked, "mismatches": mismatches}
     if mismatches or len(rows) != stated["rows"]:
-        computed["counter_witness"] = mismatches[0] if mismatches else {"rows": len(rows)}
-        return False, computed, ""
-    return True, computed, f"every printed representative, i in {lo}..{hi}, classifies back to its own row"
+        return computed, mismatches[0] if mismatches else {"rows": len(rows)}, ""
+    return computed, None, f"every printed representative, i in {lo}..{hi}, classifies back to its own row"
 
 
 @_claim("reflection-chain", VERIFIED, w_square=-2, pairing=5, image="6*L(1)+e2+5*ew+5*gamma1",
@@ -272,9 +284,8 @@ def _claim_reflection_chain(ctx: AuditContext, stated: dict):
         and cls.case == stated["image_case"]
     )
     if not ok:
-        computed["counter_witness"] = computed.copy()
-        return False, computed, ""
-    return True, computed, (
+        return computed, dict(computed), ""
+    return computed, None, (
         "cross term is 2*5*(e2,ew) = 10; pairing e2 with e1 instead would give "
         "square -108 and residue 0 mod 4, so the stated residue 2 identifies (e2,ew)"
     )
@@ -289,8 +300,7 @@ def _claim_two_orbit_dichotomy(ctx: AuditContext, stated: dict):
     """enumerated primitive isotropic vectors split into divisibility classes 1 and 2;
     reflection orbits of L(0) and L(1)+e2 are disjoint and invariant-pure"""
     _, nv = build_model()
-    census1 = _div_census(ctx.window1_vectors)
-    census2 = _div_census(ctx.window2_vectors)
+    census1, census2 = map(_div_census, ctx.window_vectors)
     gens = default_generators()
     orbit_b = orbit_explore(nv.L(0), gens, ctx.budget)
     orbit_a = orbit_explore(nv.L(1) + nv.e2, gens, ctx.budget)
@@ -314,15 +324,11 @@ def _claim_two_orbit_dichotomy(ctx: AuditContext, stated: dict):
     classes = {str(d) for d in stated["div_classes"]}
     divs_ok = set(census1) == classes and set(census2) <= classes
     if not (divs_ok and not overlap and pure_a and pure_b):
-        computed["counter_witness"] = {
-            "overlap": overlap[:3],
-            "censuses": [census1, census2],
-        }
-        return False, computed, ""
+        return computed, {"overlap": overlap[:3], "censuses": [census1, census2]}, ""
     notes = [ctx.coverage_note()]
     if not (orbit_a.exhausted and orbit_b.exhausted):
         notes.append("reflection orbits truncated by the budget (exhausted flags in computed)")
-    return True, computed, "; ".join(n for n in notes if n)
+    return computed, None, "; ".join(n for n in notes if n)
 
 
 @_claim("divisibility-remark", REFUTED, div_L0=1, div_L1e2=2)
@@ -340,16 +346,16 @@ def _claim_divisibility_remark(ctx: AuditContext, stated: dict):
         "stated_div_L1e2": stated["div_L1e2"],
         "as_printed": VERIFIED if as_printed else REFUTED,
         "with_swap": VERIFIED if swapped else REFUTED,
-        "counter_witness": {
-            "div_L0": div_l0,
-            "div_L1e2": div_l1e2,
-            "L0_pairs_evenly": "every pairing of a U(2) vector is even",
-            "L1e2_odd_pairing": f"(L(1)+e2, eps4) = {pair(nv.L(1) + nv.e2, nv.eps[3])}",
-        },
     }
     if as_printed:
-        return True, computed, ""
-    return False, computed, (
+        return computed, None, ""
+    witness = {
+        "div_L0": div_l0,
+        "div_L1e2": div_l1e2,
+        "L0_pairs_evenly": "every pairing of a U(2) vector is even",
+        "L1e2_odd_pairing": f"(L(1)+e2, eps4) = {pair(nv.L(1) + nv.e2, nv.eps[3])}",
+    }
+    return computed, witness, (
         "refuted as printed; verified with the two values swapped, which is the "
         "assignment the decision table and the type definitions rely on"
     )
@@ -362,7 +368,7 @@ def _claim_third_orbit_discriminant(ctx: AuditContext, stated: dict):
     checked = 0
     counterexamples = []
     parity_violations = []
-    for v in ctx.window1_vectors + ctx.window2_vectors:
+    for v in chain(*ctx.window_vectors):
         if divisibility(v) != stated["div"]:
             continue
         checked += 1
@@ -377,34 +383,22 @@ def _claim_third_orbit_discriminant(ctx: AuditContext, stated: dict):
         "parity_chain_violations": parity_violations,
     }
     if counterexamples or parity_violations:
-        computed["counter_witness"] = (counterexamples + parity_violations)[0]
-        return False, computed, ""
+        return computed, (counterexamples + parity_violations)[0], ""
     note = "contrapositive: (v,SigmaY) = 2 mod 4 forces divisibility 1, hence the L(1)+e2 orbit"
-    cov = ctx.coverage_note()
-    if cov:
-        note += "; " + cov
-    return True, computed, note
+    return computed, None, "; ".join(n for n in (note, ctx.coverage_note()) if n)
 
 
 @_claim("eta-embedding", REFUTED, eta_dependent=True, isometric=True, primitive=False, saturation_index=2)
 def _claim_eta_embedding(ctx: AuditContext, stated: dict):
     """the doubling embedding conserves the doubled form, is non-primitive, and its
     image has index 2 in its saturation"""
-    emb = ctx.eta_map
-    report = check_embedding(emb)
-    dom = emb.domain
-    pair_checks = 0
-    pair_failures = 0
-    cols = emb.column_vectors()
-    for i in range(dom.rank):
-        for j in range(i, dom.rank):
-            pair_checks += 1
-            if pair(cols[i], cols[j]) != dom.gram[i][j]:
-                pair_failures += 1
+    report = check_embedding(ctx.eta_map)
+    cols, gram = ctx.eta_map.column_vectors(), ctx.eta_map.domain.gram
+    pairs = [(i, j) for i in range(len(cols)) for j in range(i, len(cols))]
     computed = {
         "eta_variant": ctx.eta_label,
-        "gram_pair_checks": pair_checks,
-        "gram_pair_failures": pair_failures,
+        "gram_pair_checks": len(pairs),
+        "gram_pair_failures": sum(pair(cols[i], cols[j]) != gram[i][j] for i, j in pairs),
         "isometric": report.isometric,
         "primitive": report.primitive,
         "saturation_index": report.saturation_index,
@@ -413,12 +407,9 @@ def _claim_eta_embedding(ctx: AuditContext, stated: dict):
     }
     form_ok = report.isometric == stated["isometric"] and report.primitive == stated["primitive"]
     if form_ok and report.saturation_index == stated["saturation_index"]:
-        return True, computed, ""
-    computed["counter_witness"] = {
-        "saturation_index": report.saturation_index,
-        "index_invariant_factors": list(report.index_invariant_factors),
-    }
-    return False, computed, (
+        return computed, None, ""
+    witness = {key: computed[key] for key in ("saturation_index", "index_invariant_factors")}
+    return computed, witness, (
         _refuted_index_note(stated["saturation_index"], report)
         if form_ok
         else "embedding fails the isometric/non-primitive sub-statements for this variant"
@@ -460,16 +451,10 @@ def _fix_mixed_samples() -> tuple[tuple[str, LatticeVector], ...]:
 @_claim("invariant-type-a", VERIFIED, eta_dependent=True, half_divisibility=1, type="A")
 def _claim_invariant_type_a(ctx: AuditContext, stated: dict):
     """halves of 2-divisible embedded invariant classes have divisibility 1 (type A)"""
-    emb = ctx.eta_map
-    dom = emb.domain
-    u_only = _fix_u_only_samples()
-    mixed = _fix_mixed_samples()
     halvable = 0
     bad = []
     witnesses = []
-    for label, sample in [("u-only", v) for v in u_only] + list(mixed):
-        assert square(sample) == 0 and is_primitive(sample)
-        image = emb(dom.vector(sample.coords))
+    for label, sample, image in ctx.eta_images:
         if any(c % 2 for c in image.coords):
             continue
         halvable += 1
@@ -482,17 +467,17 @@ def _claim_invariant_type_a(ctx: AuditContext, stated: dict):
             witnesses.append(
                 {"sample_expr": label, "half_image": vector_to_obj(half), "half_div": d, "type": stated["type"]}
             )
+    u_only = sum(label == "u-only" for label, _, _ in ctx.eta_images)
     computed = {
-        "u_only_samples": len(u_only),
-        "mixed_samples": len(mixed),
+        "u_only_samples": u_only,
+        "mixed_samples": len(ctx.eta_images) - u_only,
         "images_divisible_by_2": halvable,
         "violations": bad,
         "witnesses": witnesses,
     }
     if bad or halvable == 0:
-        computed["counter_witness"] = bad[0] if bad else {"images_divisible_by_2": 0}
-        return False, computed, ""
-    return True, computed, (
+        return computed, bad[0] if bad else {"images_divisible_by_2": 0}, ""
+    return computed, None, (
         "whenever the embedded class is divisible by 2, its half has divisibility 1, "
         "hence type A; U^3-supported samples are never divisible by 2 and do not arise "
         "from this construction"
@@ -502,15 +487,11 @@ def _claim_invariant_type_a(ctx: AuditContext, stated: dict):
 @_claim("antiinvariant-type-b", VERIFIED, eta_dependent=True, divisibility_parity="even", type="B")
 def _claim_antiinvariant_type_b(ctx: AuditContext, stated: dict):
     """embedded classes have even divisibility (type B when primitive)"""
-    emb = ctx.eta_map
-    dom = emb.domain
-    samples = [v for v in _fix_u_only_samples()] + [v for _, v in _fix_mixed_samples()]
     stated_even = stated["divisibility_parity"] == "even"
     odd_div = []
     primitive_images = 0
     types = set()
-    for sample in samples:
-        image = emb(dom.vector(sample.coords))
+    for _, sample, image in ctx.eta_images:
         d = divisibility(image)
         if (d % 2 == 0) != stated_even:
             odd_div.append({"sample": vector_to_obj(sample), "div": d})
@@ -519,15 +500,14 @@ def _claim_antiinvariant_type_b(ctx: AuditContext, stated: dict):
             primitive_images += 1
             types.add(classify_isotropic_type(image).type_label)
     computed = {
-        "samples": len(samples),
+        "samples": len(ctx.eta_images),
         "odd_divisibility_images": odd_div,
         "primitive_images": primitive_images,
         "types_of_primitive_images": sorted(types),
     }
     if odd_div or types - {stated["type"]}:
-        computed["counter_witness"] = odd_div[0] if odd_div else {"types": sorted(types)}
-        return False, computed, ""
-    return True, computed, "every embedded class has even divisibility; the primitive ones are type B"
+        return computed, odd_div[0] if odd_div else {"types": sorted(types)}, ""
+    return computed, None, "every embedded class has even divisibility; the primitive ones are type B"
 
 
 @_claim("mt-coefficients", VERIFIED, q_h=4, intersection_number=48, q_h_minus_delta=2,
@@ -544,9 +524,8 @@ def _claim_mt_coefficients(ctx: AuditContext, stated: dict):
         and record.type_label == stated["type"]
     )
     if not ok:
-        computed["counter_witness"] = computed.copy()
-        return False, computed, ""
-    return True, computed, "3*4*4a = 48 gives a = 1, k = +-1, (l_Y, SigmaY) = -+2 = 2 mod 4, type A"
+        return computed, dict(computed), ""
+    return computed, None, "3*4*4a = 48 gives a = 1, k = +-1, (l_Y, SigmaY) = -+2 = 2 mod 4, type A"
 
 
 @_claim("type-polarisation-map", VERIFIED, A=(1, 2), B=(1, 1))
@@ -560,9 +539,7 @@ def _claim_type_polarisation_map(ctx: AuditContext, stated: dict):
         "B": {"representative": t_b.representative_expr, "polarisation": list(t_b.polarisation_type)},
     }
     ok = t_a.polarisation_type == stated["A"] and t_b.polarisation_type == stated["B"]
-    if not ok:
-        computed["counter_witness"] = computed.copy()
-    return ok, computed, ""
+    return computed, None if ok else dict(computed), ""
 
 
 @_claim("picard-sublattice-index", REFUTED, eta_dependent=True, index=2)
@@ -599,12 +576,8 @@ def _claim_picard_sublattice_index(ctx: AuditContext, stated: dict):
         "stated_index": stated["index"],
     }
     if full.total_index == stated["index"] and all(v == stated["index"] for v in rank2.values()):
-        return True, computed, ""
-    computed["counter_witness"] = {
-        "full_rank_index": full.total_index,
-        "rank2_span_indices": rank2,
-    }
-    return False, computed, (
+        return computed, None, ""
+    return computed, {"full_rank_index": full.total_index, "rank2_span_indices": rank2}, (
         "refuted as printed for this variant; note the even-U-part analogue "
         "2*u1+2*u2+eps1-alpha does realize index 2, matching the a=1, k=+-1 arithmetic"
     )

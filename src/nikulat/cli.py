@@ -17,16 +17,10 @@ import sys
 from . import serialize
 from .audit import run_all
 from .exprs import ExpressionError, format_vector, parse_vector
-from .isometry import OrbitBudget, orbit_explore, reflection, same_orbit_witness
-from .lattice import (
-    LatticeError,
-    LatticeVector,
-    check_embedding,
-    divisibility,
-    saturate,
-    square,
-)
+from .isometry import OrbitBudget, distinct_invariants, orbit_explore, reflection, same_orbit_witness
+from .lattice import LatticeError, LatticeVector, check_embedding, divisibility, saturate
 from .model import (
+    DEFAULT_WINDOW,
     EnumerationWindow,
     build_model,
     classify_isotropic_type,
@@ -175,11 +169,7 @@ def cmd_orbit(args) -> int:
         other = parse_vector(args.witness)
         word = same_orbit_witness(seed, other, gens, budget)
         # None means either cause; only a differing invariant proves distinct orbits
-        differ = [
-            f"{name} {f(seed)} vs {f(other)}"
-            for name, f in (("square", square), ("divisibility", divisibility))
-            if f(seed) != f(other)
-        ]
+        differ = [f"{name} {a} vs {b}" for name, a, b in distinct_invariants(seed, other)]
         if args.json:
             obj = serialize.witness_to_obj(seed, other, word) if word is not None else {
                 "from": serialize.vector_to_obj(seed),
@@ -365,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="primitive isotropic vectors in a window")
     ly_blocks = ",".join(name for name, _, _ in build_model()[0].lambda_Y.blocks)
-    p.add_argument("--blocks", default="U1,E8,G1,G2", help=f"comma list of LY blocks from {ly_blocks}")
-    p.add_argument("--bound", type=int, default=1)
+    p.add_argument("--blocks", default=",".join(DEFAULT_WINDOW.blocks),
+                   help=f"comma list of LY blocks from {ly_blocks}")
+    p.add_argument("--bound", type=int, default=DEFAULT_WINDOW.bound)
     p.add_argument("--limit", type=int, default=0, help="stop after this many (0 = all)")
     p.add_argument("--json", action="store_true", help="one JSON vector per line")
     p.set_defaults(func=cmd_enumerate)
@@ -383,6 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # integers are exact at any size: lift the interpreter's limit on int/str
+    # conversion (absent before Python 3.10.7) for the verb, then restore it
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ExpressionError, UsageError, serialize.FormatError, json.JSONDecodeError, OSError) as exc:
@@ -391,6 +388,9 @@ def main(argv=None) -> int:
     except LatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

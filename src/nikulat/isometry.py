@@ -247,6 +247,13 @@ def _assert_orbit_invariants(seed: LatticeVector, members: tuple[IntVector, ...]
             )
 
 
+def distinct_invariants(v: LatticeVector, u: LatticeVector) -> tuple[tuple[str, int, int], ...]:
+    """``(name, value at v, value at u)`` for each orbit invariant, square and
+    divisibility, on which v and u differ; any entry proves distinct orbits."""
+    values = (("square", square(v), square(u)), ("divisibility", divisibility(v), divisibility(u)))
+    return tuple(entry for entry in values if entry[1] != entry[2])
+
+
 def same_orbit_witness(
     v: LatticeVector,
     u: LatticeVector,
@@ -270,8 +277,8 @@ def same_orbit_witness(
     _check_orbit_inputs(v, gens)
     if v.coords == u.coords:
         return []
-    if (square(v), divisibility(v)) != (square(u), divisibility(u)):
-        return None  # invariants differ; provably distinct orbits
+    if distinct_invariants(v, u):
+        return None  # provably distinct orbits
 
     bound = budget.coord_bound
     width = 2 * max(bound, *map(abs, v.coords), *map(abs, u.coords)) + 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .intmat import Matrix
+from . import intmat
 from .isometry import OrbitSet
 from .lattice import Lattice, LatticeError, LatticeVector
 
@@ -40,17 +40,13 @@ def int_list(value: Any, what: str) -> list[int]:
     return value
 
 
-def matrix_from_obj(obj: dict) -> Matrix:
+def matrix_from_obj(obj: dict) -> intmat.Matrix:
     try:
-        rows = obj["matrix"]
-    except (KeyError, TypeError) as exc:
+        return intmat.freeze(obj["matrix"])
+    except KeyError as exc:
         raise FormatError(f"malformed matrix object: missing {exc}") from None
-    if not isinstance(rows, list):
-        raise FormatError(f"matrix must be a list of rows, got {rows!r}")
-    matrix = tuple(tuple(int_list(row, "matrix row")) for row in rows)
-    if not matrix or not matrix[0] or any(len(row) != len(matrix[0]) for row in matrix):
-        raise FormatError("matrix must be nonempty with rows of equal length")
-    return matrix
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"malformed matrix object: {exc}") from None
 
 
 def vector_to_obj(v: LatticeVector) -> dict:

@@ -18,7 +18,7 @@ from nikulat.audit import (
     _refuted_index_note,
 )
 from nikulat.exprs import parse_vector
-from nikulat.lattice import EmbeddingReport
+from nikulat.lattice import EmbeddingMap, EmbeddingReport
 from nikulat.model import build_model, eta_as_written_matrix, eta_from_matrix
 
 TINY = OrbitBudget(coord_bound=1, max_frontier=2000, max_depth=2)
@@ -99,8 +99,44 @@ def test_picard_claim_witnesses(report):
 
 def test_refuted_results_carry_witnesses(report):
     for r in report.results:
-        if r.status == REFUTED:
-            assert "counter_witness" in r.computed
+        assert ("counter_witness" in r.computed) == (r.status == REFUTED), r.id
+
+
+def test_run_adds_the_witness_a_checker_returns():
+    """A checker refutes by returning a counter-witness; Claim.run alone records it."""
+    def refutes(ctx, stated):
+        return {"x": 1}, {"w": 2}, "no"
+
+    def holds(ctx, stated):
+        return {"x": 1}, None, "yes"
+
+    ctx = AuditContext(TINY)
+    refuted = dataclasses.replace(CATALOG[0], check=refutes).run(ctx)
+    assert (refuted.status, refuted.computed, refuted.note) == (REFUTED, {"x": 1, "counter_witness": {"w": 2}}, "no")
+    verified = dataclasses.replace(CATALOG[0], check=holds).run(ctx)
+    assert (verified.status, verified.computed, verified.note) == (VERIFIED, {"x": 1}, "yes")
+
+
+def test_verified_claim_carries_no_counter_witness():
+    """The divisibility remark with its two values swapped holds, and then names no witness."""
+    claim = next(c for c in CATALOG if c.id == "divisibility-remark")
+    result = dataclasses.replace(claim, stated={"div_L0": 2, "div_L1e2": 1}).run(AuditContext(TINY))
+    assert result.status == VERIFIED
+    assert "counter_witness" not in result.computed
+
+
+def test_each_eta_sample_is_mapped_once(monkeypatch):
+    """The eta claims share one set of images: no Lfix sample goes through eta twice."""
+    calls = []
+    call = EmbeddingMap.__call__
+
+    def recording(self, v):
+        calls.append(v.coords)
+        return call(self, v)
+
+    monkeypatch.setattr(EmbeddingMap, "__call__", recording)
+    run_all(budget=TINY)
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_refuted_witness_recheck(report):
@@ -247,8 +283,7 @@ def test_third_orbit_parity_chain_fires():
     """
     v = parse_vector("u1+gamma1")
     ctx = AuditContext(TINY)
-    ctx.window1_vectors = (v,)
-    ctx.window2_vectors = ()
+    ctx.window_vectors = ((v,), ())
     claim = next(c for c in CATALOG if c.id == "third-orbit-discriminant")
     result = claim.run(ctx)
     obj = {"lattice": "LY", "coords": list(v.coords)}

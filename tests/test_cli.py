@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -233,6 +234,12 @@ def test_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate", "--blocks", "U1", "--bound", "1")
     assert code == 0
     assert "# 4 vectors" in out
+
+
+def test_enumerate_default_window(capsys):
+    code, out, _ = run(capsys, "enumerate")
+    assert code == 0
+    assert out.endswith("# 1660 vectors\n")
 
 
 def test_enumerate_json_lines(capsys):
@@ -562,3 +569,60 @@ def test_profile_and_classify_json_pinned(capsys, expr):
         assert code == 0
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(digests) == JSON_SHA256[expr]
+
+
+# --- integers beyond the interpreter's default int/str conversion limit ----------
+
+ONES = "1" * 5000  # more digits than the default limit of 4,300
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` for an integer longer than the default conversion limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
+def test_big_coefficient_exits_by_the_normal_rules(capsys):
+    code, _, err = run(capsys, "classify", f"{ONES}*e2")
+    assert code == 1
+    assert "vector not primitive" in err
+
+
+def test_big_coordinate_file_classifies_exactly(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    path.write_text('{"lattice": "LY", "coords": [' + ONES + ", 1" + ", 0" * 14 + "]}")
+    code, out, _ = run(capsys, "classify", "--coords", str(path))
+    assert code == 0
+    assert f"rep=L({ONES}) [q={'4' * 5000} div=2]" in out
+
+
+def test_big_embed_vector_maps_exactly(capsys):
+    code, out, _ = run(capsys, "embed", "--vector", f"[{ONES}, 1" + ", 0" * 13 + "]")
+    assert code == 0
+    assert f"image: [{ONES}, 1, 0," in out
+
+
+def test_big_square_is_printed_exactly(capsys):
+    a, b = "1" * 3000, "1" * 2999
+    code, out, _ = run(capsys, "profile", "--json", f"{a}*u1+{b}*u2")
+    assert code == 0
+    assert f'"q": {_decimal(4 * int(a) * int(b))},' in out
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str limit before Python 3.10.7")
+@pytest.mark.parametrize("argv", [["classify", "L(1)+e2"], ["classify", "2*L(0)"], ["classify", "L(1"]],
+                         ids=["exit-0", "exit-1", "exit-2"])
+def test_main_restores_the_digit_limit(capsys, argv):
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        main(argv)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(digits)

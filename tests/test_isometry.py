@@ -21,7 +21,7 @@ from nikulat import (
     standard_lattice,
 )
 from nikulat import intmat
-from nikulat.isometry import Isometry
+from nikulat.isometry import Isometry, distinct_invariants
 from nikulat.model import (
     build_model,
     classify_orbit,
@@ -242,6 +242,13 @@ def test_witness_differing_invariants_is_none(setup):
     # div 2 vs div 1: provably distinct orbits, no search needed
     word = same_orbit_witness(nv.L(0), nv.L(1) + nv.e2, default_generators())
     assert word is None
+
+
+def test_distinct_invariants_names_each_differing_invariant(setup):
+    _, nv = setup
+    assert distinct_invariants(nv.L(0), nv.L(1) + nv.e2) == (("divisibility", 2, 1),)
+    assert distinct_invariants(nv.L(1), nv.L(1) + nv.e2) == (("square", 4, 0), ("divisibility", 2, 1))
+    assert distinct_invariants(nv.L(1) + nv.e2, reflection(nv.w)(nv.L(1) + nv.e2)) == ()
 
 
 def test_witness_word_applies(setup):
