@@ -14,10 +14,13 @@ A reflection reads only its lattice's sparse Gram rows; its one check is (r, r) 
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from math import gcd
 
-from .lattice import IntVector, Lattice, LatticeError, LatticeVector, divisibility, is_primitive, square
+from .lattice import (
+    IntVector, Lattice, LatticeError, LatticeVector, coords_divisibility, divisibility, is_primitive, square,
+)
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,8 @@ class Isometry:
         r = self.root
         if len(r) != self.lattice.rank:
             raise LatticeError(f"root has {len(r)} coordinates, the lattice has rank {self.lattice.rank}")
+        if any(type(c) is not int for c in r):  # orbit members built from it are trusted to be ints
+            raise LatticeError(f"root coordinates must be integers, got {list(r)!r}")
         gram_root = ((i, sum(g * r[j] for j, g in row)) for i, row in enumerate(self.lattice.sparse_rows))
         gram_root = tuple((i, c) for i, c in gram_root if c)
         sq = sum(c * r[i] for i, c in gram_root)
@@ -69,8 +74,8 @@ class Isometry:
 def reflection(v: LatticeVector) -> Isometry:
     """The reflection x |-> x + (x, v) v in a vector of square -2.
 
-    For other negative squares the analogous formula is not integral, so the
-    :class:`Isometry` built here rejects such roots rather than approximating.
+    :class:`Isometry` accepts only roots of square -2 and raises
+    ``LatticeError`` for any other root.
     """
     return Isometry(v.lattice, v.coords)
 
@@ -89,6 +94,10 @@ class OrbitBudget:
     max_depth: int = 6
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int:  # floats would make the packed keys inexact; bools are not counts
+                raise LatticeError(f"budget field {f.name} must be an integer, got {value!r}")
         if min(self.coord_bound, self.max_frontier, self.max_depth) <= 0:
             raise LatticeError("all budget fields must be positive")
 
@@ -238,9 +247,9 @@ def _assert_orbit_invariants(seed: LatticeVector, members: tuple[IntVector, ...]
     lat = seed.lattice
     expected = (square(seed), divisibility(seed), is_primitive(seed))
     sample = members if len(members) <= 2048 else members[:: max(1, len(members) // 2048)]
-    for coords in sample:
-        v = lat.vector(coords)
-        got = (square(v), divisibility(v), is_primitive(v))
+    for coords in sample:  # members are ints of the lattice's rank: no re-validation
+        v = LatticeVector._of_ints(lat, coords)
+        got = (square(v), coords_divisibility(lat, coords), gcd(*coords) == 1)
         if got != expected:
             raise LatticeError(
                 f"orbit invariant violated at {coords}: {got} != {expected}"

@@ -18,6 +18,9 @@ from .intmat import IntVector, Matrix
 #: (block label, coordinate offset, block rank) bookkeeping for direct sums.
 Block = tuple[str, int, int]
 
+#: Per matrix row, its nonzero entries as (column, value) pairs.
+SparseRows = tuple[tuple[tuple[int, int], ...], ...]
+
 
 class LatticeError(ValueError):
     """Domain-level failure: bad vector, mismatched lattice, degenerate form."""
@@ -64,9 +67,17 @@ class Lattice:
         return len(self.gram)
 
     @cached_property
-    def sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def sparse_rows(self) -> SparseRows:
         """Per Gram row, its nonzero entries as (column, value) pairs."""
-        return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram)
+        return _sparse_rows(self.gram)
+
+    @cached_property
+    def rows_by_content(self) -> SparseRows:
+        """``sparse_rows`` reordered by content (the gcd of a row's entries), smallest first.
+
+        The sort is stable, so rows of equal content keep their index order.
+        """
+        return tuple(sorted(self.sparse_rows, key=lambda row: gcd(*(g for _, g in row))))
 
     def vector(self, coords) -> LatticeVector:
         return LatticeVector(self, coords)
@@ -154,6 +165,10 @@ def _same_lattice(v: LatticeVector, w: LatticeVector) -> None:
         )
 
 
+def _sparse_rows(m: Matrix) -> SparseRows:
+    return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in m)
+
+
 def standard_lattice(kind: str, param: int | None = None) -> Lattice:
     """One of the standard building blocks: U, E8_neg, or rank1(k).
 
@@ -233,9 +248,17 @@ def divisibility(v: LatticeVector) -> int:
 
 
 def coords_divisibility(lat: Lattice, x: IntVector) -> int:
-    """gcd of the entries of G.x for a coordinate tuple (0 at x = 0); stops once it is 1."""
+    """gcd of the entries of G.x for a coordinate tuple (0 at x = 0).
+
+    The rows of G are read in ``lat.rows_by_content`` order, smallest content
+    first, and the walk stops once the gcd is 1.  The gcd of all entries does
+    not depend on the order they are read in, and no further entry can move it
+    from 1, so the early exit is exact.  A row of content c contributes only
+    multiples of c, so a row of content above 1 can never bring the gcd to 1
+    by itself; reading the content-1 rows first reaches 1 sooner.
+    """
     d = 0
-    for row in lat.sparse_rows:
+    for row in lat.rows_by_content:
         gx = 0
         for j, g in row:
             gx += g * x[j]
@@ -322,12 +345,25 @@ class EmbeddingMap:
                 f"embedding matrix must be {self.codomain.rank}x{self.domain.rank}"
             )
 
+    @cached_property
+    def sparse_rows(self) -> SparseRows:
+        """Per matrix row, its nonzero entries as (column, value) pairs."""
+        return _sparse_rows(self.matrix)
+
     def __call__(self, v: LatticeVector) -> LatticeVector:
         if v.lattice.gram != self.domain.gram:
             raise LatticeError(
                 f"vector lattice {v.lattice.label!r} does not match domain {self.domain.label!r}"
             )
-        return self.codomain.vector(intmat.matvec(self.matrix, v.coords))
+        x = v.coords
+        image = []
+        for row in self.sparse_rows:
+            y = 0
+            for j, a in row:
+                y += a * x[j]
+            image.append(y)
+        # trusted: the frozen matrix holds ints, its row count is the codomain rank, and v is checked
+        return LatticeVector._of_ints(self.codomain, tuple(image))
 
     def column_vectors(self) -> tuple[LatticeVector, ...]:
         return tuple(

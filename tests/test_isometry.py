@@ -147,7 +147,24 @@ def test_isometry_constructor_rejects_a_root_of_the_wrong_length(setup, extra):
         Isometry(model.lambda_Y, coords)
 
 
+def test_isometry_constructor_rejects_a_root_of_non_int_coordinates(setup):
+    """A float root of square -2.0 would carry float coordinates into an orbit's members."""
+    model, nv = setup
+    with pytest.raises(LatticeError, match="integers"):
+        Isometry(model.lambda_Y, tuple(map(float, nv.e1.coords)))
+
+
 # --- orbit exploration -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field,value", [
+    ("coord_bound", 5.0), ("max_frontier", 1e6), ("max_depth", True), ("max_depth", 2.5),
+])
+def test_orbit_budget_rejects_non_int_fields(field, value):
+    """A float bound made the packed keys floats, inexact above 2**53: coord_bound=5.0
+    closed L(0) to 15,753 members at depth 7, against 12,947 with coord_bound=5."""
+    with pytest.raises(LatticeError, match=f"budget field {field} must be an integer"):
+        OrbitBudget(**{field: value})
 
 
 def test_orbit_sign_flip(setup):

@@ -1,7 +1,8 @@
 """Sparse Gram kernels against the dense reference ``intmat.matvec``.
 
 Pairings, divisibility, reflections and block squares read only the nonzero
-Gram entries; each must agree exactly with the dense matrix formula.  The
+Gram entries, and embeddings only the nonzero matrix entries; each must agree
+exactly with the dense matrix formula.  The
 lazy block walker of the enumeration is checked against a full box table.
 """
 
@@ -17,12 +18,16 @@ from nikulat import intmat
 from nikulat.isometry import Isometry, reflection
 from nikulat.lattice import (
     E8_NEG_GRAM,
+    EmbeddingMap,
     Lattice,
     LatticeError,
     coords_divisibility,
+    direct_sum,
     divisibility,
     pair,
+    rescale,
     square,
+    standard_lattice,
 )
 from nikulat.model import (
     _block_square,
@@ -105,6 +110,63 @@ def test_pair_and_divisibility_match_dense(name, data):
 @given(lat=small_symmetric_lattice(), data=st.data())
 def test_pair_and_divisibility_match_dense_on_random_lattice(lat, data):
     check_against_dense(lat, data)
+
+
+def content(row):
+    return gcd(*(g for _, g in row))
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_rows_by_content_permute_sparse_rows_smallest_content_first(name):
+    lat = LATTICES[name]
+    rows = lat.rows_by_content
+    assert sorted(rows) == sorted(lat.sparse_rows)
+    contents = [content(row) for row in rows]
+    assert contents == sorted(contents)
+
+
+def test_divisibility_matches_dense_when_leading_rows_have_content_above_one():
+    """U(2) + E8(-1): the two U(2) rows (content 2) come first in the Gram matrix and
+    are read after the E8 rows; the early exit still gives the full gcd."""
+    lat = direct_sum([rescale(standard_lattice("U"), 2), standard_lattice("E8_neg")])
+    assert [content(row) for row in lat.sparse_rows[:2]] == [2, 2]
+    assert [content(row) for row in lat.rows_by_content] == [1] * 8 + [2, 2]
+    cases = [
+        (1, (1, 0, 1, 0, 0, 0, 0, 0, 0, 0)),
+        (2, (1, 3, 0, 0, 0, 0, 0, 0, 0, 0)),
+        (2, (1, 0, 2, 0, 2, 0, 0, 0, 0, 2)),
+        (0, (0,) * 10),
+    ]
+    for div, x in cases:
+        assert coords_divisibility(lat, x) == gcd(*intmat.matvec(lat.gram, x)) == div
+
+
+@st.composite
+def embedding_with_zero_lines(draw):
+    """A random integer matrix between two random lattices, with a zero row and a zero
+    column forced in on some draws."""
+    domain, codomain = draw(small_symmetric_lattice()), draw(small_symmetric_lattice())
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+    rows = [[draw(entries) for _ in range(domain.rank)] for _ in range(codomain.rank)]
+    zero_row = draw(st.none() | st.integers(0, codomain.rank - 1))
+    zero_col = draw(st.none() | st.integers(0, domain.rank - 1))
+    for i, row in enumerate(rows):
+        for j in range(domain.rank):
+            if i == zero_row or j == zero_col:
+                row[j] = 0
+    return EmbeddingMap(domain, codomain, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(emb=embedding_with_zero_lines(), data=st.data())
+def test_embedding_matches_dense_matvec(emb, data):
+    x = data.draw(coords(emb.domain.rank))
+    image = emb(emb.domain.vector(x))
+    assert image == emb.codomain.vector(intmat.matvec(emb.matrix, x))
+    other = Lattice("other", ((2,),) if emb.domain.gram != ((2,),) else ((4,),))
+    with pytest.raises(LatticeError) as err:
+        emb(other.vector((1,)))
+    assert str(err.value) == f"vector lattice 'other' does not match domain {emb.domain.label!r}"
 
 
 REFLECTIONS = [(name, reflection(root)) for name, root in default_generator_table()]
