@@ -10,10 +10,18 @@ Orbit closure and witness search share one generation step on packed keys
 (balanced base-(2B+1) digits, B >= every |x_i|, so integer order is lexicographic
 order and a reflection adds c.key(r)); every generator is a reflection by type.
 A reflection reads only its lattice's sparse Gram rows; its one check is (r, r) = -2.
+
+Witness search keeps, in a least-recently-used table of ``_KEPT_ENDPOINTS``
+entries, the breadth-first levels around an endpoint searched more than once
+under the same moves, coordinate bound, frontier cap and key width: at most
+``_KEPT_ENDPOINTS * max_frontier`` keys.  A search reuses them and answers
+exactly as one that rebuilt them.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from math import gcd
@@ -208,6 +216,7 @@ def orbit_explore(seed: LatticeVector, gens, budget: OrbitBudget = OrbitBudget()
     exhausted.  The output therefore depends only on the set of generators,
     not on their order or on any scheduling.
     """
+    gens = tuple(gens)  # read twice: checked, then turned into moves
     _check_orbit_inputs(seed, gens)
     bound = budget.coord_bound
     if max(abs(c) for c in seed.coords) > bound:
@@ -263,6 +272,62 @@ def distinct_invariants(v: LatticeVector, u: LatticeVector) -> tuple[tuple[str, 
     return tuple(entry for entry in values if entry[1] != entry[2])
 
 
+#: endpoints whose breadth-first levels witness search keeps across searches
+_KEPT_ENDPOINTS = 4
+# (endpoint, moves, coord_bound, max_frontier, width) -> _Levels, or None after one search;
+# least recently used first
+_kept: OrderedDict = OrderedDict()
+_kept_lock = threading.Lock()  # searches in several threads share the table and its levels
+
+
+class _Levels:
+    """An endpoint's complete breadth-first levels, kept for later witness searches.
+
+    ``levels[d]`` maps the keys at distance d to their coordinates in insertion
+    order, ``tree`` is the parent map of all of them, and ``cut`` says that the
+    frontier cap stopped the last level.
+    """
+
+    __slots__ = ("levels", "tree", "cut")
+
+    def __init__(self, key: int, x: IntVector) -> None:
+        self.levels = [{key: x}]
+        self.tree = {key: None}
+        self.cut = False
+
+    def level(self, d: int, moves, bound: int, cap: int) -> tuple[dict, bool]:
+        """Level ``d``, generated in full when first asked for, and whether the cap cut it."""
+        with _kept_lock:
+            if d == len(self.levels):
+                n = len(self.tree)
+                try:
+                    fresh, _, self.cut, _ = _generation(self.levels[-1], self.tree, moves, bound, cap)
+                except BaseException:  # an interrupted level must not stay half in the parent map
+                    for k in list(self.tree)[n:]:
+                        del self.tree[k]
+                    raise
+                self.levels.append(fresh)
+            return self.levels[d], self.cut and d == len(self.levels) - 1
+
+
+def _kept_levels(entry: tuple, key: int, x: IntVector) -> _Levels | None:
+    """The levels kept for ``entry`` = (endpoint coordinates, search parameters).
+
+    None on the endpoint's first search, which keeps nothing; the second
+    search promotes the endpoint to kept levels that it and later searches grow.
+    """
+    with _kept_lock:
+        if entry in _kept:
+            _kept.move_to_end(entry)
+            if _kept[entry] is None:
+                _kept[entry] = _Levels(key, x)
+            return _kept[entry]
+        _kept[entry] = None
+        if len(_kept) > _KEPT_ENDPOINTS:
+            _kept.popitem(last=False)
+        return None
+
+
 def same_orbit_witness(
     v: LatticeVector,
     u: LatticeVector,
@@ -278,26 +343,47 @@ def same_orbit_witness(
     the box, so keys use B = max(coord_bound, |endpoint coordinates|).
     Absence of a witness is NOT a proof of distinct orbits, merely of distance
     beyond the budget.
+
+    An endpoint's first search keeps nothing.  From its second search under
+    the same generator moves, coordinate bound, ``max_frontier`` and key width,
+    its levels are generated in full and kept, for at most ``_KEPT_ENDPOINTS``
+    endpoints (least recently used out): at most that many times
+    ``max_frontier`` keys.  On kept levels the two sides meet at the first key
+    of a level, in insertion order, that the other side holds at its current
+    depth, and a level cut by the cap overflows as it did when generated, so
+    every answer is the one a search without kept levels gives.
     """
     if v.lattice != u.lattice:
         raise LatticeError("witness search needs both vectors in one lattice")
     if not (is_primitive(v) and is_primitive(u)):
         raise LatticeError("witness search expects primitive vectors")
+    gens = tuple(gens)  # read more than once: checked, turned into moves, replayed
     _check_orbit_inputs(v, gens)
     if v.coords == u.coords:
         return []
     if distinct_invariants(v, u):
         return None  # provably distinct orbits
 
-    bound = budget.coord_bound
+    bound, cap = budget.coord_bound, budget.max_frontier
     width = 2 * max(bound, *map(abs, v.coords), *map(abs, u.coords)) + 1
     moves = _moves(gens, width)
     apply = [g.apply_coords for g in gens]
-    # parent maps: key -> index of the reflection that reached it (None at the root)
-    src: dict[int, int | None] = {_pack(v.coords, width): None}
-    dst: dict[int, int | None] = {_pack(u.coords, width): None}
-    src_frontier = {k: v.coords for k in src}
-    dst_frontier = {k: u.coords for k in dst}
+    # per side (v, u): its kept levels (None on a first search); its parent map (key ->
+    # index of the reflection that reached it, None at the root); the keys it holds at
+    # its current depth; its current level and that level's depth
+    kept, trees, held, frontiers = [], [], [], []
+    for x in (v.coords, u.coords):
+        key = _pack(x, width)
+        levels = _kept_levels((x, moves, bound, cap, width), key, x)
+        kept.append(levels)
+        if levels is None:
+            trees.append({key: None})
+            held.append(trees[-1])
+        else:
+            trees.append(levels.tree)  # may reach deeper than this search has gone
+            held.append({key: x})
+        frontiers.append({key: x})
+    depth = [0, 0]
 
     def path(tree: dict, key: int, x: IntVector) -> list[int]:
         # reflections are involutions, so the recorded one leads back to the parent
@@ -309,21 +395,21 @@ def same_orbit_witness(
         return word
 
     for _ in range(budget.max_depth):
-        if not (src_frontier or dst_frontier):
+        if not (frontiers[0] or frontiers[1]):
             return None
         # expand the smaller live frontier to keep the two searches balanced
-        if dst_frontier and (not src_frontier or len(src_frontier) > len(dst_frontier)):
-            dst_frontier, _, overflow, meet = _generation(
-                dst_frontier, dst, moves, bound, budget.max_frontier, src
-            )
-            fresh = dst_frontier
+        s = 1 if frontiers[1] and (not frontiers[0] or len(frontiers[0]) > len(frontiers[1])) else 0
+        other = held[1 - s]
+        if kept[s] is None:
+            frontiers[s], _, overflow, meet = _generation(frontiers[s], trees[s], moves, bound, cap, other)
         else:
-            src_frontier, _, overflow, meet = _generation(
-                src_frontier, src, moves, bound, budget.max_frontier, dst
-            )
-            fresh = src_frontier
+            depth[s] += 1
+            frontiers[s], overflow = kept[s].level(depth[s], moves, bound, cap)
+            meet = next((k for k in frontiers[s] if k in other), None)
+            held[s].update(frontiers[s])
         if meet is not None:
-            word = path(src, meet, fresh[meet])[::-1] + path(dst, meet, fresh[meet])
+            x = frontiers[s][meet]
+            word = path(trees[0], meet, x)[::-1] + path(trees[1], meet, x)
             cur = v.coords
             for j in word:
                 cur = apply[j](cur)

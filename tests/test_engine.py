@@ -7,6 +7,10 @@ coordinate tuple and bound-checked on all coordinates.  Orbit members, the
 of coordinate bound, frontier cap or depth cuts the search short.
 """
 
+import random
+import sys
+import threading
+import weakref
 from itertools import product
 from math import gcd
 
@@ -14,9 +18,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nikulat import OrbitBudget, orbit_explore, reflection, same_orbit_witness
+from nikulat import OrbitBudget, isometry, orbit_explore, reflection, same_orbit_witness
 from nikulat.intmat import det
-from nikulat.isometry import _generation, _moves, _pack
+from nikulat.isometry import _KEPT_ENDPOINTS, _generation, _kept, _moves, _pack
 from nikulat.lattice import Lattice, square
 from nikulat.model import build_model, default_generators
 
@@ -310,6 +314,164 @@ def test_meet_on_insertion_stops_inside_the_generation(side):
     u = LY_GENS[3](LY_GENS[0](start))
     meet = assert_meets_on_insertion(start, u, LY_GENS, OrbitBudget(4, 10**6, 3), 2, side)
     assert meet is not None
+
+
+# --- levels kept across searches ----------------------------------------------------
+
+
+def walks(start, count, steps, bound=4, seed=0):
+    """``count`` distinct vectors ``steps`` moving reflections from ``start``, inside ``bound``."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        cur = start
+        for _ in range(steps):
+            cur = rng.choice([g for g in LY_GENS if g(cur) != cur])(cur)
+        if cur != start and cur not in found and max(map(abs, cur.coords)) <= bound:
+            found.append(cur)
+    return found
+
+
+def holding():
+    """The endpoints that hold kept levels, least recently used first."""
+    return [entry[0] for entry, levels in _kept.items() if levels is not None]
+
+
+def assert_kept_levels_complete():
+    """Each kept endpoint's parent map is the union of its levels, and each level is
+    the full generation of the one before it, in insertion order and cut as the cap cuts."""
+    for (_, moves, bound, cap, _), levels in _kept.items():
+        if levels is None:
+            continue
+        assert set(levels.tree) == {k for level in levels.levels for k in level}
+        seen = {}
+        for d, level in enumerate(levels.levels[:-1]):
+            seen.update((k, levels.tree[k]) for k in level)
+            fresh, _, cut, _ = _generation(level, seen, moves, bound, cap)
+            assert list(fresh.items()) == list(levels.levels[d + 1].items())
+            assert cut == (levels.cut and d + 2 == len(levels.levels))
+
+
+@pytest.fixture
+def fresh_cache():
+    _kept.clear()
+    yield
+    assert len(_kept) <= _KEPT_ENDPOINTS
+    assert_kept_levels_complete()
+
+
+def test_kept_levels_one_start_many_targets_in_both_positions(fresh_cache):
+    start, budget = NV.L(1) + NV.e2, OrbitBudget(3, 10**5, 8)
+    for target in walks(start, 6, 3, bound=3):
+        assert_witness_matches(start, target, LY_GENS, budget)
+        assert_witness_matches(target, start, LY_GENS, budget)
+    assert holding()[-1] == start.coords
+
+
+def test_kept_levels_two_starts_interleaved_and_evicted(fresh_cache):
+    budget = OrbitBudget(3, 10**5, 8)
+    starts = (NV.L(1) + NV.e2, NV.L(0))
+    batches = {s: walks(s, 9, 3, bound=3, seed=1) for s in starts}
+    for batch in range(3):
+        for start in starts:
+            for target in batches[start][3 * batch: 3 * batch + 3]:
+                assert_witness_matches(start, target, LY_GENS, budget)
+            # three new targets since the other start's last search pushed it out
+            assert holding() == [start.coords]
+
+
+def test_kept_levels_repeated_identical_pair(fresh_cache):
+    start, budget = NV.L(0), OrbitBudget(4, 10**5, 8)
+    (target,) = walks(start, 1, 4)
+    words = [assert_witness_matches(start, target, LY_GENS, budget) for _ in range(3)]
+    assert words[0] is not None and words.count(words[0]) == 3
+    assert sorted(holding()) == sorted([start.coords, target.coords])
+
+
+def test_kept_levels_cut_by_the_cap(fresh_cache):
+    start, budget = NV.L(1) + NV.e2, OrbitBudget(4, 60, 8)
+    words = [assert_witness_matches(start, t, LY_GENS, budget) for t in walks(start, 8, 4, seed=2)]
+    assert None in words
+    assert _kept[next(e for e in _kept if e[0] == start.coords)].cut
+
+
+def test_kept_levels_endpoint_outside_the_box_has_its_own_width(fresh_cache):
+    start, budget = NV.L(1) + NV.e2, OrbitBudget(4, 10**5, 6)
+    outside = reflection(NV.w)(start)
+    assert max(map(abs, outside.coords)) > 4
+    for target in walks(start, 3, 2):
+        assert_witness_matches(start, target, LY_GENS, budget)
+        assert_witness_matches(start, outside, LY_GENS, budget)
+    assert sorted(e[4] for e in _kept if e[0] == start.coords) == [9, 2 * max(map(abs, outside.coords)) + 1]
+
+
+def test_a_single_search_keeps_no_levels(fresh_cache):
+    start = NV.L(1) + NV.e2
+    assert same_orbit_witness(start, walks(start, 1, 3)[0], LY_GENS, OrbitBudget(4, 10**5, 8))
+    assert len(_kept) == 2 and holding() == []
+
+
+def test_at_most_the_fixed_number_of_endpoints_hold_levels(fresh_cache):
+    budget = OrbitBudget(3, 10**5, 6)
+    start = NV.L(1) + NV.e2
+    ends = walks(start, _KEPT_ENDPOINTS + 2, 2, bound=3)
+    for _ in range(2):
+        for end in ends:
+            same_orbit_witness(start, end, LY_GENS, budget)
+            assert len(_kept) <= _KEPT_ENDPOINTS
+    for end in ends:
+        same_orbit_witness(end, start, LY_GENS, budget)
+        same_orbit_witness(start, end, LY_GENS, budget)
+        assert len(holding()) <= _KEPT_ENDPOINTS
+    assert len(holding()) == _KEPT_ENDPOINTS
+
+
+def test_kept_levels_shared_by_threads(fresh_cache):
+    start, budget = NV.L(1) + NV.e2, OrbitBudget(4, 10**5, 8)
+    targets = walks(start, 12, 5, seed=3)
+    expected = [oracle_witness(start, t, LY_GENS, budget) for t in targets]
+    words = {}
+
+    def search(n):
+        for i in range(n, n + len(targets)):
+            words[n, i % len(targets)] = same_orbit_witness(start, targets[i % len(targets)], LY_GENS, budget)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):  # each round, the threads race to promote the start and grow its levels
+            _kept.clear()
+            words.clear()
+            threads = [threading.Thread(target=search, args=(n,)) for n in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert words == {(n, i): expected[i] for n in range(4) for i in range(len(targets))}
+            assert_kept_levels_complete()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_first_search_drops_each_level_once_it_is_expanded(fresh_cache, monkeypatch):
+    class Level(dict):  # a dict that takes weak references
+        pass
+
+    levels = []
+
+    def generation(frontier, *args):
+        # a first search holds only the frontier it expands and the other side's
+        assert sum(ref() is not None for ref in levels) <= 2
+        fresh, *rest = _generation(frontier, *args)
+        fresh = Level(fresh)
+        levels.append(weakref.ref(fresh))
+        return (fresh, *rest)
+
+    monkeypatch.setattr(isometry, "_generation", generation)
+    start = NV.L(1) + NV.e2
+    assert same_orbit_witness(start, walks(start, 1, 6)[0], LY_GENS, OrbitBudget(4, 10**5, 8))
+    assert len(levels) >= 4 and all(ref() is None for ref in levels)
 
 
 # --- keys and contract ---------------------------------------------------------------

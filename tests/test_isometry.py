@@ -216,6 +216,16 @@ def test_orbit_rejects_zero_seed(setup):
         orbit_explore(model.lambda_Y.vector((0,) * 16), default_generators())
 
 
+def test_orbit_reads_a_one_shot_iterable_of_generators(setup):
+    # the input check once consumed the iterable, leaving a one-member "complete" orbit
+    _, nv = setup
+    gens, budget = default_generators(), OrbitBudget(4, 10**6, 2)
+    orbit = orbit_explore(nv.L(0), (g for g in gens), budget)
+    assert len(orbit) > 1 and not orbit.exhausted
+    expected = orbit_explore(nv.L(0), gens, budget)
+    assert (orbit.members, orbit.exhausted) == (expected.members, expected.exhausted)
+
+
 def test_orbit_rank2_brute_force_cross_check():
     """On <-2>^2, the two basis reflections generate the sign-flip group;
     brute force over all |coords| <= 3 is the oracle."""
@@ -279,6 +289,17 @@ def test_witness_word_applies(setup):
     for j in word:
         cur = gens[j](cur)
     assert cur == target
+
+
+def test_witness_reads_a_one_shot_iterable_of_generators(setup):
+    # the input check once consumed the iterator, and the search then found no word
+    _, nv = setup
+    gens, budget = default_generators(), OrbitBudget(4, 10**6, 3)
+    start = nv.L(1) + nv.e2
+    target = gens[3](gens[0](start))
+    word = same_orbit_witness(start, target, iter(gens), budget)
+    assert word is not None and len(word) == 2
+    assert word == same_orbit_witness(start, target, gens, budget)
 
 
 def test_readme_witness_endpoints_are_cases_9_and_8(setup):
