@@ -11,11 +11,19 @@ Orbit closure and witness search share one generation step on packed keys
 order and a reflection adds c.key(r)); every generator is a reflection by type.
 A reflection reads only its lattice's sparse Gram rows; its one check is (r, r) = -2.
 
+The generation step expands a vector by every generator at once through an
+expansion kernel: one straight-line function compiled from the generators'
+supports and the coordinate bound, and kept in a table of ``_KERNELS`` entries
+keyed by those two (and the rank) only, so that endpoints of every key width
+share it.  It does the sums, updates and comparisons of a loop over the
+supports, in the same order, so every answer is exact.
+
 Witness search keeps, in a least-recently-used table of ``_KEPT_ENDPOINTS``
 entries, the breadth-first levels around an endpoint searched more than once
-under the same moves, coordinate bound, frontier cap and key width: at most
-``_KEPT_ENDPOINTS * max_frontier`` keys.  A search reuses them and answers
-exactly as one that rebuilt them.
+under the same generators, coordinate bound, frontier cap and key width: at most
+``_KEPT_ENDPOINTS * max_frontier`` keys.  Endpoints searched once are only
+remembered, in a table of ``_SEEN_ONCE`` markers of their own.  A search reuses
+kept levels and answers exactly as one that rebuilt them.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .lattice import (
@@ -152,57 +160,97 @@ def _pack(x: IntVector, width: int) -> int:
     return key
 
 
-def _moves(gens, width: int):
-    """Per reflection: (index, support of G.r, support of r, key step of r)."""
-    return tuple((j, *g._supports, _pack(g.root, width)) for j, g in enumerate(gens))
+#: expansion kernels kept compiled, least recently used out
+_KERNELS = 8
 
 
-def _generation(frontier: dict, seen: dict, moves, bound: int, cap, other=frozenset()):
+def _signed(coef: int, var: str) -> str:
+    """`` + coef*var`` as source text, the coefficient in hex (see :func:`_kernel`)."""
+    mag = abs(coef)
+    return (" - " if coef < 0 else " + ") + (var if mag == 1 else f"{mag:#x}*{var}")
+
+
+@lru_cache(maxsize=_KERNELS)
+def _kernel(supports: tuple, bound: int, rank: int):
+    """The expansion kernel of reflections with ``supports`` in the box ``bound``.
+
+    ``supports`` holds each reflection's ``Isometry._supports``.  The kernel is
+    one straight-line function of the coordinates x of a vector of ``rank``.
+    It returns, in generator order, ``(j, c, y)`` for each reflection j with
+    c = (x, r_j) != 0 whose image y = x + c.r_j lies inside the box on r_j's
+    support, and a bit mask of the reflections whose image left the box there.
+    Every integer in its source is an index, a coefficient of G.r or r, or a
+    mask bit, all ints checked by :class:`Isometry` and written in hex, which
+    the interpreter's limit on converting ints to decimal text does not cover;
+    the bound, checked by :class:`OrbitBudget`, is passed in as a value.
+    Returned with each reflection's set of r-support indices.
+    """
+    covers = tuple(frozenset(i for i, _ in root) for _, root in supports)  # shared by every caller
+    lines = ["def make(lo, hi):", " def expand(x):"]
+    lines.append(f"  ({''.join(f'x{i}, ' for i in range(rank))}) = x")
+    lines.append("  images = []\n  add = images.append\n  clip = 0x0")
+    for j, (gram_root, root) in enumerate(supports):
+        c = "".join(_signed(g, f"x{i}") for i, g in gram_root)  # G.r != 0: the form is nondegenerate
+        lines.append(f"  c = {'-' if c.startswith(' - ') else ''}{c[3:]}")
+        lines.append("  if c:")
+        lines.extend(f"   y{i} = x{i}{_signed(r, 'c')}" for i, r in root)
+        lines.append(f"   if {' and '.join(f'lo <= y{i} <= hi' for i, _ in root)}:")
+        image = "".join(f"y{i}, " if i in covers[j] else f"x{i}, " for i in range(rank))
+        lines.append(f"    add(({j:#x}, c, ({image})))")
+        lines.append(f"   else:\n    clip |= {1 << j:#x}")
+    lines.append("  return images, clip\n return expand")
+    namespace = {}
+    exec(compile("\n".join(lines), "<expansion kernel>", "exec"), namespace)
+    return namespace["make"](-bound, bound), covers
+
+
+def _generation(frontier: dict, seen: dict, kernel, steps, bound: int, cap, other=frozenset()):
     """One breadth-first generation on packed keys, shared by both searches.
 
     ``frontier`` (key -> coordinates) is expanded in key order, each vector by
-    every move in generator order.  A new image inside ``bound`` is recorded as
-    ``seen[key] = generator index`` and in ``fresh``.  Expansion stops at the
-    first inserted key that ``other`` (the opposite search's parent map; empty
-    for orbit closure) already holds, or else once ``seen`` holds more than
-    ``cap`` keys.  ``fresh`` is insertion-ordered, so that meeting key is the
-    first key of the full generation's ``fresh`` found in ``other``.  Returns
-    fresh, whether an image left the box, whether the cap stopped the
-    expansion, and the meeting key (None if the sides did not meet).
+    the ``kernel`` that :func:`_kernel` compiled for the generators' supports and
+    ``bound``; it makes the loop's sums, updates and comparisons in the loop's
+    order, so its images are exact and come in generator order.  Image j of the
+    vector of key k has key k + c * steps[j], ``steps`` being in the key width
+    of the caller.  A new image
+    inside ``bound`` is recorded as ``seen[key] = generator index`` and in
+    ``fresh``.  Expansion stops at the first inserted key that ``other`` (the
+    opposite search's parent map; empty for orbit closure) already holds, or
+    else once ``seen`` holds more than ``cap`` keys.  ``fresh`` is
+    insertion-ordered, so that meeting key is the first key of the full
+    generation's ``fresh`` found in ``other``.  Returns fresh, whether an image
+    left the box, whether the cap stopped the expansion, and the meeting key
+    (None if the sides did not meet).
+
+    The kernel expands a whole vector before its images are inserted, so after
+    a meet or a cap stop the flag also covers images past the stopping one.  No
+    caller reads it then: witness search ignores it, and orbit closure never
+    stops early.
     """
+    expand, covers = kernel
     fresh = {}
     clipped = False
     for key in sorted(frontier):
         x = frontier[key]
-        usable = moves
+        images, clip = expand(x)
         if seen[key] is None and (max(x) > bound or min(x) < -bound):
             # a witness endpoint outside the box: r's support must cover its outliers
             out = {i for i, c in enumerate(x) if abs(c) > bound}
-            usable = [m for m in moves if out <= {i for i, _ in m[2]}]
-        for j, gram_root, root, step in usable:
-            c = 0
-            for i, g in gram_root:
-                c += g * x[i]
-            if not c:
+            usable = {j for j, cover in enumerate(covers) if out <= cover}
+            images = [image for image in images if image[0] in usable]
+            clip &= sum(1 << j for j in usable)
+        if clip:
+            clipped = True
+        for j, c, y in images:
+            k = key + c * steps[j]
+            if k in seen:
                 continue
-            for i, r in root:
-                yi = x[i] + c * r
-                if yi > bound or yi < -bound:
-                    clipped = True
-                    break
-            else:
-                k = key + c * step
-                if k in seen:
-                    continue
-                y = list(x)
-                for i, r in root:
-                    y[i] += c * r
-                seen[k] = j
-                fresh[k] = tuple(y)
-                if k in other:
-                    return fresh, clipped, False, k
-                if len(seen) > cap:
-                    return fresh, clipped, True, None
+            seen[k] = j
+            fresh[k] = y
+            if k in other:
+                return fresh, clipped, False, k
+            if len(seen) > cap:
+                return fresh, clipped, True, None
     return fresh, clipped, False, None
 
 
@@ -221,14 +269,15 @@ def orbit_explore(seed: LatticeVector, gens, budget: OrbitBudget = OrbitBudget()
     bound = budget.coord_bound
     if max(abs(c) for c in seed.coords) > bound:
         raise LatticeError("seed already exceeds the coordinate bound")
-    moves = _moves(gens, 2 * bound + 1)
+    kernel = _kernel(tuple(g._supports for g in gens), bound, seed.lattice.rank)
+    steps = [_pack(g.root, 2 * bound + 1) for g in gens]
     key = _pack(seed.coords, 2 * bound + 1)
     # key -> coordinates, also the engine's seen map: update(fresh) overwrites its marks
     members = {key: seed.coords}
     frontier = {key: seed.coords}
     exhausted = True
     for _ in range(budget.max_depth):
-        fresh, clipped, _, _ = _generation(frontier, members, moves, bound, float("inf"))
+        fresh, clipped, _, _ = _generation(frontier, members, kernel, steps, bound, float("inf"))
         room = budget.max_frontier - len(members) + len(fresh)
         capped = len(fresh) > room
         if capped:
@@ -274,10 +323,13 @@ def distinct_invariants(v: LatticeVector, u: LatticeVector) -> tuple[tuple[str, 
 
 #: endpoints whose breadth-first levels witness search keeps across searches
 _KEPT_ENDPOINTS = 4
-# (endpoint, moves, coord_bound, max_frontier, width) -> _Levels, or None after one search;
-# least recently used first
+#: endpoints searched once that witness search remembers, so that a second search keeps levels
+_SEEN_ONCE = 64
+# (endpoint, generator supports, coord_bound, max_frontier, width) -> _Levels in _kept, and
+# -> None in _seen_once; least recently used first
 _kept: OrderedDict = OrderedDict()
-_kept_lock = threading.Lock()  # searches in several threads share the table and its levels
+_seen_once: OrderedDict = OrderedDict()
+_kept_lock = threading.Lock()  # searches in several threads share the tables and the levels
 
 
 class _Levels:
@@ -295,13 +347,13 @@ class _Levels:
         self.tree = {key: None}
         self.cut = False
 
-    def level(self, d: int, moves, bound: int, cap: int) -> tuple[dict, bool]:
+    def level(self, d: int, kernel, steps, bound: int, cap: int) -> tuple[dict, bool]:
         """Level ``d``, generated in full when first asked for, and whether the cap cut it."""
         with _kept_lock:
             if d == len(self.levels):
                 n = len(self.tree)
                 try:
-                    fresh, _, self.cut, _ = _generation(self.levels[-1], self.tree, moves, bound, cap)
+                    fresh, _, self.cut, _ = _generation(self.levels[-1], self.tree, kernel, steps, bound, cap)
                 except BaseException:  # an interrupted level must not stay half in the parent map
                     for k in list(self.tree)[n:]:
                         del self.tree[k]
@@ -313,18 +365,24 @@ class _Levels:
 def _kept_levels(entry: tuple, key: int, x: IntVector) -> _Levels | None:
     """The levels kept for ``entry`` = (endpoint coordinates, search parameters).
 
-    None on the endpoint's first search, which keeps nothing; the second
-    search promotes the endpoint to kept levels that it and later searches grow.
+    None on the endpoint's first search, which keeps nothing but a marker in
+    ``_seen_once``; a second search while the marker lasts promotes the endpoint
+    to kept levels that it and later searches grow.  Endpoints searched once
+    therefore never push kept levels out.
     """
     with _kept_lock:
         if entry in _kept:
             _kept.move_to_end(entry)
-            if _kept[entry] is None:
-                _kept[entry] = _Levels(key, x)
             return _kept[entry]
-        _kept[entry] = None
-        if len(_kept) > _KEPT_ENDPOINTS:
-            _kept.popitem(last=False)
+        if entry in _seen_once:
+            del _seen_once[entry]
+            levels = _kept[entry] = _Levels(key, x)
+            if len(_kept) > _KEPT_ENDPOINTS:
+                _kept.popitem(last=False)
+            return levels
+        _seen_once[entry] = None
+        if len(_seen_once) > _SEEN_ONCE:
+            _seen_once.popitem(last=False)
         return None
 
 
@@ -345,7 +403,8 @@ def same_orbit_witness(
     beyond the budget.
 
     An endpoint's first search keeps nothing.  From its second search under
-    the same generator moves, coordinate bound, ``max_frontier`` and key width,
+    the same generators, coordinate bound, ``max_frontier`` and key width
+    (while it is among the last ``_SEEN_ONCE`` endpoints searched once),
     its levels are generated in full and kept, for at most ``_KEPT_ENDPOINTS``
     endpoints (least recently used out): at most that many times
     ``max_frontier`` keys.  On kept levels the two sides meet at the first key
@@ -366,7 +425,9 @@ def same_orbit_witness(
 
     bound, cap = budget.coord_bound, budget.max_frontier
     width = 2 * max(bound, *map(abs, v.coords), *map(abs, u.coords)) + 1
-    moves = _moves(gens, width)
+    supports = tuple(g._supports for g in gens)
+    kernel = _kernel(supports, bound, v.lattice.rank)
+    steps = [_pack(g.root, width) for g in gens]
     apply = [g.apply_coords for g in gens]
     # per side (v, u): its kept levels (None on a first search); its parent map (key ->
     # index of the reflection that reached it, None at the root); the keys it holds at
@@ -374,7 +435,7 @@ def same_orbit_witness(
     kept, trees, held, frontiers = [], [], [], []
     for x in (v.coords, u.coords):
         key = _pack(x, width)
-        levels = _kept_levels((x, moves, bound, cap, width), key, x)
+        levels = _kept_levels((x, supports, bound, cap, width), key, x)
         kept.append(levels)
         if levels is None:
             trees.append({key: None})
@@ -401,10 +462,10 @@ def same_orbit_witness(
         s = 1 if frontiers[1] and (not frontiers[0] or len(frontiers[0]) > len(frontiers[1])) else 0
         other = held[1 - s]
         if kept[s] is None:
-            frontiers[s], _, overflow, meet = _generation(frontiers[s], trees[s], moves, bound, cap, other)
+            frontiers[s], _, overflow, meet = _generation(frontiers[s], trees[s], kernel, steps, bound, cap, other)
         else:
             depth[s] += 1
-            frontiers[s], overflow = kept[s].level(depth[s], moves, bound, cap)
+            frontiers[s], overflow = kept[s].level(depth[s], kernel, steps, bound, cap)
             meet = next((k for k in frontiers[s] if k in other), None)
             held[s].update(frontiers[s])
         if meet is not None:

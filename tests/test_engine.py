@@ -5,6 +5,10 @@ replaced: every image is built with ``apply_coords``, deduplicated as a
 coordinate tuple and bound-checked on all coordinates.  Orbit members, the
 ``exhausted`` flag and witness words (or None) must agree exactly, whichever
 of coordinate bound, frontier cap or depth cuts the search short.
+
+``reference_generation`` is the generation step as a loop over each
+reflection's supports, which the compiled expansion kernels replaced; one
+generation of the engine must equal it insertion for insertion.
 """
 
 import random
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 
 from nikulat import OrbitBudget, isometry, orbit_explore, reflection, same_orbit_witness
 from nikulat.intmat import det
-from nikulat.isometry import _KEPT_ENDPOINTS, _generation, _kept, _moves, _pack
+from nikulat.isometry import _KEPT_ENDPOINTS, _SEEN_ONCE, _generation, _kernel, _kept, _pack, _seen_once
 from nikulat.lattice import Lattice, square
 from nikulat.model import build_model, default_generators
 
@@ -107,6 +111,75 @@ def oracle_witness(v, u, gens, budget):
         if overflow:
             return None
     return None
+
+
+def reference_moves(gens, width):
+    """Per reflection: (index, support of G.r, support of r, key step of r)."""
+    return tuple((j, *g._supports, _pack(g.root, width)) for j, g in enumerate(gens))
+
+
+def reference_generation(frontier: dict, seen: dict, moves, bound: int, cap, other=frozenset()):
+    """One breadth-first generation on packed keys, shared by both searches.
+
+    ``frontier`` (key -> coordinates) is expanded in key order, each vector by
+    every move in generator order.  A new image inside ``bound`` is recorded as
+    ``seen[key] = generator index`` and in ``fresh``.  Expansion stops at the
+    first inserted key that ``other`` (the opposite search's parent map; empty
+    for orbit closure) already holds, or else once ``seen`` holds more than
+    ``cap`` keys.  ``fresh`` is insertion-ordered, so that meeting key is the
+    first key of the full generation's ``fresh`` found in ``other``.  Returns
+    fresh, whether an image left the box, whether the cap stopped the
+    expansion, and the meeting key (None if the sides did not meet).
+    """
+    fresh = {}
+    clipped = False
+    for key in sorted(frontier):
+        x = frontier[key]
+        usable = moves
+        if seen[key] is None and (max(x) > bound or min(x) < -bound):
+            # a witness endpoint outside the box: r's support must cover its outliers
+            out = {i for i, c in enumerate(x) if abs(c) > bound}
+            usable = [m for m in moves if out <= {i for i, _ in m[2]}]
+        for j, gram_root, root, step in usable:
+            c = 0
+            for i, g in gram_root:
+                c += g * x[i]
+            if not c:
+                continue
+            for i, r in root:
+                yi = x[i] + c * r
+                if yi > bound or yi < -bound:
+                    clipped = True
+                    break
+            else:
+                k = key + c * step
+                if k in seen:
+                    continue
+                y = list(x)
+                for i, r in root:
+                    y[i] += c * r
+                seen[k] = j
+                fresh[k] = tuple(y)
+                if k in other:
+                    return fresh, clipped, False, k
+                if len(seen) > cap:
+                    return fresh, clipped, True, None
+    return fresh, clipped, False, None
+
+
+def engine(supports, bound, rank, width):
+    """The kernel and key steps the engine expands by, for reflections of these supports."""
+    steps = []
+    for _, root in supports:
+        r = [0] * rank
+        for i, c in root:
+            r[i] = c
+        steps.append(_pack(r, width))
+    return _kernel(supports, bound, rank), steps
+
+
+def engine_of(gens, bound, rank, width):
+    return engine(tuple(g._supports for g in gens), bound, rank, width)
 
 
 # --- strategies -----------------------------------------------------------------------
@@ -259,21 +332,21 @@ def assert_meets_on_insertion(v, u, gens, budget, generations, side):
     run's insertions just after the key that ``oracle_witness`` would meet at."""
     bound, cap = budget.coord_bound, budget.max_frontier
     width = 2 * max(bound, *map(abs, v.coords), *map(abs, u.coords)) + 1
-    moves = _moves(gens, width)
+    kernel, steps = engine_of(gens, bound, v.lattice.rank, width)
     trees = [{_pack(v.coords, width): None}, {_pack(u.coords, width): None}]
     frontiers = [{k: v.coords for k in trees[0]}, {k: u.coords for k in trees[1]}]
     for step in range(generations):
         s = step % 2
-        frontiers[s], _, capped, _ = _generation(frontiers[s], trees[s], moves, bound, cap)
+        frontiers[s], _, capped, _ = _generation(frontiers[s], trees[s], kernel, steps, bound, cap)
         if capped:
             break
     frontier, tree, other = frontiers[side], trees[side], trees[1 - side]
 
     full_seen = dict(tree)
-    full, full_clipped, full_capped, no_meet = _generation(frontier, full_seen, moves, bound, cap)
+    full, full_clipped, full_capped, no_meet = _generation(frontier, full_seen, kernel, steps, bound, cap)
     assert no_meet is None
     seen = dict(tree)
-    fresh, clipped, capped, meet = _generation(frontier, seen, moves, bound, cap, other)
+    fresh, clipped, capped, meet = _generation(frontier, seen, kernel, steps, bound, cap, other)
 
     assert meet == next((k for k in full if k in other), None)  # the post-hoc meeting
     if meet is None:
@@ -316,6 +389,129 @@ def test_meet_on_insertion_stops_inside_the_generation(side):
     assert meet is not None
 
 
+# --- the compiled expansion kernel --------------------------------------------------
+
+
+def assert_generation_matches(frontier, seen, gens, rank, bound, width, cap, other):
+    """One generation of the engine against ``reference_generation`` from the same state:
+    the same insertions in the same order, the same stop and, on a full generation, the
+    same clipped flag.  Returns the reference's result and its updated seen map."""
+    ref_seen, got_seen = dict(seen), dict(seen)
+    ref = reference_generation(frontier, ref_seen, reference_moves(gens, width), bound, cap, other)
+    got = _generation(frontier, got_seen, *engine_of(gens, bound, rank, width), bound, cap, other)
+    assert list(got[0].items()) == list(ref[0].items())
+    assert list(got_seen.items()) == list(ref_seen.items())
+    assert got[2:] == ref[2:]
+    if not ref[2] and ref[3] is None:
+        assert got[1] == ref[1]
+    return ref, ref_seen
+
+
+def assert_generations_match(v, u, gens, budget, generations, meet):
+    """Grow the sides of v and u by turns, each generation checked against the reference;
+    with ``meet`` each side stops on the other's keys.  Returns both parent maps."""
+    bound, cap = budget.coord_bound, budget.max_frontier
+    width = 2 * max(bound, *map(abs, v.coords), *map(abs, u.coords)) + 1
+    trees = [{_pack(v.coords, width): None}, {_pack(u.coords, width): None}]
+    frontiers = [{k: v.coords for k in trees[0]}, {k: u.coords for k in trees[1]}]
+    for step in range(generations):
+        s = step % 2
+        other = trees[1 - s] if meet else frozenset()
+        (frontiers[s], _, overflow, met), trees[s] = assert_generation_matches(
+            frontiers[s], trees[s], gens, v.lattice.rank, bound, width, cap, other
+        )
+        if overflow or met is not None:
+            break
+    return trees
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=small_lattice_case(), data=st.data())
+def test_kernel_matches_reference_on_small_lattices(case, data):
+    v, gens, budget = case
+    v = walk_from(data.draw, v, gens, 0, 2)  # walked with no bound: may lie outside the box
+    u = walk_from(data.draw, v, gens, 0, 6)
+    generations = data.draw(st.integers(min_value=1, max_value=6))
+    assert_generations_match(v, u, gens, budget, generations, data.draw(st.booleans()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_reference_on_ly(data):
+    budget = data.draw(budgets(max_depth=1))
+    gens = data.draw(st.lists(st.sampled_from(LY_GENS), max_size=20, unique=True))
+    v = walk_from(data.draw, data.draw(st.sampled_from([NV.L(0), NV.L(1) + NV.e2])), LY_GENS, 0, 2)
+    u = walk_from(data.draw, v, LY_GENS, 0, 4)
+    generations = data.draw(st.integers(min_value=1, max_value=4))
+    assert_generations_match(v, u, gens, budget, generations, data.draw(st.booleans()))
+
+
+def test_kernel_matches_reference_with_no_generators():
+    lat = Lattice("A1(-1)+U", ((-2, 0, 0), (0, 0, 1), (0, 1, 0)))
+    for v, gens in ((lat.vector((1, 2, -3)), []), (NV.L(1) + NV.e2, [])):
+        assert_generations_match(v, v, gens, OrbitBudget(2, 10, 3), 3, True)
+        assert_orbit_matches(v, gens, OrbitBudget(4, 10, 3))
+
+
+def test_kernel_matches_reference_on_keys_past_int64():
+    v = NV.L(1) + NV.e2
+    u = LY_GENS[3](LY_GENS[0](v))
+    trees = assert_generations_match(v, u, LY_GENS, OrbitBudget(8, 10**6, 4), 4, False)
+    assert max(abs(k) for tree in trees for k in tree) > 2**63
+
+
+def far_from(start, reach, seed=0):
+    """A vector at most three reflections from ``start`` whose largest |coordinate| is ``reach``."""
+    rng = random.Random(seed)
+    while True:
+        cur = start
+        for _ in range(rng.randint(1, 3)):
+            cur = rng.choice(LY_GENS)(cur)
+        if max(map(abs, cur.coords)) == reach:
+            return cur
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4])
+def test_kernel_matches_reference_at_endpoints_outside_the_box(bound):
+    start = NV.L(1) + NV.e2
+    for outside in (far_from(start, 6), reflection(NV.w)(start)):
+        assert max(map(abs, outside.coords)) > bound
+        assert_generations_match(outside, start, LY_GENS, OrbitBudget(bound, 10**6, 3), 3, False)
+
+
+def test_one_kernel_serves_endpoints_of_every_key_width(fresh_cache):
+    start, budget = NV.L(1) + NV.e2, OrbitBudget(4, 10**5, 4)
+    targets = walks(start, 3, 2) + [far_from(start, 5), far_from(start, 6)]
+    assert len({2 * max(4, *map(abs, t.coords)) + 1 for t in targets}) == 3
+    _kernel.cache_clear()
+    for target in targets:
+        assert_witness_matches(start, target, LY_GENS, budget)
+    info = _kernel.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, len(targets) - 1, 1)
+
+
+def test_orbits_at_two_bounds_compile_a_kernel_each():
+    _kernel.cache_clear()
+    for bound in (3, 4):
+        assert_orbit_matches(NV.L(0), LY_GENS, OrbitBudget(bound, 10**6, 4))
+    assert (_kernel.cache_info().misses, _kernel.cache_info().currsize) == (2, 2)
+
+
+def test_kernels_take_integers_past_the_decimal_conversion_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        orbit = orbit_explore(NV.L(0), LY_GENS, OrbitBudget(coord_bound=10**5000, max_depth=2))
+        assert (len(orbit), orbit.exhausted) == (44, False)
+        # a Gram entry, and so a coefficient of G.r, of 5,001 digits
+        lat = Lattice("huge", ((-2, 10**5000), (10**5000, -2)))
+        gens = [reflection(lat.vector((1, 0)))]
+        for seed in ((1, 0), (0, 1)):
+            assert_orbit_matches(lat.vector(seed), gens, OrbitBudget(4, 10, 3))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # --- levels kept across searches ----------------------------------------------------
 
 
@@ -334,20 +530,20 @@ def walks(start, count, steps, bound=4, seed=0):
 
 def holding():
     """The endpoints that hold kept levels, least recently used first."""
-    return [entry[0] for entry, levels in _kept.items() if levels is not None]
+    return [entry[0] for entry in _kept]
 
 
 def assert_kept_levels_complete():
     """Each kept endpoint's parent map is the union of its levels, and each level is
     the full generation of the one before it, in insertion order and cut as the cap cuts."""
-    for (_, moves, bound, cap, _), levels in _kept.items():
-        if levels is None:
-            continue
+    assert not set(_kept) & set(_seen_once)
+    for (x, supports, bound, cap, width), levels in _kept.items():
+        kernel, steps = engine(supports, bound, len(x), width)
         assert set(levels.tree) == {k for level in levels.levels for k in level}
         seen = {}
         for d, level in enumerate(levels.levels[:-1]):
             seen.update((k, levels.tree[k]) for k in level)
-            fresh, _, cut, _ = _generation(level, seen, moves, bound, cap)
+            fresh, _, cut, _ = _generation(level, seen, kernel, steps, bound, cap)
             assert list(fresh.items()) == list(levels.levels[d + 1].items())
             assert cut == (levels.cut and d + 2 == len(levels.levels))
 
@@ -355,8 +551,9 @@ def assert_kept_levels_complete():
 @pytest.fixture
 def fresh_cache():
     _kept.clear()
+    _seen_once.clear()
     yield
-    assert len(_kept) <= _KEPT_ENDPOINTS
+    assert len(_kept) <= _KEPT_ENDPOINTS and len(_seen_once) <= _SEEN_ONCE
     assert_kept_levels_complete()
 
 
@@ -368,16 +565,31 @@ def test_kept_levels_one_start_many_targets_in_both_positions(fresh_cache):
     assert holding()[-1] == start.coords
 
 
-def test_kept_levels_two_starts_interleaved_and_evicted(fresh_cache):
+def test_kept_levels_two_starts_interleaved(fresh_cache):
     budget = OrbitBudget(3, 10**5, 8)
     starts = (NV.L(1) + NV.e2, NV.L(0))
     batches = {s: walks(s, 9, 3, bound=3, seed=1) for s in starts}
     for batch in range(3):
-        for start in starts:
+        for n, start in enumerate(starts):
             for target in batches[start][3 * batch: 3 * batch + 3]:
                 assert_witness_matches(start, target, LY_GENS, budget)
-            # three new targets since the other start's last search pushed it out
-            assert holding() == [start.coords]
+            # the other start's one-off targets leave its kept levels in place
+            held_before = [] if batch == n == 0 else [starts[1 - n].coords]
+            assert holding() == held_before + [start.coords]
+
+
+def test_kept_levels_survive_one_off_searches(fresh_cache):
+    start, budget = NV.L(1) + NV.e2, OrbitBudget(4, 10**5, 8)
+    first, second, last = walks(start, 3, 3)
+    for target in (first, second):
+        assert_witness_matches(start, target, LY_GENS, budget)
+    (levels,) = [levels for entry, levels in _kept.items() if entry[0] == start.coords]
+    assert levels is not None
+    others = walks(NV.L(0), 10, 3, seed=4)
+    for v, u in zip(others[::2], others[1::2]):  # five searches between endpoints seen once
+        assert_witness_matches(v, u, LY_GENS, budget)
+    assert_witness_matches(start, last, LY_GENS, budget)
+    assert [levels for entry, levels in _kept.items() if entry[0] == start.coords] == [levels]
 
 
 def test_kept_levels_repeated_identical_pair(fresh_cache):
@@ -408,7 +620,7 @@ def test_kept_levels_endpoint_outside_the_box_has_its_own_width(fresh_cache):
 def test_a_single_search_keeps_no_levels(fresh_cache):
     start = NV.L(1) + NV.e2
     assert same_orbit_witness(start, walks(start, 1, 3)[0], LY_GENS, OrbitBudget(4, 10**5, 8))
-    assert len(_kept) == 2 and holding() == []
+    assert len(_seen_once) == 2 and holding() == []
 
 
 def test_at_most_the_fixed_number_of_endpoints_hold_levels(fresh_cache):
