@@ -21,13 +21,13 @@ would give e2^2 = -2 instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm
 from typing import Iterator
 
 from .intmat import IntVector, Matrix
-from .isometry import Isometry, reflection
+from .isometry import Isometry, _signed, reflection
 from .lattice import (
     EmbeddingMap,
     Lattice,
@@ -187,18 +187,6 @@ def sigma_star(v: LatticeVector) -> LatticeVector:
     if v.lattice != model.lambda_X:
         raise LatticeError("sigma_star acts on LX only")
     return model.lambda_X.vector(tuple(v.coords[j] for j in _sigma_permutation()))
-
-
-def sigma_invariant_basis() -> tuple[LatticeVector, ...]:
-    """A basis of the sigma_star-invariant sublattice of LX (rank 15).
-
-    Ordered to match Lfix: the U^3 basis, the diagonal E8 classes
-    eps_i + sigma(eps_i) (whose squares double), and the <-2> generator.
-    """
-    model, _ = build_model()
-    block = model.lambda_X.block_basis
-    diagonal = tuple(a + b for a, b in zip(block("E8a"), block("E8b")))
-    return block("U1", "U2", "U3") + diagonal + block("D")
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +468,12 @@ class EnumerationWindow:
         model, _ = build_model()
         for name in self.blocks:
             model.lambda_Y.block_slice(name)  # LatticeError unless it names one block of LY
-        if self.bound < 1:
-            raise LatticeError("coordinate bound must be >= 1")
+        _check_bound(self.bound)
+
+
+def _check_bound(bound: int) -> None:
+    if type(bound) is not int or bound < 1:  # a float or bool bound is not a coordinate bound
+        raise LatticeError(f"coordinate bound must be an integer >= 1, got {bound!r}")
 
 
 DEFAULT_WINDOW = EnumerationWindow(("U1", "E8", "G1", "G2"), 1)
@@ -517,74 +509,94 @@ def _ellipsoid(gram: Matrix):
     return scale, tuple((int(e * scale), den, lower) for e, den, lower in terms)
 
 
-def _ellipsoid_walk(ellipsoid, bound: int, lo: int, hi: int) -> Iterator[tuple[IntVector, int]]:
-    """(t, q(t)) for the block coordinates t with |t_k| <= bound and lo <= q(t) <= hi,
-    in lexicographic order; a prefix is cut once its bound on -q exceeds -lo."""
-    scale, rows = ellipsoid
-    budget, least = -lo * scale, -hi * scale
-    if budget < 0:
-        return iter(())
-    last = len(rows) - 1
-    t = [0] * len(rows)
-
-    def walk(k: int, spent: int) -> Iterator[tuple[IntVector, int]]:
-        e, den, lower = rows[k]
-        c = 0
-        for j, n in lower:
-            c += n * t[j]
-        r = isqrt((budget - spent) // e)  # the largest |den t_k + c| that stays within budget
-        for x in range(max(-bound, -((r + c) // den)), min(bound, (r - c) // den) + 1):
-            t[k] = x
-            total = spent + e * (den * x + c) ** 2
-            if k < last:
-                yield from walk(k + 1, total)
-            elif total >= least:
-                yield tuple(t), -(total // scale)
-
-    return walk(0, 0)
-
-
 def _slice_gram(lattice: Lattice, block: slice) -> Matrix:
     return tuple(row[block] for row in lattice.gram[block])
 
 
-def _block_walker(lattice: Lattice, block: slice, bound: int):
-    """``(qmin, qmax, walk)`` for the coordinates ``block`` (one block or a run of
-    adjacent ones) with |coords| <= bound: ``walk(lo, hi)`` yields (coords, square)
-    with lo <= square <= hi in lexicographic order, and every square lies in
-    [qmin, qmax].
+@lru_cache(maxsize=8)  # layouts kept compiled, least recently used out
+def _generator(layout: tuple, rank: int):
+    """``make(lattice, bound, ranges, boxes)`` of the straight-line generator of a window
+    ``layout``, ``(start, stop, ellipsoid)`` for each run; see :func:`enumerate_with_square`."""
+    out = ["def make(lattice, bound, ranges, boxes):", " low = -bound"]
+    out.append(f" ({''.join(f'lo{i}, hi{i}, ' for i in range(len(layout)))}) = ranges")
+    out.append(f" ({''.join(f'box{i}, ' for i, run in enumerate(layout) if run[2] is None)}) = boxes")
+    out.append(" def piece0():\n  a = 0x0")
+    depth, loops, pieces, chosen = 2, 0, 0, []
 
-    A negative-definite block is walked through its ellipsoid, with the range
-    [-bound^2 * sum |G_ij|, 0].  Any other block (a U or U(2) plane) has no
-    ellipsoid; its box of (2*bound + 1)^size entries is listed once.
-    """
-    gram = _slice_gram(lattice, block)
-    ellipsoid = _ellipsoid(gram)
-    if ellipsoid is not None:
-        qmin = -bound * bound * sum(abs(g) for row in gram for g in row)
-        return qmin, 0, partial(_ellipsoid_walk, ellipsoid, bound)
-    size = block.stop - block.start
-    box = [(t, _block_square(lattice, block, t)) for t in product(range(-bound, bound + 1), repeat=size)]
-    squares = [q for _, q in box]
-    return min(squares), max(squares), lambda lo, hi: ((t, q) for t, q in box if lo <= q <= hi)
+    def line(text: str) -> None:
+        out.append(" " * depth + text)
+
+    def loop(live: list[str], *lines: str) -> None:
+        nonlocal depth, loops, pieces
+        if loops == 20:  # CPython nests at most 20 loops in a function: chain a new one
+            pieces += 1
+            names = ", ".join(chosen + live)
+            line(f"yield from piece{pieces}({names})")
+            out.append(f" def piece{pieces}({names}):")
+            depth, loops = 2, 0
+        for text in lines:
+            line(text)
+        depth, loops = depth + 1, loops + 1
+
+    acc = "a"
+    for i, (start, stop, ellipsoid) in enumerate(layout):
+        if ellipsoid is None:
+            loop([acc], f"for ({''.join(f'x{p}, ' for p in range(start, stop))}), q in box{i}:")
+            chosen += [f"x{p}" for p in range(start, stop)]
+            line(f"if lo{i} <= {acc} + q <= hi{i}:")
+            total = f"{acc} + q"
+        else:
+            scale, rows = ellipsoid
+            line(f"b{i} = ({acc} - lo{i}) * {scale:#x}")  # scale * the largest -q the run may take
+            line(f"if b{i} >= 0x0:")
+            line(f" l{i} = ({acc} - hi{i}) * {scale:#x}")
+            depth += 1
+            spent = ""
+            for p, (e, den, lower) in enumerate(rows, start):
+                c = "".join(_signed(n, f"x{start + j}") for j, n in lower)
+                first, last = (f"(r + c{p})", f"(r - c{p})") if c else ("r", "r")
+                if den != 1:
+                    first, last = f"({first} // {den:#x})", f"{last} // {den:#x}"
+                loop([acc, f"b{i}", f"l{i}"] + ([spent] if spent else []),
+                     *([f"c{p} = {'-' if c.startswith(' - ') else ''}{c[3:]}"] if c else []),
+                     f"r = isqrt((b{i}{spent and ' - ' + spent}) // {e:#x})",  # the largest |den_k t_k + c_k|
+                     f"for x{p} in range(max(low, -{first}), min(bound, {last}) + 0x1):")
+                chosen.append(f"x{p}")
+                d = f"{f'{den:#x} * ' if den != 1 else ''}x{p}{f' + c{p}' if c else ''}"
+                line(f"s{p} = {f'{spent} + ' if spent else ''}{e:#x} * ({d}) ** 0x2")
+                spent = f"s{p}"
+            line(f"if {spent} >= l{i}:")
+            total = f"{acc} - {spent} // {scale:#x}"
+        depth += 1
+        if i < len(layout) - 1:
+            line(f"a{i} = {total}")
+            acc = f"a{i}"
+    line(f"if gcd({', '.join(chosen)}) == 0x1:")
+    line(f" yield of_ints(lattice, ({''.join(f'x{p}, ' if f'x{p}' in chosen else '0x0, ' for p in range(rank))}))")
+    out.append(" return piece0")
+    namespace = {"isqrt": isqrt, "gcd": gcd, "of_ints": LatticeVector._of_ints}
+    exec(compile("\n".join(out), "<enumeration generator>", "exec"), namespace)
+    return namespace["make"]
 
 
-def enumerate_with_square(
-    lattice: Lattice,
-    blocks: tuple[str, ...],
-    bound: int,
-    target: int,
-) -> Iterator[LatticeVector]:
+def enumerate_with_square(lattice: Lattice, blocks: tuple[str, ...], bound: int,
+                          target: int) -> Iterator[LatticeVector]:
     """All primitive vectors on the named ``blocks`` with |coords| <= bound and the given square.
 
     Deterministic lexicographic order on full coordinate tuples.  The blocks
-    are chosen one after another, each within the square range that the
-    blocks after it can still make up.  Negative-definite blocks (E8(-1),
-    <-2>), and runs of adjacent ones such as E8 + G1 + G2, are walked lazily
-    through their ellipsoid: no box of them is built, the first vector comes
-    after a few steps, and memory does not grow with the (2*bound + 1)^8 box
-    of E8.
+    are cut into runs (a plane, or adjacent negative-definite blocks), walked
+    by one generator that :func:`_generator` compiles for their layout.  A
+    plane loops over its box; a definite run writes out the Fincke-Pohst loop
+    of each coordinate through its ellipsoid, so no box of E8 is built.  Each
+    run keeps the squares that the runs after it can still make up, so the
+    last tests acc == target.  The source is keyed by the layout alone (runs,
+    ellipsoid data, rank), 8 layouts kept; the bound, the ranges and the boxes
+    are passed in as values, and the source writes its integers in hex.  A
+    function nests at most 20 loops, so a deeper layout chains functions.
     """
+    if type(target) is not int:
+        raise LatticeError(f"target square must be an integer, got {target!r}")
+    _check_bound(bound)
     runs: list[slice] = []
     for block in sorted(map(lattice.block_slice, set(blocks)), key=lambda block: block.start):
         joined = slice(runs[-1].start, block.stop) if runs and runs[-1].stop == block.start else None
@@ -592,39 +604,25 @@ def enumerate_with_square(
             runs[-1] = joined  # adjacent definite blocks are walked as one ellipsoid
         else:
             runs.append(block)
-    walkers = [_block_walker(lattice, run, bound) for run in runs]
-    suffix_min = [0] * (len(walkers) + 1)
-    suffix_max = [0] * (len(walkers) + 1)
-    for idx in range(len(walkers) - 1, -1, -1):
-        qmin, qmax, _ = walkers[idx]
-        suffix_min[idx] = suffix_min[idx + 1] + qmin
-        suffix_max[idx] = suffix_max[idx + 1] + qmax
-
-    rank = lattice.rank
-    chosen: list[IntVector] = []
-
-    def rec(idx: int, acc: int) -> Iterator[LatticeVector]:
-        if idx == len(walkers):
-            if acc == target:
-                full = [0] * rank
-                for run, run_coords in zip(runs, chosen):
-                    full[run] = run_coords
-                if gcd(*full) == 1:
-                    yield LatticeVector._of_ints(lattice, tuple(full))  # every coordinate came from a range
-            return
-        walk = walkers[idx][2]
-        for run_coords, q in walk(target - acc - suffix_max[idx + 1], target - acc - suffix_min[idx + 1]):
-            chosen.append(run_coords)
-            yield from rec(idx + 1, acc + q)
-            chosen.pop()
-
-    yield from rec(0, 0)
+    layout, boxes, ranges, lo, hi = [], [], [], target, target
+    for run in reversed(runs):  # ranges: the sums that each run may leave behind it
+        gram = _slice_gram(lattice, run)
+        layout.insert(0, (run.start, run.stop, _ellipsoid(gram)))
+        ranges[:0] = (lo, hi)
+        if layout[0][2] is not None:  # its squares lie in [-bound^2 * sum |G_ij|, 0]
+            hi += bound * bound * sum(abs(g) for row in gram for g in row)
+        else:
+            box = product(range(-bound, bound + 1), repeat=len(gram))
+            boxes.insert(0, [(t, _block_square(lattice, run, t)) for t in box])
+            lo, hi = lo - max(q for _, q in boxes[0]), hi - min(q for _, q in boxes[0])
+    make = _generator(tuple(layout), lattice.rank)
+    return make(lattice, bound, ranges, boxes)()
 
 
 def enumerate_primitive_isotropic(window: EnumerationWindow) -> Iterator[LatticeVector]:
     """Primitive isotropic vectors of LY supported on the window's blocks."""
     model, _ = build_model()
-    yield from enumerate_with_square(model.lambda_Y, window.blocks, window.bound, target=0)
+    return enumerate_with_square(model.lambda_Y, window.blocks, window.bound, target=0)
 
 
 # ---------------------------------------------------------------------------

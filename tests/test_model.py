@@ -24,7 +24,7 @@ from nikulat import (
     vector_profile,
 )
 from nikulat import model as model_module
-from nikulat.lattice import check_embedding
+from nikulat.lattice import Lattice, check_embedding, direct_sum
 from nikulat.model import (
     DEFAULT_WINDOW,
     SECOND_WINDOW,
@@ -36,7 +36,6 @@ from nikulat.model import (
     enumerate_with_square,
     eta_from_matrix,
     lattice_registry,
-    sigma_invariant_basis,
 )
 
 
@@ -105,9 +104,19 @@ def test_sigma_star_wrong_lattice(setup):
         sigma_star(nv.L(0))
 
 
+def sigma_invariant_basis():
+    """Oracle: a basis of the sigma_star-invariant sublattice of LX (rank 15), ordered to
+    match Lfix: the U^3 basis, the diagonal E8 classes eps_i + sigma(eps_i), the <-2> generator."""
+    model, _ = build_model()
+    block = model.lambda_X.block_basis
+    diagonal = tuple(a + b for a, b in zip(block("E8a"), block("E8b")))
+    return block("U1", "U2", "U3") + diagonal + block("D")
+
+
 def test_sigma_invariant_sublattice_is_lfix(setup):
     model, _ = setup
     basis = sigma_invariant_basis()
+    assert all(sigma_star(v) == v for v in basis)
     assert len(basis) == 15
     gram = tuple(tuple(pair(a, b) for b in basis) for a in basis)
     assert gram == model.lambda_fix.gram  # diagonal E8 classes double their square
@@ -435,6 +444,58 @@ def test_enumerate_rejects_empty_window():
         EnumerationWindow(("U1",), 0)
     with pytest.raises(LatticeError):
         EnumerationWindow(("U9",), 1)
+
+
+@pytest.mark.parametrize("bound", [True, 1.0, 2.5, "2", None], ids=repr)
+def test_enumeration_window_rejects_a_bound_that_is_not_an_int(bound):
+    with pytest.raises(LatticeError, match="integer"):
+        EnumerationWindow(("U1",), bound)
+
+
+@pytest.mark.parametrize("bound,target", [(True, 0), (1.0, 0), (0, 0), (-1, 0), (1, 0.5), (1, 0.0), (1, False)],
+                         ids=repr)
+def test_enumerate_with_square_rejects_a_bad_bound_or_target(setup, bound, target):
+    model, _ = setup
+    with pytest.raises(LatticeError):
+        list(enumerate_with_square(model.lambda_Y, ("U1",), bound, target))
+
+
+def test_enumerate_chains_a_layout_deeper_than_twenty_loops():
+    """24 adjacent <-2> blocks form one definite run of 24 coordinates, more loops than
+    one compiled function may nest; the roots at bound 1 are exactly the 48 vectors +-e_i."""
+    lattice = direct_sum([Lattice(f"G{k}", ((-2,),), ((f"G{k}", 0, 1),)) for k in range(24)])
+    roots = [v.coords for v in enumerate_with_square(lattice, tuple(f"G{k}" for k in range(24)), 1, -2)]
+    unit = [tuple(int(i == k) for i in range(24)) for k in range(24)]
+    assert roots == sorted([tuple(-c for c in e) for e in unit] + unit)
+
+
+def test_enumerate_chains_a_layout_of_many_runs():
+    """20 <-2> blocks parted by U planes, then the last plane: 21 runs, so the plane's box
+    loop starts a chained function.  Square 0 at bound 1 means the plane alone at (+-1, 0)
+    or (0, +-1), or the plane at +-(1, 1) with one <-2> coordinate +-1."""
+    parts = []
+    for k in range(20):
+        parts += [Lattice(f"G{k}", ((-2,),), ((f"G{k}", 0, 1),)), Lattice(f"U{k}", ((0, 1), (1, 0)), ((f"U{k}", 0, 2),))]
+    lattice = direct_sum(parts)
+    blocks = tuple(f"G{k}" for k in range(20)) + ("U19",)
+    found = [v.coords for v in enumerate_with_square(lattice, blocks, 1, 0)]
+    expected = [(0,) * 58 + plane for plane in [(1, 0), (-1, 0), (0, 1), (0, -1)]]
+    expected += [tuple(g if i == 3 * k else 0 for i in range(58)) + (s, s)
+                 for k in range(20) for g in (-1, 1) for s in (-1, 1)]
+    assert found == sorted(expected)
+
+
+def test_enumerate_gram_entry_and_bound_past_the_digit_limit():
+    """A <-10^5000> block puts 5,001-digit ellipsoid data into the generator's source."""
+    huge = 10**5000
+    lattice = Lattice("huge", ((-huge,),))
+    assert [v.coords for v in enumerate_with_square(lattice, ("huge",), huge, -huge)] == [(-1,), (1,)]
+
+
+@pytest.mark.parametrize("target", [10**5000, -10**5000], ids=["plus", "minus"])
+def test_enumerate_huge_target_compiles_and_finds_nothing(setup, target):
+    model, _ = setup
+    assert list(enumerate_with_square(model.lambda_Y, ("U1", "E8", "G1", "G2"), 1, target)) == []
 
 
 def test_sigma_pairing_discriminant_on_windows(setup):

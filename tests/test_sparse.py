@@ -3,10 +3,10 @@
 Pairings, divisibility, reflections and block squares read only the nonzero
 Gram entries, and embeddings only the nonzero matrix entries; each must agree
 exactly with the dense matrix formula.  The
-lazy block walker of the enumeration is checked against a full box table.
+compiled enumerator is checked against a full box table.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import gcd
 
@@ -31,10 +31,10 @@ from nikulat.lattice import (
 )
 from nikulat.model import (
     _block_square,
-    _block_walker,
     _ellipsoid,
     build_model,
     default_generator_table,
+    enumerate_with_square,
 )
 
 MODEL, NV = build_model()
@@ -241,26 +241,50 @@ def test_e8_square_matches_dense(t):
     assert _block_square(lat, lat.block_slice("E8"), t) == dense_pair(E8_NEG_GRAM, t, t)
 
 
-# --- the block walker of enumerate_with_square against the box oracle --------------
+# --- enumerate_with_square against the box oracle ---------------------------------
+
+LY_BLOCKS = ("U1", "U2", "U3", "E8", "G1", "G2")
 
 
-def ly_run(first, last):
-    """The coordinates of LY's blocks from ``first`` to ``last``, as enumerate walks
-    adjacent definite blocks together."""
-    lat = MODEL.lambda_Y
-    return slice(lat.block_slice(first).start, lat.block_slice(last).stop)
+def box_oracle(lattice, names, table, target):
+    """Oracle: the box of the blocks ``names`` as the product of their ``table(name)`` in
+    coordinate order, so in lexicographic order, filtered by square == target and gcd == 1.
+    The blocks are direct summands, so a square is the sum of the block squares."""
+    names = sorted(names, key=lambda name: lattice.block_slice(name).start)
+    slices = [lattice.block_slice(name) for name in names]
+    found = []
+    for parts in product(*map(table, names)):
+        if sum(q for _, q in parts) == target:
+            full = [0] * lattice.rank
+            for block, (t, _) in zip(slices, parts):
+                full[block] = t
+            if gcd(*full) == 1:
+                found.append(tuple(full))
+    return found
 
 
-@lru_cache(maxsize=1)
-def ly_run_table(first, last, bound):
-    # one table at a time: E8 at bound 2 alone holds 390,625 entries
-    return block_table(MODEL.lambda_Y, ly_run(first, last), bound)
+def draw_target(data, names, table):
+    """A square that the box reaches, or any integer near the squares of small vectors."""
+    sums = {0}
+    for name in names:
+        sums = {a + q for a in sums for q in {q for _, q in table(name)}}
+    return data.draw(st.sampled_from(sorted(sums)) | st.integers(-30, 16))
 
 
-def assert_walker_matches_oracle(lattice, block, bound, table, lo, hi):
-    qmin, qmax, walk = _block_walker(lattice, block, bound)
-    assert all(qmin <= q <= qmax for _, q in table)
-    assert list(walk(lo, hi)) == [(t, q) for t, q in table if lo <= q <= hi]
+def assert_enumerate_matches_oracle(lattice, names, bound, table, target):
+    found = [v.coords for v in enumerate_with_square(lattice, tuple(names), bound, target)]
+    assert found == box_oracle(lattice, names, table, target)
+
+
+@lru_cache(maxsize=2)
+def ly_table(name, bound):
+    # E8 at bound 2 alone holds 390,625 entries
+    return block_table(MODEL.lambda_Y, MODEL.lambda_Y.block_slice(name), bound)
+
+
+def check_ly_window(names, bound, data):
+    table = partial(ly_table, bound=bound)
+    assert_enumerate_matches_oracle(MODEL.lambda_Y, names, bound, table, draw_target(data, names, table))
 
 
 @pytest.mark.parametrize("first,last,bound", [
@@ -268,16 +292,25 @@ def assert_walker_matches_oracle(lattice, block, bound, table, lo, hi):
     ("E8", "G2", 1), ("G1", "G2", 2),
 ])
 @settings(max_examples=10, deadline=None)
-@given(lo=st.integers(-24, 4), width=st.integers(-1, 30))
-def test_walker_matches_box_oracle_on_ly_blocks(first, last, bound, lo, width):
-    table = ly_run_table(first, last, bound)
-    assert_walker_matches_oracle(MODEL.lambda_Y, ly_run(first, last), bound, table, lo, lo + width)
+@given(data=st.data())
+def test_walker_matches_box_oracle_on_ly_blocks(first, last, bound, data):
+    """The blocks of LY from ``first`` to ``last``: adjacent definite blocks are walked as one run."""
+    check_ly_window(LY_BLOCKS[LY_BLOCKS.index(first):LY_BLOCKS.index(last) + 1], bound, data)
+
+
+@pytest.mark.parametrize("names,bound", [
+    (("U1", "E8"), 1), (("U1", "G2"), 2), (("U2", "G1", "G2"), 2), (("U1", "U3", "G2"), 1), (("U3", "E8"), 1),
+], ids=lambda x: ",".join(x) if isinstance(x, tuple) else str(x))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_enumerate_matches_box_oracle_on_ly_windows(names, bound, data):
+    check_ly_window(names, bound, data)
 
 
 @st.composite
 def negative_definite_gram(draw):
     """-(M^T M) - D with D a positive diagonal: negative definite for any integer M."""
-    n = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=3))
     m = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n))
     d = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
     return tuple(
@@ -286,13 +319,30 @@ def negative_definite_gram(draw):
     )
 
 
+@st.composite
+def mixed_lattice(draw):
+    """A direct sum of U and U(2) planes and random negative-definite blocks, with a window
+    of its blocks whose box holds at most 3^9 entries."""
+    parts = []
+    for k in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from((1, 2, "definite")))
+        gram = draw(negative_definite_gram()) if kind == "definite" else ((0, kind), (kind, 0))
+        assert (_ellipsoid(gram) is not None) == (kind == "definite")
+        parts.append(Lattice(f"B{k}", gram, ((f"B{k}", 0, len(gram)),)))
+    lattice = direct_sum(parts, label="mixed")
+    names = draw(st.lists(st.sampled_from([p.label for p in parts]), min_size=1, max_size=3, unique=True))
+    size = sum(len(range(lattice.rank)[lattice.block_slice(name)]) for name in names)
+    return lattice, names, size
+
+
 @settings(max_examples=60, deadline=None)
-@given(gram=negative_definite_gram(), bound=st.integers(1, 2), lo=st.integers(-200, 4), width=st.integers(-1, 80))
-def test_walker_matches_box_oracle_on_random_definite_blocks(gram, bound, lo, width):
-    lat = Lattice("definite", gram)
-    block = lat.block_slice(lat.label)
-    assert _ellipsoid(lat.gram) is not None
-    assert_walker_matches_oracle(lat, block, bound, block_table(lat, block, bound), lo, lo + width)
+@given(case=mixed_lattice(), data=st.data())
+def test_walker_matches_box_oracle_on_random_definite_blocks(case, data):
+    """Random planes and definite blocks, adjacent definite ones walked as one run."""
+    lattice, names, size = case
+    bound = data.draw(st.integers(1, 2 if 5**size <= 3**9 else 1))
+    table = lru_cache(maxsize=None)(lambda name: block_table(lattice, lattice.block_slice(name), bound))
+    assert_enumerate_matches_oracle(lattice, names, bound, table, draw_target(data, names, table))
 
 
 @settings(max_examples=100, deadline=None)
