@@ -164,10 +164,11 @@ def _pack(x: IntVector, width: int) -> int:
 _KERNELS = 8
 
 
-def _signed(coef: int, var: str) -> str:
-    """`` + coef*var`` as source text, the coefficient in hex (see :func:`_kernel`)."""
-    mag = abs(coef)
-    return (" - " if coef < 0 else " + ") + (var if mag == 1 else f"{mag:#x}*{var}")
+def linear_source(terms) -> str:
+    """The sum of coef*var over the ``(coef, var)`` ``terms`` as source text, "" if none, every
+    coefficient in hex (see :func:`_kernel`); :func:`nikulat.model._generator` writes with it too."""
+    text = "".join((" - " if c < 0 else " + ") + (v if abs(c) == 1 else f"{abs(c):#x}*{v}") for c, v in terms)
+    return ("-" if text.startswith(" - ") else "") + text[3:]
 
 
 @lru_cache(maxsize=_KERNELS)
@@ -190,10 +191,9 @@ def _kernel(supports: tuple, bound: int, rank: int):
     lines.append(f"  ({''.join(f'x{i}, ' for i in range(rank))}) = x")
     lines.append("  images = []\n  add = images.append\n  clip = 0x0")
     for j, (gram_root, root) in enumerate(supports):
-        c = "".join(_signed(g, f"x{i}") for i, g in gram_root)  # G.r != 0: the form is nondegenerate
-        lines.append(f"  c = {'-' if c.startswith(' - ') else ''}{c[3:]}")
+        lines.append(f"  c = {linear_source((g, f'x{i}') for i, g in gram_root)}")  # G.r != 0: nondegenerate form
         lines.append("  if c:")
-        lines.extend(f"   y{i} = x{i}{_signed(r, 'c')}" for i, r in root)
+        lines.extend(f"   y{i} = {linear_source(((1, f'x{i}'), (r, 'c')))}" for i, r in root)
         lines.append(f"   if {' and '.join(f'lo <= y{i} <= hi' for i, _ in root)}:")
         image = "".join(f"y{i}, " if i in covers[j] else f"x{i}, " for i in range(rank))
         lines.append(f"    add(({j:#x}, c, ({image})))")

@@ -27,7 +27,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterator
 
 from .intmat import IntVector, Matrix
-from .isometry import Isometry, _signed, reflection
+from .isometry import Isometry, linear_source, reflection
 from .lattice import (
     EmbeddingMap,
     Lattice,
@@ -553,12 +553,12 @@ def _generator(layout: tuple, rank: int):
             depth += 1
             spent = ""
             for p, (e, den, lower) in enumerate(rows, start):
-                c = "".join(_signed(n, f"x{start + j}") for j, n in lower)
+                c = linear_source((n, f"x{start + j}") for j, n in lower)
                 first, last = (f"(r + c{p})", f"(r - c{p})") if c else ("r", "r")
                 if den != 1:
                     first, last = f"({first} // {den:#x})", f"{last} // {den:#x}"
                 loop([acc, f"b{i}", f"l{i}"] + ([spent] if spent else []),
-                     *([f"c{p} = {'-' if c.startswith(' - ') else ''}{c[3:]}"] if c else []),
+                     *([f"c{p} = {c}"] if c else []),
                      f"r = isqrt((b{i}{spent and ' - ' + spent}) // {e:#x})",  # the largest |den_k t_k + c_k|
                      f"for x{p} in range(max(low, -{first}), min(bound, {last}) + 0x1):")
                 chosen.append(f"x{p}")

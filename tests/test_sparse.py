@@ -246,34 +246,36 @@ def test_e8_square_matches_dense(t):
 LY_BLOCKS = ("U1", "U2", "U3", "E8", "G1", "G2")
 
 
-def box_oracle(lattice, names, table, target):
+def box_oracle(lattice, names, table, targets):
     """Oracle: the box of the blocks ``names`` as the product of their ``table(name)`` in
-    coordinate order, so in lexicographic order, filtered by square == target and gcd == 1.
-    The blocks are direct summands, so a square is the sum of the block squares."""
+    coordinate order, so in lexicographic order, filtered by square and gcd == 1: for each
+    of the ``targets``, the primitive vectors of that square.  The blocks are direct
+    summands, so a square is the sum of the block squares."""
     names = sorted(names, key=lambda name: lattice.block_slice(name).start)
     slices = [lattice.block_slice(name) for name in names]
-    found = []
+    found = {target: [] for target in targets}
     for parts in product(*map(table, names)):
-        if sum(q for _, q in parts) == target:
+        square = sum(q for _, q in parts)
+        if square in found:
             full = [0] * lattice.rank
             for block, (t, _) in zip(slices, parts):
                 full[block] = t
             if gcd(*full) == 1:
-                found.append(tuple(full))
+                found[square].append(tuple(full))
     return found
 
 
-def draw_target(data, names, table):
-    """A square that the box reaches, or any integer near the squares of small vectors."""
+def draw_targets(data, names, table):
+    """Up to four squares, each one the box reaches or any integer near the squares of small vectors."""
     sums = {0}
     for name in names:
         sums = {a + q for a in sums for q in {q for _, q in table(name)}}
-    return data.draw(st.sampled_from(sorted(sums)) | st.integers(-30, 16))
+    return data.draw(st.lists(st.sampled_from(sorted(sums)) | st.integers(-30, 16), min_size=1, max_size=4))
 
 
-def assert_enumerate_matches_oracle(lattice, names, bound, table, target):
-    found = [v.coords for v in enumerate_with_square(lattice, tuple(names), bound, target)]
-    assert found == box_oracle(lattice, names, table, target)
+def assert_enumerate_matches_oracle(lattice, names, bound, table, targets):
+    for target, vectors in box_oracle(lattice, names, table, targets).items():
+        assert [v.coords for v in enumerate_with_square(lattice, tuple(names), bound, target)] == vectors
 
 
 @lru_cache(maxsize=2)
@@ -282,35 +284,28 @@ def ly_table(name, bound):
     return block_table(MODEL.lambda_Y, MODEL.lambda_Y.block_slice(name), bound)
 
 
-def check_ly_window(names, bound, data):
-    table = partial(ly_table, bound=bound)
-    assert_enumerate_matches_oracle(MODEL.lambda_Y, names, bound, table, draw_target(data, names, table))
-
-
-@pytest.mark.parametrize("first,last,bound", [
-    ("E8", "E8", 1), ("E8", "E8", 2), ("G1", "G1", 1), ("G1", "G1", 2), ("U1", "U1", 2),
-    ("E8", "G2", 1), ("G1", "G2", 2),
+@pytest.mark.parametrize("window,bound", [
+    ("E8-E8", 1), ("E8-E8", 2), ("G1-G1", 1), ("G1-G1", 2), ("U1-U1", 2), ("E8-G2", 1), ("G1-G2", 2),
+    ("U1,E8", 1), ("U1,G2", 2), ("U2,G1,G2", 2), ("U1,U3,G2", 1), ("U3,E8", 1),
 ])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_walker_matches_box_oracle_on_ly_blocks(first, last, bound, data):
-    """The blocks of LY from ``first`` to ``last``: adjacent definite blocks are walked as one run."""
-    check_ly_window(LY_BLOCKS[LY_BLOCKS.index(first):LY_BLOCKS.index(last) + 1], bound, data)
-
-
-@pytest.mark.parametrize("names,bound", [
-    (("U1", "E8"), 1), (("U1", "G2"), 2), (("U2", "G1", "G2"), 2), (("U1", "U3", "G2"), 1), (("U3", "E8"), 1),
-], ids=lambda x: ",".join(x) if isinstance(x, tuple) else str(x))
-@settings(max_examples=10, deadline=None)
-@given(data=st.data())
-def test_enumerate_matches_box_oracle_on_ly_windows(names, bound, data):
-    check_ly_window(names, bound, data)
+def test_walker_matches_box_oracle_on_ly_blocks(window, bound, data):
+    """``first-last`` names the blocks of LY from first to last, adjacent definite ones
+    walked as one run; ``a,b,...`` names a window of non-adjacent blocks."""
+    if "-" in window:
+        first, last = window.split("-")
+        names = LY_BLOCKS[LY_BLOCKS.index(first):LY_BLOCKS.index(last) + 1]
+    else:
+        names = tuple(window.split(","))
+    table = partial(ly_table, bound=bound)
+    assert_enumerate_matches_oracle(MODEL.lambda_Y, names, bound, table, draw_targets(data, names, table))
 
 
 @st.composite
 def negative_definite_gram(draw):
     """-(M^T M) - D with D a positive diagonal: negative definite for any integer M."""
-    n = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n))
     d = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
     return tuple(
@@ -321,28 +316,34 @@ def negative_definite_gram(draw):
 
 @st.composite
 def mixed_lattice(draw):
-    """A direct sum of U and U(2) planes and random negative-definite blocks, with a window
-    of its blocks whose box holds at most 3^9 entries."""
+    """A direct sum of U and U(2) planes and random negative-definite blocks, one of them
+    forced definite, with a bound of 1 or 2 and a window of its blocks that holds that
+    definite block and whose box holds at most 3^9 entries."""
+    kinds = draw(st.lists(st.sampled_from((1, 2, "definite")), min_size=1, max_size=4))
+    forced = draw(st.integers(0, len(kinds) - 1))
+    kinds[forced] = "definite"
     parts = []
-    for k in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from((1, 2, "definite")))
+    for k, kind in enumerate(kinds):
         gram = draw(negative_definite_gram()) if kind == "definite" else ((0, kind), (kind, 0))
         assert (_ellipsoid(gram) is not None) == (kind == "definite")
         parts.append(Lattice(f"B{k}", gram, ((f"B{k}", 0, len(gram)),)))
-    lattice = direct_sum(parts, label="mixed")
-    names = draw(st.lists(st.sampled_from([p.label for p in parts]), min_size=1, max_size=3, unique=True))
-    size = sum(len(range(lattice.rank)[lattice.block_slice(name)]) for name in names)
-    return lattice, names, size
+    bound = draw(st.integers(1, 2))
+    names, size = [f"B{forced}"], parts[forced].rank
+    others = [p for k, p in enumerate(parts) if k != forced]
+    for part in draw(st.permutations(others))[:draw(st.integers(0, 2))]:
+        if (2 * bound + 1) ** (size + part.rank) <= 3**9:
+            names.append(part.label)
+            size += part.rank
+    return direct_sum(parts, label="mixed"), draw(st.permutations(names)), bound
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(case=mixed_lattice(), data=st.data())
 def test_walker_matches_box_oracle_on_random_definite_blocks(case, data):
-    """Random planes and definite blocks, adjacent definite ones walked as one run."""
-    lattice, names, size = case
-    bound = data.draw(st.integers(1, 2 if 5**size <= 3**9 else 1))
+    """Random planes and definite blocks of up to 4x4, adjacent definite ones walked as one run."""
+    lattice, names, bound = case
     table = lru_cache(maxsize=None)(lambda name: block_table(lattice, lattice.block_slice(name), bound))
-    assert_enumerate_matches_oracle(lattice, names, bound, table, draw_target(data, names, table))
+    assert_enumerate_matches_oracle(lattice, names, bound, table, draw_targets(data, names, table))
 
 
 @settings(max_examples=100, deadline=None)
