@@ -39,17 +39,20 @@ _TERM = re.compile(
 
 #: The names of LY's basis vectors, in coordinate order.
 _BASIS = (*(f"u{k}" for k in range(1, 7)), *(f"eps{k}" for k in range(1, 9)), "gamma1", "gamma2")
+#: Per basis vector, its name with a plus sign, with a minus sign, and bare.
+_SIGNED_BASIS = tuple((f"+{name}", f"-{name}", name) for name in _BASIS)
 
 
 @lru_cache(maxsize=1)
-def _names() -> dict[str, LatticeVector]:
+def _names() -> dict[str, tuple[tuple[int, int], ...]]:
+    """Each name's sparse support ``((i, c), ...)``, the nonzero coordinates of its vector."""
     _, nv = build_model()
-    return nv.by_name()
+    return {name: tuple((i, c) for i, c in enumerate(v.coords) if c) for name, v in nv.by_name().items()}
 
 
 def parse_vector(text: str) -> LatticeVector:
-    """Parse an expression into a vector of LY, summing the terms into one list of ints."""
-    model, nv = build_model()
+    """Parse an expression into a vector of LY, adding each term's support into one list of ints."""
+    model, _ = build_model()
     names = _names()
     total = [0] * model.lambda_Y.rank
     pos, end = 0, len(text.rstrip())
@@ -64,31 +67,35 @@ def parse_vector(text: str) -> LatticeVector:
         pos = m.end()
     for m in terms:
         name, arg = m["name"], m["arg"]
-        if name == "L":
+        if name == "L":  # L(i) = u1 + i*u2
             if arg is None:
                 raise ExpressionError("L requires an argument, e.g. L(1)")
-            base = nv.L(-int(arg) if m["neg"] else int(arg))
+            parts = ((1, names["u1"]), (-int(arg) if m["neg"] else int(arg), names["u2"]))
         elif arg is not None:
             raise ExpressionError(f"{name!r} does not take an argument")
         elif name not in names:
             raise ExpressionError(f"unknown vector name {name!r}")
         else:
-            base = names[name]
+            parts = ((1, names[name]),)
         coeff = (-1 if m["sign"] == "-" else 1) * int(m["coeff"] or 1)
-        for i, c in enumerate(base.coords):
-            if c:
-                total[i] += coeff * c
+        for k, support in parts:
+            k *= coeff
+            for i, c in support:
+                total[i] += k * c
     return LatticeVector._of_ints(model.lambda_Y, tuple(total))
 
 
 def format_vector(v: LatticeVector) -> str:
     """Render a vector of LY as an expression over the named basis."""
-    _, nv = build_model()
-    if v.lattice != nv.u[0].lattice:
+    model, _ = build_model()
+    if v.lattice is not model.lambda_Y and v.lattice != model.lambda_Y:
         raise ExpressionError("can only format vectors of LY")
-    text = "".join(
-        ("-" if c < 0 else "+") + ("" if c in (1, -1) else f"{abs(c)}*") + name
-        for c, name in zip(v.coords, _BASIS)
-        if c
-    )
-    return text.removeprefix("+") or "0"
+    parts = []
+    for c, (plus, minus, name) in zip(v.coords, _SIGNED_BASIS):
+        if c == 1:
+            parts.append(plus)
+        elif c == -1:
+            parts.append(minus)
+        elif c:
+            parts.append(f"+{c}*{name}" if c > 0 else f"-{-c}*{name}")
+    return "".join(parts).removeprefix("+") or "0"

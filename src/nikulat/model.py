@@ -228,13 +228,6 @@ def _require_in_LY(v: LatticeVector) -> None:
         raise LatticeError("expected a vector of LY")
 
 
-@lru_cache(maxsize=1)
-def _ly_slices() -> tuple[slice, ...]:
-    """The coordinate slices of LY's blocks U1, U2, U3, E8, G1, G2."""
-    model, _ = build_model()
-    return tuple(map(model.lambda_Y.block_slice, ("U1", "U2", "U3", "E8", "G1", "G2")))
-
-
 def _block_square(lattice: Lattice, block: slice, t: IntVector) -> int:
     """The square of coordinates ``t`` on ``block``, a direct summand, from its sparse Gram rows."""
     off = block.start
@@ -268,26 +261,41 @@ class VectorProfile:
         return not self.u_part_div_by_2 and self.e8_part_div_by_2 and self.gamma_in_delta_sigma_span
 
 
+def _profile_source() -> str:
+    """The source of :func:`_profile_kernel`, every integer in it written in hex."""
+    model, nv = build_model()
+    ly = model.lambda_Y
+    idx = range(ly.rank)
+    x, g = [f"x{i}" for i in idx], [f"g{i}" for i in idx]
+    u1, u2, u3, e8, g1, g2 = map(ly.block_slice, ("U1", "U2", "U3", "E8", "G1", "G2"))
+    (k,), (m,) = x[g1], x[g2]
+    dot = lambda block: " + ".join(f"x{i}*g{i}" for i in idx[block])
+    even = lambda names: f"not ({' | '.join(names)}) & 0x1"
+    sigma = linear_source((s, g[i]) for i, s in enumerate(nv.SigmaY.coords) if s)
+    lines = ["def profile(x):", f" ({''.join(f'{c}, ' for c in x)}) = x"]
+    lines += [f" {g[i]} = {linear_source((c, x[j]) for j, c in row)}" for i, row in enumerate(ly.sparse_rows)]
+    lines.append(f" return ({dot(slice(None))}, gcd({', '.join(g)}), gcd({', '.join(x)}) == 0x1, "
+                 f"{even(x[u1] + x[u2] + x[u3])}, ({''.join(f'{c}, ' for c in x[e8])}), {even(x[e8])}, "
+                 f"({dot(e8)}) % 0x4, ({k}, {m}), ({k} - {m}) % 0x2 == 0x0, ({sigma}) % 0x4)")
+    return "\n".join(lines)
+
+
+@lru_cache(maxsize=1)
+def _profile_kernel():
+    """:class:`VectorProfile`'s fields as one straight-line function of LY's coordinates x, each
+    read off one product g = G.x: q = sum x_i g_i, div = gcd(g), (x, SigmaY) = sum SigmaY_i g_i,
+    and the E8 square sums x_i g_i over E8, exact because E8 is a direct summand of LY."""
+    namespace = {"gcd": gcd}
+    exec(compile(_profile_source(), "<profile kernel>", "exec"), namespace)
+    return namespace["profile"]
+
+
 def vector_profile(v: LatticeVector) -> VectorProfile:
+    """Every invariant of ``v`` that the decision table consults, from one compiled G.x."""
     _require_in_LY(v)
     if v.is_zero():
         raise LatticeError("profile of the zero vector is undefined")
-    model, vectors = build_model()
-    u1, u2, u3, e8, g1, g2 = _ly_slices()
-    x = v.coords
-    e8_part, (k,), (m,) = x[e8], x[g1], x[g2]
-    return VectorProfile(
-        q=square(v),
-        div=divisibility(v),
-        primitive=is_primitive(v),
-        u_part_div_by_2=all(c % 2 == 0 for c in x[u1] + x[u2] + x[u3]),
-        e8_part=e8_part,
-        e8_part_div_by_2=all(c % 2 == 0 for c in e8_part),
-        q_e8_mod4=_block_square(model.lambda_Y, e8, e8_part) % 4,
-        gamma_coords=(k, m),
-        gamma_in_delta_sigma_span=(k - m) % 2 == 0,
-        pair_sigma_mod4=pair(v, vectors.SigmaY) % 4,
-    )
+    return VectorProfile(*_profile_kernel()(v.coords))
 
 
 @dataclass(frozen=True)
@@ -424,20 +432,19 @@ def classify_isotropic_type(v: LatticeVector) -> FibrationType:
 
     Also reports (v, SigmaY) mod 4; the value 2 forces type A, since every
     divisibility-2 isotropic vector pairs with SigmaY to a multiple of 4.
+    Every invariant it reads comes off the one compiled G.x of :func:`vector_profile`.
     """
     _require_in_LY(v)
-    if v.is_zero() or not is_primitive(v):
+    q, div, primitive, *_, sigma_mod4 = _profile_kernel()(v.coords)
+    if not primitive:  # the zero vector too: its coordinates have gcd 0
         raise LatticeError("type classification needs a primitive nonzero vector")
-    if square(v) != 0:
-        raise LatticeError(f"vector is not isotropic: q = {square(v)}")
-    _, nv = build_model()
-    div = divisibility(v)
+    if q != 0:
+        raise LatticeError(f"vector is not isotropic: q = {q}")
     if div not in _FIBRATION_TYPES:
         raise RuntimeError(
             f"internal consistency error: primitive vector with divisibility {div}"
         )
     type_label, expr, polarisation = _FIBRATION_TYPES[div]
-    sigma_mod4 = pair(v, nv.SigmaY) % 4
     result = FibrationType(
         type_label=type_label,
         orbit_representative=_representative_vector(expr),

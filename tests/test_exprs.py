@@ -98,7 +98,8 @@ def test_format_rejects_other_lattices():
 _term = st.tuples(
     st.sampled_from("+-"),
     st.none() | st.integers(0, 10**6),
-    st.sampled_from(sorted(_NAMES)) | st.integers(-(10**6), 10**6),  # an int i stands for L(i)
+    # an int i stands for L(i); the second range makes L(0) and negative L(i) frequent
+    st.sampled_from(sorted(_NAMES)) | st.integers(-(10**6), 10**6) | st.integers(-3, 0),
 )
 _terms = st.lists(_term, min_size=1, max_size=12)
 
@@ -262,3 +263,12 @@ def _outcome(parse, text):
 @settings(max_examples=500, deadline=None)
 def test_parse_agrees_with_reference_parser(text):
     assert _outcome(parse_vector, text) == _outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["L(0)", "L(-3)", "-L(-3)", "2*L(0)+L(-3)", "e2+e2+e2", "u1-u1", "gamma1+gamma2-deltaY",
+     "L(2)-L(2)", "w-w+w", "0*u1", "0*L(5)+u2", "u1+0*u1"],
+)
+def test_parse_supports_agree_with_reference_parser(text):
+    assert parse_vector(text) == reference_parse(text)

@@ -1,8 +1,11 @@
 """Named model, condition (*), the decision table, types, enumeration."""
 
 import hashlib
+import io
 import itertools
 import random
+import sys
+import tokenize
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from nikulat import (
     is_primitive,
     orbit_explore,
     pair,
+    parse_vector,
     sigma_star,
     square,
     vector_profile,
@@ -29,6 +33,8 @@ from nikulat.model import (
     DEFAULT_WINDOW,
     SECOND_WINDOW,
     EnumerationWindow,
+    FibrationType,
+    VectorProfile,
     build_model,
     case_representative,
     default_generators,
@@ -227,6 +233,136 @@ def test_profile_parity_invariants(setup):
         assert p.gamma_in_delta_sigma_span == ((k - m) % 2 == 0)
         assert p.q_e8_mod4 in (0, 2)
         assert p.pair_sigma_mod4 in (0, 2)
+
+
+# --- the compiled profile kernel against the four-pass computation --------------------
+
+# The reference: each invariant by its own pass over LY's Gram rows, through
+# the lattice module's square, divisibility, is_primitive and pair, and the
+# E8 block square, as the profile and the type verdict were computed before
+# one compiled G.x gave them all.
+
+
+def _reference_profile(v):
+    model, nv = build_model()
+    ly, x = model.lambda_Y, v.coords
+    u1, u2, u3, e8, g1, g2 = map(ly.block_slice, ("U1", "U2", "U3", "E8", "G1", "G2"))
+    (k,), (m,) = x[g1], x[g2]
+    return VectorProfile(
+        q=square(v),
+        div=divisibility(v),
+        primitive=is_primitive(v),
+        u_part_div_by_2=all(c % 2 == 0 for c in x[u1] + x[u2] + x[u3]),
+        e8_part=x[e8],
+        e8_part_div_by_2=all(c % 2 == 0 for c in x[e8]),
+        q_e8_mod4=model_module._block_square(ly, e8, x[e8]) % 4,
+        gamma_coords=(k, m),
+        gamma_in_delta_sigma_span=(k - m) % 2 == 0,
+        pair_sigma_mod4=pair(v, nv.SigmaY) % 4,
+    )
+
+
+def _reference_type(v):
+    model, nv = build_model()
+    if v.lattice != model.lambda_Y:
+        raise LatticeError("expected a vector of LY")
+    if v.is_zero() or not is_primitive(v):
+        raise LatticeError("type classification needs a primitive nonzero vector")
+    if square(v) != 0:
+        raise LatticeError(f"vector is not isotropic: q = {square(v)}")
+    type_label, expr, polarisation = {1: ("A", "L(1)+e2", (1, 2)), 2: ("B", "L(0)", (1, 1))}[divisibility(v)]
+    sigma_mod4 = pair(v, nv.SigmaY) % 4
+    return FibrationType(type_label, parse_vector(expr), expr, polarisation, sigma_mod4, sigma_mod4 == 2)
+
+
+def _outcome(fn, v):
+    try:
+        return fn(v)
+    except LatticeError as exc:
+        return type(exc), str(exc)
+
+
+def _isotropic(y, a=1):
+    """a*u1 + b*u2 + y, isotropic: y (zero on U1, doubled if its square is 2 mod 4) fixes b."""
+    _, nv = build_model()
+    if square(y) % 4:
+        y = 2 * y
+    return a * nv.u[0] - a * (square(y) // 4) * nv.u[1] + y
+
+
+def _off_u1(coords):
+    """The vector of ``coords`` with its U1 part set to zero."""
+    model, _ = build_model()
+    coords[model.lambda_Y.block_slice("U1")] = [0, 0]
+    return model.lambda_Y.vector(coords)
+
+
+_WIDE_COORDS = st.sampled_from([2, 20, 10**6]).flatmap(
+    lambda w: st.lists(st.integers(-w, w), min_size=16, max_size=16)
+)
+
+
+@given(coords=_WIDE_COORDS)
+@settings(max_examples=300, deadline=None)
+def test_profile_kernel_agrees_with_four_passes(coords):
+    model, _ = build_model()
+    v = model.lambda_Y.vector(coords)
+    if v.is_zero():
+        return
+    assert vector_profile(v) == _reference_profile(v)
+    assert _outcome(classify_isotropic_type, v) == _outcome(_reference_type, v)
+
+
+@given(coords=_WIDE_COORDS, a=st.sampled_from([1, -1]), scale=st.sampled_from([1, 1, 2, 3]))
+@settings(max_examples=300, deadline=None)
+def test_profile_kernel_agrees_on_isotropic_vectors(coords, a, scale):
+    v = scale * _isotropic(_off_u1(coords), a)
+    assert square(v) == 0
+    assert vector_profile(v) == _reference_profile(v)
+    assert _outcome(classify_isotropic_type, v) == _outcome(_reference_type, v)
+
+
+def test_profile_kernel_takes_integers_past_the_decimal_conversion_limit(setup):
+    model, nv = setup
+    big = 10**5000
+    vectors = [
+        model.lambda_Y.vector([big if i % 3 else -big for i in range(16)]),
+        model.lambda_Y.vector([big + i for i in range(16)]),
+        _isotropic(big * nv.eps[0] + (big + 1) * nv.gamma1 - nv.u[2]),
+        _isotropic(-big * nv.e2 + nv.SigmaY, -1),
+    ]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        for v in vectors:
+            assert vector_profile(v) == _reference_profile(v)
+        for v in vectors[2:]:
+            assert classify_isotropic_type(v) == _reference_type(v)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_profile_kernel_source_writes_every_integer_in_hex():
+    source = model_module._profile_source()
+    numbers = [t.string for t in tokenize.generate_tokens(io.StringIO(source).readline)
+               if t.type == tokenize.NUMBER]
+    assert numbers and all(n.startswith("0x") for n in numbers)
+
+
+def test_type_keeps_its_error_paths(setup):
+    model, nv = setup
+    cases = [
+        (model.lambda_Y.vector((0,) * 16), "type classification needs a primitive nonzero vector"),
+        (2 * nv.L(0), "type classification needs a primitive nonzero vector"),
+        (nv.L(1), "vector is not isotropic: q = 4"),
+        (2 * nv.L(1) - nv.deltaY, "vector is not isotropic: q = 12"),
+        (model.lambda_X.basis_vector(0), "expected a vector of LY"),
+    ]
+    for v, message in cases:
+        with pytest.raises(LatticeError) as info:
+            classify_isotropic_type(v)
+        assert str(info.value) == message
+        assert _outcome(_reference_type, v) == (LatticeError, message)
 
 
 # --- classify_orbit ------------------------------------------------------------------
