@@ -11,12 +11,12 @@ Orbit closure and witness search share one generation step on packed keys
 order and a reflection adds c.key(r)); every generator is a reflection by type.
 A reflection reads only its lattice's sparse Gram rows; its one check is (r, r) = -2.
 
-The generation step expands a vector by every generator at once through an
-expansion kernel: one straight-line function compiled from the generators'
-supports and the coordinate bound, and kept in a table of ``_KERNELS`` entries
-keyed by those two (and the rank) only, so that endpoints of every key width
-share it.  It does the sums, updates and comparisons of a loop over the
-supports, in the same order, so every answer is exact.
+A generation runs in one kernel: a straight-line function compiled from the
+generators' supports and kept in a table of ``_KERNELS`` entries keyed by those,
+the coordinate bound and the rank only, so that endpoints of every key width
+share it.  It does the sums, updates and comparisons of a loop over the supports,
+in the same order, so every answer is exact, and builds an image's coordinate
+tuple only for a key it has not seen.
 
 Witness search keeps, in a least-recently-used table of ``_KEPT_ENDPOINTS``
 entries, the breadth-first levels around an endpoint searched more than once
@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import gcd
 
 from .lattice import (
@@ -160,7 +160,7 @@ def _pack(x: IntVector, width: int) -> int:
     return key
 
 
-#: expansion kernels kept compiled, least recently used out
+#: generation kernels kept compiled, least recently used out
 _KERNELS = 8
 
 
@@ -173,85 +173,86 @@ def linear_source(terms) -> str:
 
 @lru_cache(maxsize=_KERNELS)
 def _kernel(supports: tuple, bound: int, rank: int):
-    """The expansion kernel of reflections with ``supports`` in the box ``bound``.
+    """The generation kernel of reflections with ``supports`` in the box ``bound``.
 
-    ``supports`` holds each reflection's ``Isometry._supports``.  The kernel is
-    one straight-line function of the coordinates x of a vector of ``rank``.
-    It returns, in generator order, ``(j, c, y)`` for each reflection j with
-    c = (x, r_j) != 0 whose image y = x + c.r_j lies inside the box on r_j's
-    support, and a bit mask of the reflections whose image left the box there.
-    Every integer in its source is an index, a coefficient of G.r or r, or a
-    mask bit, all ints checked by :class:`Isometry` and written in hex, which
-    the interpreter's limit on converting ints to decimal text does not cover;
-    the bound, checked by :class:`OrbitBudget`, is passed in as a value.
-    Returned with each reflection's set of r-support indices.
+    ``supports`` holds each reflection's ``Isometry._supports``.  The kernel is one
+    straight-line ``generation(frontier, seen, cap, other)`` that runs :func:`_generation`
+    on vectors of ``rank`` inside the box: for each vector, in key order, and each
+    reflection j, in order, the pairing c = (x, r_j), the update of r_j's support, the box
+    test there, the key k = key + c.s_j and the ``seen`` test; only a new key gets its
+    coordinate tuple, then the meet and cap tests (the cap counting down the room left).
+    Every integer in its source (an index or a coefficient of G.r or r, each an int checked
+    by :class:`Isometry`) is written in hex, which the interpreter's limit on converting
+    ints to decimal text does not cover.  The bound and the steps s_j are closure values:
+    called with the steps in the caller's key width, the result returns the generation.
     """
-    covers = tuple(frozenset(i for i, _ in root) for _, root in supports)  # shared by every caller
-    lines = ["def make(lo, hi):", " def expand(x):"]
-    lines.append(f"  ({''.join(f'x{i}, ' for i in range(rank))}) = x")
-    lines.append("  images = []\n  add = images.append\n  clip = 0x0")
+    lines = [f"def make(lo, hi{''.join(f', s{j}' for j in range(len(supports)))}):",
+             " def generation(frontier, seen, cap, other):",
+             "  fresh = {}\n  clipped = False\n  room = cap - len(seen)\n  for key in sorted(frontier):",
+             f"   ({''.join(f'x{i}, ' for i in range(rank))}) = frontier[key]"]
     for j, (gram_root, root) in enumerate(supports):
-        lines.append(f"  c = {linear_source((g, f'x{i}') for i, g in gram_root)}")  # G.r != 0: nondegenerate form
-        lines.append("  if c:")
-        lines.extend(f"   y{i} = {linear_source(((1, f'x{i}'), (r, 'c')))}" for i, r in root)
-        lines.append(f"   if {' and '.join(f'lo <= y{i} <= hi' for i, _ in root)}:")
-        image = "".join(f"y{i}, " if i in covers[j] else f"x{i}, " for i in range(rank))
-        lines.append(f"    add(({j:#x}, c, ({image})))")
-        lines.append(f"   else:\n    clip |= {1 << j:#x}")
-    lines.append("  return images, clip\n return expand")
+        cover = {i for i, _ in root}
+        lines.append(f"   c = {linear_source((g, f'x{i}') for i, g in gram_root)}")  # G.r != 0: nondegenerate form
+        lines.append("   if c:")
+        lines.extend(f"    y{i} = {linear_source(((1, f'x{i}'), (r, 'c')))}" for i, r in root)
+        lines.append(f"    if {' and '.join(f'lo <= y{i} <= hi' for i, _ in root)}:")
+        lines.append(f"     k = key + c*s{j}\n     if k not in seen:\n      seen[k] = {j:#x}")
+        lines.append(f"      fresh[k] = ({''.join(f'y{i}, ' if i in cover else f'x{i}, ' for i in range(rank))})")
+        lines.append("      if k in other:\n       return fresh, clipped, False, k\n      room -= 0x1\n"
+                     "      if room < 0x0:\n       return fresh, clipped, True, None\n    else:\n     clipped = True")
+    lines.append("  return fresh, clipped, False, None\n return generation")
     namespace = {}
-    exec(compile("\n".join(lines), "<expansion kernel>", "exec"), namespace)
-    return namespace["make"](-bound, bound), covers
+    exec(compile("\n".join(lines), "<generation kernel>", "exec"), namespace)
+    return partial(namespace["make"], -bound, bound)
 
 
-def _generation(frontier: dict, seen: dict, kernel, steps, bound: int, cap, other=frozenset()):
+def _engine(supports: tuple, bound: int, rank: int, width: int) -> tuple:
+    """What :func:`_generation` expands by: ``(generation, supports, steps, bound)``, the
+    kernel of the reflections with ``supports`` bound to their packed steps in base ``width``."""
+    steps = [sum(r * width ** (rank - 1 - i) for i, r in root) for _, root in supports]
+    return _kernel(supports, bound, rank)(*steps), supports, steps, bound
+
+
+def _generation(frontier: dict, seen: dict, engine: tuple, cap, other=frozenset()):
     """One breadth-first generation on packed keys, shared by both searches.
 
-    ``frontier`` (key -> coordinates) is expanded in key order, each vector by
-    the ``kernel`` that :func:`_kernel` compiled for the generators' supports and
-    ``bound``; it makes the loop's sums, updates and comparisons in the loop's
-    order, so its images are exact and come in generator order.  Image j of the
-    vector of key k has key k + c * steps[j], ``steps`` being in the key width
-    of the caller.  A new image
-    inside ``bound`` is recorded as ``seen[key] = generator index`` and in
-    ``fresh``.  Expansion stops at the first inserted key that ``other`` (the
-    opposite search's parent map; empty for orbit closure) already holds, or
-    else once ``seen`` holds more than ``cap`` keys.  ``fresh`` is
-    insertion-ordered, so that meeting key is the first key of the full
-    generation's ``fresh`` found in ``other``.  Returns fresh, whether an image
-    left the box, whether the cap stopped the expansion, and the meeting key
-    (None if the sides did not meet).
-
-    The kernel expands a whole vector before its images are inserted, so after
-    a meet or a cap stop the flag also covers images past the stopping one.  No
-    caller reads it then: witness search ignores it, and orbit closure never
-    stops early.
+    ``frontier`` (key -> coordinates) is expanded in key order, each vector by every
+    reflection of the ``engine`` (see :func:`_engine`) in order; image j of the vector of
+    key k has key k + c * steps[j].  A new image inside ``bound`` is recorded as
+    ``seen[key] = generator index`` and in ``fresh``.  Expansion stops at the first
+    inserted key that ``other`` (the opposite search's parent map; empty for orbit
+    closure) already holds, or else once ``seen`` holds more than ``cap`` keys.  ``fresh``
+    is insertion-ordered, so that meeting key is the first key of the full generation's
+    ``fresh`` found in ``other``.  Returns fresh, whether an image before the stop left
+    the box, whether the cap stopped the expansion, and the meeting key (None if the
+    sides did not meet).  The compiled kernel runs every generation but a witness
+    endpoint's outside the box, a root alone in its frontier: that one is expanded here,
+    by the reflections whose r covers its outliers.
     """
-    expand, covers = kernel
-    fresh = {}
-    clipped = False
-    for key in sorted(frontier):
-        x = frontier[key]
-        images, clip = expand(x)
+    generation, supports, steps, bound = engine
+    if len(frontier) == 1:
+        ((key, x),) = frontier.items()
         if seen[key] is None and (max(x) > bound or min(x) < -bound):
             # a witness endpoint outside the box: r's support must cover its outliers
             out = {i for i, c in enumerate(x) if abs(c) > bound}
-            usable = {j for j, cover in enumerate(covers) if out <= cover}
-            images = [image for image in images if image[0] in usable]
-            clip &= sum(1 << j for j in usable)
-        if clip:
-            clipped = True
-        for j, c, y in images:
-            k = key + c * steps[j]
-            if k in seen:
-                continue
-            seen[k] = j
-            fresh[k] = y
-            if k in other:
-                return fresh, clipped, False, k
-            if len(seen) > cap:
-                return fresh, clipped, True, None
-    return fresh, clipped, False, None
+            fresh, clipped = {}, False
+            for j, (gram_root, root) in enumerate(supports):
+                c = sum(g * x[i] for i, g in gram_root)
+                if not c or not out <= {i for i, _ in root}:
+                    continue
+                y = list(x)
+                for i, r in root:
+                    y[i] += c * r
+                if max(y) > bound or min(y) < -bound:
+                    clipped = True
+                elif (k := key + c * steps[j]) not in seen:
+                    seen[k], fresh[k] = j, tuple(y)
+                    if k in other:
+                        return fresh, clipped, False, k
+                    if len(seen) > cap:
+                        return fresh, clipped, True, None
+            return fresh, clipped, False, None
+    return generation(frontier, seen, cap, other)
 
 
 def orbit_explore(seed: LatticeVector, gens, budget: OrbitBudget = OrbitBudget()) -> OrbitSet:
@@ -269,15 +270,14 @@ def orbit_explore(seed: LatticeVector, gens, budget: OrbitBudget = OrbitBudget()
     bound = budget.coord_bound
     if max(abs(c) for c in seed.coords) > bound:
         raise LatticeError("seed already exceeds the coordinate bound")
-    kernel = _kernel(tuple(g._supports for g in gens), bound, seed.lattice.rank)
-    steps = [_pack(g.root, 2 * bound + 1) for g in gens]
+    engine = _engine(tuple(g._supports for g in gens), bound, seed.lattice.rank, 2 * bound + 1)
     key = _pack(seed.coords, 2 * bound + 1)
     # key -> coordinates, also the engine's seen map: update(fresh) overwrites its marks
     members = {key: seed.coords}
     frontier = {key: seed.coords}
     exhausted = True
     for _ in range(budget.max_depth):
-        fresh, clipped, _, _ = _generation(frontier, members, kernel, steps, bound, float("inf"))
+        fresh, clipped, _, _ = _generation(frontier, members, engine, float("inf"))
         room = budget.max_frontier - len(members) + len(fresh)
         capped = len(fresh) > room
         if capped:
@@ -347,13 +347,13 @@ class _Levels:
         self.tree = {key: None}
         self.cut = False
 
-    def level(self, d: int, kernel, steps, bound: int, cap: int) -> tuple[dict, bool]:
+    def level(self, d: int, engine: tuple, cap: int) -> tuple[dict, bool]:
         """Level ``d``, generated in full when first asked for, and whether the cap cut it."""
         with _kept_lock:
             if d == len(self.levels):
                 n = len(self.tree)
                 try:
-                    fresh, _, self.cut, _ = _generation(self.levels[-1], self.tree, kernel, steps, bound, cap)
+                    fresh, _, self.cut, _ = _generation(self.levels[-1], self.tree, engine, cap)
                 except BaseException:  # an interrupted level must not stay half in the parent map
                     for k in list(self.tree)[n:]:
                         del self.tree[k]
@@ -426,8 +426,7 @@ def same_orbit_witness(
     bound, cap = budget.coord_bound, budget.max_frontier
     width = 2 * max(bound, *map(abs, v.coords), *map(abs, u.coords)) + 1
     supports = tuple(g._supports for g in gens)
-    kernel = _kernel(supports, bound, v.lattice.rank)
-    steps = [_pack(g.root, width) for g in gens]
+    engine = _engine(supports, bound, v.lattice.rank, width)
     apply = [g.apply_coords for g in gens]
     # per side (v, u): its kept levels (None on a first search); its parent map (key ->
     # index of the reflection that reached it, None at the root); the keys it holds at
@@ -462,10 +461,10 @@ def same_orbit_witness(
         s = 1 if frontiers[1] and (not frontiers[0] or len(frontiers[0]) > len(frontiers[1])) else 0
         other = held[1 - s]
         if kept[s] is None:
-            frontiers[s], _, overflow, meet = _generation(frontiers[s], trees[s], kernel, steps, bound, cap, other)
+            frontiers[s], _, overflow, meet = _generation(frontiers[s], trees[s], engine, cap, other)
         else:
             depth[s] += 1
-            frontiers[s], overflow = kept[s].level(depth[s], kernel, steps, bound, cap)
+            frontiers[s], overflow = kept[s].level(depth[s], engine, cap)
             meet = next((k for k in frontiers[s] if k in other), None)
             held[s].update(frontiers[s])
         if meet is not None:

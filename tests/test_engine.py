@@ -7,13 +7,16 @@ coordinate tuple and bound-checked on all coordinates.  Orbit members, the
 of coordinate bound, frontier cap or depth cuts the search short.
 
 ``reference_generation`` is the generation step as a loop over each
-reflection's supports, which the compiled expansion kernels replaced; one
-generation of the engine must equal it insertion for insertion.
+reflection's supports, which the compiled generation kernels replaced; one
+generation of the engine must equal it insertion for insertion, stop for stop
+and in its clipped flag.
 """
 
+import io
 import random
 import sys
 import threading
+import tokenize
 import weakref
 from itertools import product
 from math import gcd
@@ -24,7 +27,7 @@ from hypothesis import strategies as st
 
 from nikulat import OrbitBudget, isometry, orbit_explore, reflection, same_orbit_witness
 from nikulat.intmat import det
-from nikulat.isometry import _KEPT_ENDPOINTS, _SEEN_ONCE, _generation, _kernel, _kept, _pack, _seen_once
+from nikulat.isometry import _KEPT_ENDPOINTS, _SEEN_ONCE, _engine, _generation, _kernel, _kept, _pack, _seen_once
 from nikulat.lattice import Lattice, square
 from nikulat.model import build_model, default_generators
 
@@ -167,19 +170,11 @@ def reference_generation(frontier: dict, seen: dict, moves, bound: int, cap, oth
     return fresh, clipped, False, None
 
 
-def engine(supports, bound, rank, width):
-    """The kernel and key steps the engine expands by, for reflections of these supports."""
-    steps = []
-    for _, root in supports:
-        r = [0] * rank
-        for i, c in root:
-            r[i] = c
-        steps.append(_pack(r, width))
-    return _kernel(supports, bound, rank), steps
-
-
 def engine_of(gens, bound, rank, width):
-    return engine(tuple(g._supports for g in gens), bound, rank, width)
+    """What the engine expands by, for these reflections; its steps must be ``reference_moves``'."""
+    engine = _engine(tuple(g._supports for g in gens), bound, rank, width)
+    assert engine[2] == [move[3] for move in reference_moves(gens, width)]
+    return engine
 
 
 # --- strategies -----------------------------------------------------------------------
@@ -332,21 +327,21 @@ def assert_meets_on_insertion(v, u, gens, budget, generations, side):
     run's insertions just after the key that ``oracle_witness`` would meet at."""
     bound, cap = budget.coord_bound, budget.max_frontier
     width = 2 * max(bound, *map(abs, v.coords), *map(abs, u.coords)) + 1
-    kernel, steps = engine_of(gens, bound, v.lattice.rank, width)
+    engine = engine_of(gens, bound, v.lattice.rank, width)
     trees = [{_pack(v.coords, width): None}, {_pack(u.coords, width): None}]
     frontiers = [{k: v.coords for k in trees[0]}, {k: u.coords for k in trees[1]}]
     for step in range(generations):
         s = step % 2
-        frontiers[s], _, capped, _ = _generation(frontiers[s], trees[s], kernel, steps, bound, cap)
+        frontiers[s], _, capped, _ = _generation(frontiers[s], trees[s], engine, cap)
         if capped:
             break
     frontier, tree, other = frontiers[side], trees[side], trees[1 - side]
 
     full_seen = dict(tree)
-    full, full_clipped, full_capped, no_meet = _generation(frontier, full_seen, kernel, steps, bound, cap)
+    full, full_clipped, full_capped, no_meet = _generation(frontier, full_seen, engine, cap)
     assert no_meet is None
     seen = dict(tree)
-    fresh, clipped, capped, meet = _generation(frontier, seen, kernel, steps, bound, cap, other)
+    fresh, clipped, capped, meet = _generation(frontier, seen, engine, cap, other)
 
     assert meet == next((k for k in full if k in other), None)  # the post-hoc meeting
     if meet is None:
@@ -389,21 +384,19 @@ def test_meet_on_insertion_stops_inside_the_generation(side):
     assert meet is not None
 
 
-# --- the compiled expansion kernel --------------------------------------------------
+# --- the compiled generation kernel --------------------------------------------------
 
 
 def assert_generation_matches(frontier, seen, gens, rank, bound, width, cap, other):
     """One generation of the engine against ``reference_generation`` from the same state:
-    the same insertions in the same order, the same stop and, on a full generation, the
-    same clipped flag.  Returns the reference's result and its updated seen map."""
+    the same insertions in the same order, the same stop and the same clipped flag, also
+    when a meet or the cap stopped it.  Returns the reference's result and its seen map."""
     ref_seen, got_seen = dict(seen), dict(seen)
     ref = reference_generation(frontier, ref_seen, reference_moves(gens, width), bound, cap, other)
-    got = _generation(frontier, got_seen, *engine_of(gens, bound, rank, width), bound, cap, other)
+    got = _generation(frontier, got_seen, engine_of(gens, bound, rank, width), cap, other)
     assert list(got[0].items()) == list(ref[0].items())
     assert list(got_seen.items()) == list(ref_seen.items())
-    assert got[2:] == ref[2:]
-    if not ref[2] and ref[3] is None:
-        assert got[1] == ref[1]
+    assert got[1:] == ref[1:]
     return ref, ref_seen
 
 
@@ -460,6 +453,14 @@ def test_kernel_matches_reference_on_keys_past_int64():
     assert max(abs(k) for tree in trees for k in tree) > 2**63
 
 
+@pytest.mark.parametrize("cap", [1, 2, 7, 30, 80])
+def test_kernel_stops_at_the_insertion_past_the_cap(cap):
+    start = NV.L(1) + NV.e2
+    for v in (LY_GENS[3](LY_GENS[0](start)), reflection(NV.w)(start)):  # the second lies outside the box
+        trees = assert_generations_match(v, start, LY_GENS, OrbitBudget(4, cap, 4), 4, False)
+        assert cap + 1 in map(len, trees)
+
+
 def far_from(start, reach, seed=0):
     """A vector at most three reflections from ``start`` whose largest |coordinate| is ``reach``."""
     rng = random.Random(seed)
@@ -495,6 +496,25 @@ def test_orbits_at_two_bounds_compile_a_kernel_each():
     for bound in (3, 4):
         assert_orbit_matches(NV.L(0), LY_GENS, OrbitBudget(bound, 10**6, 4))
     assert (_kernel.cache_info().misses, _kernel.cache_info().currsize) == (2, 2)
+
+
+def test_kernel_source_writes_every_integer_in_hex_and_no_step(monkeypatch):
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(isometry, "compile", spy, raising=False)
+    supports = tuple(g._supports for g in LY_GENS)
+    for bound, width in ((4, 9), (5, 23)):  # another bound, and other steps in another width
+        _kernel.cache_clear()
+        _engine(supports, bound, 16, width)
+    first, second = sources
+    assert first == second  # so no bound and no step is written into the source
+    numbers = [t.string for t in tokenize.generate_tokens(io.StringIO(first).readline)
+               if t.type == tokenize.NUMBER]
+    assert numbers and all(n.startswith("0x") for n in numbers)
 
 
 def test_kernels_take_integers_past_the_decimal_conversion_limit():
@@ -538,12 +558,12 @@ def assert_kept_levels_complete():
     the full generation of the one before it, in insertion order and cut as the cap cuts."""
     assert not set(_kept) & set(_seen_once)
     for (x, supports, bound, cap, width), levels in _kept.items():
-        kernel, steps = engine(supports, bound, len(x), width)
+        engine = _engine(supports, bound, len(x), width)
         assert set(levels.tree) == {k for level in levels.levels for k in level}
         seen = {}
         for d, level in enumerate(levels.levels[:-1]):
             seen.update((k, levels.tree[k]) for k in level)
-            fresh, _, cut, _ = _generation(level, seen, kernel, steps, bound, cap)
+            fresh, _, cut, _ = _generation(level, seen, engine, cap)
             assert list(fresh.items()) == list(levels.levels[d + 1].items())
             assert cut == (levels.cut and d + 2 == len(levels.levels))
 

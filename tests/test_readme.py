@@ -3,7 +3,7 @@
 The "Library quick tour" block is executed as it stands.  Every ``nikulat``
 line of "Command line" runs through ``cli.main`` in a temporary directory and
 must exit 0; the ``# ...`` lines under a command are its documented output.
-That includes the witness search (about 5 s), whose printed word is checked.
+That includes the witness search (about 4 s), whose printed word is checked.
 """
 
 import re
