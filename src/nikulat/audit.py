@@ -29,7 +29,6 @@ from .lattice import (
     LatticeError,
     LatticeVector,
     check_embedding,
-    coords_divisibility,
     divisibility,
     is_primitive,
     pair,
@@ -304,12 +303,14 @@ def _claim_two_orbit_dichotomy(ctx: AuditContext, stated: dict):
     gens = default_generators()
     orbit_b = orbit_explore(nv.L(0), gens, ctx.budget)
     orbit_a = orbit_explore(nv.L(1) + nv.e2, gens, ctx.budget)
-    overlap = [c for c in orbit_b.members if c in orbit_a.member_set]
-    lat = nv.L(0).lattice
+    smaller, larger = sorted((orbit_b, orbit_a), key=len)  # hash only the smaller orbit
+    common = smaller.member_set.intersection(larger.members)
+    overlap = [c for c in orbit_b.members if c in common]
+    _, divisibility_of = nv.L(0).lattice.invariant_kernels
     # invariant-pure: every member has the divisibility of its orbit's start
     div_b, div_a = divisibility(nv.L(0)), divisibility(nv.L(1) + nv.e2)
-    pure_b = all(coords_divisibility(lat, c) == div_b for c in orbit_b.members)
-    pure_a = all(coords_divisibility(lat, c) == div_a for c in orbit_a.members)
+    pure_b = all(d == div_b for d in map(divisibility_of, orbit_b.members))
+    pure_a = all(d == div_a for d in map(divisibility_of, orbit_a.members))
     computed = {
         "window1_div_census": census1,
         "window2_div_census": census2,

@@ -34,9 +34,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache, partial
 from math import gcd
 
-from .lattice import (
-    IntVector, Lattice, LatticeError, LatticeVector, coords_divisibility, divisibility, is_primitive, square,
-)
+from .lattice import IntVector, Lattice, LatticeError, LatticeVector, divisibility, is_primitive, linear_source, square
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,7 @@ class OrbitSet:
     exhausted: bool
 
     def __post_init__(self) -> None:
-        if self.seed.coords not in self.member_set:
+        if self.seed.coords not in self.members:  # a scan of the tuple: hashes no member
             raise LatticeError("orbit seed must be among the members")
 
     @cached_property
@@ -162,13 +160,6 @@ def _pack(x: IntVector, width: int) -> int:
 
 #: generation kernels kept compiled, least recently used out
 _KERNELS = 8
-
-
-def linear_source(terms) -> str:
-    """The sum of coef*var over the ``(coef, var)`` ``terms`` as source text, "" if none, every
-    coefficient in hex (see :func:`_kernel`); :func:`nikulat.model._generator` writes with it too."""
-    text = "".join((" - " if c < 0 else " + ") + (v if abs(c) == 1 else f"{abs(c):#x}*{v}") for c, v in terms)
-    return ("-" if text.startswith(" - ") else "") + text[3:]
 
 
 @lru_cache(maxsize=_KERNELS)
@@ -298,16 +289,15 @@ def orbit_explore(seed: LatticeVector, gens, budget: OrbitBudget = OrbitBudget()
 def _assert_orbit_invariants(seed: LatticeVector, members: tuple[IntVector, ...]) -> None:
     """Spot-check that members share the seed's square/divisibility/primitivity.
 
-    Isometries conserve all three, so this is a defensive sample (full scan on
-    small sets) rather than a per-member recomputation on million-entry sets.
-    ``members`` is the sorted member tuple.
+    Isometries conserve all three, so this is a defensive sample of the sorted
+    ``members``, not a per-member recomputation on million-entry sets: every member
+    when there are n < 4,096, otherwise every (n // 2048)-th, read by the compiled kernels.
     """
-    lat = seed.lattice
+    square_of, divisibility_of = seed.lattice.invariant_kernels
     expected = (square(seed), divisibility(seed), is_primitive(seed))
     sample = members if len(members) <= 2048 else members[:: max(1, len(members) // 2048)]
     for coords in sample:  # members are ints of the lattice's rank: no re-validation
-        v = LatticeVector._of_ints(lat, coords)
-        got = (square(v), coords_divisibility(lat, coords), gcd(*coords) == 1)
+        got = (square_of(coords), divisibility_of(coords), gcd(*coords) == 1)
         if got != expected:
             raise LatticeError(
                 f"orbit invariant violated at {coords}: {got} != {expected}"

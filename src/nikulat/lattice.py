@@ -3,6 +3,10 @@
 A lattice is a free Z-module of finite rank together with a nondegenerate
 integer-valued symmetric bilinear form, stored as a Gram matrix.  Everything
 here is a pure function on immutable values; no floats appear anywhere.
+
+A lattice compiles the square and the divisibility of a coordinate tuple from its
+sparse Gram rows on first use (:attr:`Lattice.invariant_kernels`): the same integer
+sums and gcd as a loop over the rows, written out straight-line, integers in hex.
 """
 
 from __future__ import annotations
@@ -78,6 +82,14 @@ class Lattice:
         The sort is stable, so rows of equal content keep their index order.
         """
         return tuple(sorted(self.sparse_rows, key=lambda row: gcd(*(g for _, g in row))))
+
+    @cached_property
+    def invariant_kernels(self) -> tuple:
+        """``(square, divisibility)`` of a coordinate tuple, compiled from :func:`_invariant_source`
+        once, on first use, and kept on this lattice."""
+        namespace = {"gcd": gcd}
+        exec(compile(_invariant_source(self), "<invariant kernel>", "exec"), namespace)
+        return namespace["square"], namespace["divisibility"]
 
     def vector(self, coords) -> LatticeVector:
         return LatticeVector(self, coords)
@@ -222,6 +234,32 @@ def direct_sum(parts: list[Lattice] | tuple[Lattice, ...], label: str | None = N
     return Lattice(label, tuple(tuple(r) for r in rows), tuple(blocks))
 
 
+def linear_source(terms) -> str:
+    """The sum of coef*var over the ``(coef, var)`` ``terms`` as source text, "" if none, for every
+    compiled kernel: each coefficient in hex, which the int-to-decimal-text limit does not cover."""
+    text = "".join((" - " if c < 0 else " + ") + (v if abs(c) == 1 else f"{abs(c):#x}*{v}") for c, v in terms)
+    return ("-" if text.startswith(" - ") else "") + text[3:]
+
+
+def gx_source(rows: SparseRows) -> list[str]:
+    """Per sparse Gram row, the source of its entry of G.x in the names x0, x1, ..."""
+    return [linear_source((g, f"x{j}") for j, g in row) for row in rows]
+
+
+def _invariant_source(lat: Lattice) -> str:
+    """The source of :attr:`Lattice.invariant_kernels`: ``square(x)``, which sums
+    x_i (G_ii x_i + sum_{j>i} 2 G_ij x_j) over the upper triangle of the sparse rows, and
+    ``divisibility(x)``, the gcd of G.x as :func:`coords_divisibility` reads it."""
+    unpack = f" ({''.join(f'x{i}, ' for i in range(lat.rank))}) = x"
+    upper = (linear_source((g if j == i else 2 * g, f"x{j}") for j, g in row if j >= i)
+             for i, row in enumerate(lat.sparse_rows))
+    square = " + ".join(f"x{i}*({form})" for i, form in enumerate(upper) if form)
+    first, *rest = gx_source(lat.rows_by_content)  # a nondegenerate form has no zero row
+    lines = ["def square(x):", unpack, f" return {square}", "def divisibility(x):", unpack, f" d = gcd({first})"]
+    lines += [f" if d == 0x1:\n  return d\n d = gcd(d, {form})" for form in rest] + [" return d"]
+    return "\n".join(lines)
+
+
 def pair(v: LatticeVector, w: LatticeVector) -> int:
     """The bilinear pairing (v, w), exactly."""
     _same_lattice(v, w)
@@ -236,36 +274,25 @@ def pair(v: LatticeVector, w: LatticeVector) -> int:
 
 
 def square(v: LatticeVector) -> int:
-    """The self-pairing (v, v)."""
-    return pair(v, v)
+    """The self-pairing (v, v), from the lattice's compiled square (see :func:`_invariant_source`)."""
+    return v.lattice.invariant_kernels[0](v.coords)
 
 
 def divisibility(v: LatticeVector) -> int:
-    """Positive generator of the pairing ideal (v, L), taken in v's full ambient lattice."""
+    """Positive generator of the pairing ideal (v, L) in v's full lattice, by the compiled kernel."""
     if v.is_zero():
         raise LatticeError("divisibility of the zero vector is undefined")
-    return coords_divisibility(v.lattice, v.coords)
+    return v.lattice.invariant_kernels[1](v.coords)
 
 
 def coords_divisibility(lat: Lattice, x: IntVector) -> int:
-    """gcd of the entries of G.x for a coordinate tuple (0 at x = 0).
+    """gcd of the entries of G.x for a coordinate tuple (0 at x = 0), by ``lat``'s compiled kernel.
 
-    The rows of G are read in ``lat.rows_by_content`` order, smallest content
-    first, and the walk stops once the gcd is 1.  The gcd of all entries does
-    not depend on the order they are read in, and no further entry can move it
-    from 1, so the early exit is exact.  A row of content c contributes only
-    multiples of c, so a row of content above 1 can never bring the gcd to 1
-    by itself; reading the content-1 rows first reaches 1 sooner.
+    It reads the rows in ``lat.rows_by_content`` order, smallest content first, and
+    returns once the gcd is 1: no further entry can move it from 1, so the early exit
+    is exact.  Rows of content above 1 alone never reach 1, so content-1 rows go first.
     """
-    d = 0
-    for row in lat.rows_by_content:
-        gx = 0
-        for j, g in row:
-            gx += g * x[j]
-        d = gcd(d, gx)
-        if d == 1:
-            return 1
-    return d
+    return lat.invariant_kernels[1](x)
 
 
 def is_primitive(v: LatticeVector) -> bool:

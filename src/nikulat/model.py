@@ -27,7 +27,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterator
 
 from .intmat import IntVector, Matrix
-from .isometry import Isometry, linear_source, reflection
+from .isometry import Isometry, reflection
 from .lattice import (
     EmbeddingMap,
     Lattice,
@@ -36,7 +36,9 @@ from .lattice import (
     direct_sum,
     discriminant_group,
     divisibility,
+    gx_source,
     is_primitive,
+    linear_source,
     pair,
     rescale,
     square,
@@ -273,7 +275,7 @@ def _profile_source() -> str:
     even = lambda names: f"not ({' | '.join(names)}) & 0x1"
     sigma = linear_source((s, g[i]) for i, s in enumerate(nv.SigmaY.coords) if s)
     lines = ["def profile(x):", f" ({''.join(f'{c}, ' for c in x)}) = x"]
-    lines += [f" {g[i]} = {linear_source((c, x[j]) for j, c in row)}" for i, row in enumerate(ly.sparse_rows)]
+    lines += [f" {g[i]} = {form}" for i, form in enumerate(gx_source(ly.sparse_rows))]
     lines.append(f" return ({dot(slice(None))}, gcd({', '.join(g)}), gcd({', '.join(x)}) == 0x1, "
                  f"{even(x[u1] + x[u2] + x[u3])}, ({''.join(f'{c}, ' for c in x[e8])}), {even(x[e8])}, "
                  f"({dot(e8)}) % 0x4, ({k}, {m}), ({k} - {m}) % 0x2 == 0x0, ({sigma}) % 0x4)")

@@ -342,6 +342,14 @@ def test_profile_kernel_takes_integers_past_the_decimal_conversion_limit(setup):
         sys.set_int_max_str_digits(limit)
 
 
+def test_profile_kernel_source_is_pinned():
+    """The g_i lines come from the lattice's G.x writer; the whole source text is pinned."""
+    source = model_module._profile_source()
+    assert len(source) == 970
+    assert hashlib.sha256(source.encode()).hexdigest() == (
+        "20706fecf53317733307c0796e5812127f9051b5f0fe94b97e796b32a586e507")
+
+
 def test_profile_kernel_source_writes_every_integer_in_hex():
     source = model_module._profile_source()
     numbers = [t.string for t in tokenize.generate_tokens(io.StringIO(source).readline)

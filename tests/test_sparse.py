@@ -2,10 +2,13 @@
 
 Pairings, divisibility, reflections and block squares read only the nonzero
 Gram entries, and embeddings only the nonzero matrix entries; each must agree
-exactly with the dense matrix formula.  The
-compiled enumerator is checked against a full box table.
+exactly with the dense matrix formula.  The compiled square and divisibility
+are checked against it too, and the compiled enumerator against a full box table.
 """
 
+import io
+import sys
+import tokenize
 from functools import lru_cache, partial
 from itertools import product
 from math import gcd
@@ -14,13 +17,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nikulat import intmat
+from nikulat import intmat, lattice
 from nikulat.isometry import Isometry, reflection
 from nikulat.lattice import (
     E8_NEG_GRAM,
     EmbeddingMap,
     Lattice,
     LatticeError,
+    _invariant_source,
     coords_divisibility,
     direct_sum,
     divisibility,
@@ -139,6 +143,101 @@ def test_divisibility_matches_dense_when_leading_rows_have_content_above_one():
     ]
     for div, x in cases:
         assert coords_divisibility(lat, x) == gcd(*intmat.matvec(lat.gram, x)) == div
+
+
+# --- the compiled square and divisibility ------------------------------------------
+
+BIG = 10**5000
+
+
+def big_entry():
+    """A new lattice, so not compiled yet, with a 5,001-digit Gram entry; det = -BIG."""
+    return Lattice("big", ((BIG, 1, 0), (1, -2, 1), (0, 1, 0)))
+
+
+def at_default_digit_limit(check):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        check()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def assert_invariants_match_dense(lat, x):
+    """square and both divisibilities against the dense oracle; the zero vector too."""
+    gx = intmat.matvec(lat.gram, x)
+    assert square(lat.vector(x)) == dense_pair(lat.gram, x, x)
+    assert coords_divisibility(lat, x) == gcd(*gx)
+    if any(x):
+        assert divisibility(lat.vector(x)) == gcd(*gx)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_invariants_of_basis_vectors_and_their_sums_match_the_gram_columns(name):
+    """Every Gram entry enters: e_i + e_j has square G_ii + 2 G_ij + G_jj, and its G.x is
+    the sum of two columns, whose gcd a term dropped from any row can change."""
+    lat = LATTICES[name]
+    for i in range(lat.rank):
+        for j in range(i, lat.rank):
+            x = tuple((k == i) + (k == j) for k in range(lat.rank))
+            assert_invariants_match_dense(lat, x)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_invariants_take_a_coordinate_past_the_decimal_conversion_limit(name):
+    lat = LATTICES[name]
+    vectors = [tuple(BIG if i == k else 0 for i in range(lat.rank)) for k in (0, 6, lat.rank - 1)]
+    vectors += [tuple((-BIG if i % 3 else BIG + i) for i in range(lat.rank)),
+                tuple(-BIG if i == 7 else i % 3 - 1 for i in range(lat.rank))]
+    at_default_digit_limit(lambda: [assert_invariants_match_dense(lat, x) for x in vectors])
+
+
+def test_invariants_compile_a_gram_entry_past_the_decimal_conversion_limit():
+    vectors = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, -3, 5), (0, 2, 0), (BIG, -BIG, 1), (-BIG, 0, 0)]
+
+    def check():
+        lat = big_entry()
+        for x in vectors:
+            assert_invariants_match_dense(lat, x)
+        assert square(lat.vector((1, 0, 0))) == BIG
+        assert coords_divisibility(lat, (0, 2, 0)) == 2
+
+    at_default_digit_limit(check)
+
+
+@pytest.mark.parametrize("lat", [*LATTICES.values(), big_entry()], ids=[*LATTICES, "big"])
+def test_zero_vector_has_divisibility_zero_and_square_zero(lat):
+    zero = (0,) * lat.rank
+    assert coords_divisibility(lat, zero) == 0
+    assert square(lat.vector(zero)) == 0
+    with pytest.raises(LatticeError, match="divisibility of the zero vector is undefined"):
+        divisibility(lat.vector(zero))
+
+
+@pytest.mark.parametrize("lat", [*LATTICES.values(), big_entry()], ids=[*LATTICES, "big"])
+def test_invariant_source_writes_every_integer_in_hex(lat):
+    source = _invariant_source(lat)
+    numbers = [t.string for t in tokenize.generate_tokens(io.StringIO(source).readline)
+               if t.type == tokenize.NUMBER]
+    assert numbers and all(n.startswith("0x") for n in numbers)
+
+
+def test_each_lattice_compiles_its_invariants_once(monkeypatch):
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(lattice, "compile", spy, raising=False)
+    fresh = [direct_sum([rescale(standard_lattice("U"), 2), standard_lattice("E8_neg")]),
+             direct_sum([standard_lattice("U"), standard_lattice("rank1", -2)])]
+    for lat in fresh:
+        for k in range(50):
+            x = tuple((k * i) % 7 - 3 for i in range(lat.rank))
+            assert_invariants_match_dense(lat, x)
+    assert sources == [_invariant_source(lat) for lat in fresh]
 
 
 @st.composite
