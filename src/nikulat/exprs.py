@@ -15,8 +15,8 @@ L(i) = u1 + i*u2), ``u1``..``u6``, ``eps1``..``eps8``, ``e1``, ``e2``, ``ew``,
 ``w``, ``gamma1``, ``gamma2``, ``deltaY``, ``SigmaY``.  Names are case
 sensitive.
 
-The grammar is matched one term at a time, sign included, by one pattern,
-``_TERM``; a syntax error names the position where no term fits.
+One pattern checks the whole string, and one built from the same term body
+reads its terms; a syntax error names the position where no term fits.
 """
 
 from __future__ import annotations
@@ -32,13 +32,18 @@ class ExpressionError(ValueError):
     """The input string does not conform to the vector-expression grammar."""
 
 
-_TERM = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\s*\*\s*)?(?P<name>[A-Za-z][A-Za-z0-9]*)"
-    r"(?:\s*\(\s*(?P<neg>-)?\s*(?P<arg>\d+)\s*\))?"
-)
+#: A term after its sign, ``[digits *] name [( [-] digits )]``, its coeff, name, neg and arg each
+#: opened by ``{0}``: "(" captures them, "(?:" only matches.
+_BODY = r"(?:{0}\d+)\s*\*\s*)?{0}[A-Za-z][A-Za-z0-9]*)(?:\s*\(\s*{0}-)?\s*{0}\d+)\s*\))?"
+#: One term with its optional sign; ``findall`` gives (sign, coeff, name, neg, arg), "" if absent.
+_TERM = re.compile(r"\s*([+-])?\s*" + _BODY.format("("))
+#: A whole expression: only the first term may omit its sign.
+_EXPR = re.compile(r"\s*[+-]?\s*{0}(?:\s*[+-]\s*{0})*".format(_BODY.format("(?:")))
 
 #: The names of LY's basis vectors, in coordinate order.
 _BASIS = (*(f"u{k}" for k in range(1, 7)), *(f"eps{k}" for k in range(1, 9)), "gamma1", "gamma2")
+#: Each basis name's coordinate.
+_BASIS_INDEX = {name: i for i, name in enumerate(_BASIS)}
 #: Per basis vector, its name with a plus sign, with a minus sign, and bare.
 _SIGNED_BASIS = tuple((f"+{name}", f"-{name}", name) for name in _BASIS)
 
@@ -55,33 +60,33 @@ def parse_vector(text: str) -> LatticeVector:
     model, _ = build_model()
     names = _names()
     total = [0] * model.lambda_Y.rank
-    pos, end = 0, len(text.rstrip())
+    end = len(text.rstrip())
     if not end:
         raise ExpressionError("empty expression")
-    terms = []  # the whole string is matched before any name is looked up
-    while pos < end:
-        m = _TERM.match(text, pos)
-        if m is None or (pos and not m["sign"]):  # only the first term may omit its sign
-            raise ExpressionError(f"no term fits at position {pos} of {text!r}")
-        terms.append(m)
-        pos = m.end()
-    for m in terms:
-        name, arg = m["name"], m["arg"]
+    if _EXPR.fullmatch(text, 0, end) is None:  # the whole string is checked before any name is looked up
+        pos = 0
+        while (m := _TERM.match(text, pos, end)) and (m[1] or not pos):
+            pos = m.end()
+        raise ExpressionError(f"no term fits at position {pos} of {text!r}")
+    for sign, coeff, name, neg, arg in _TERM.findall(text, 0, end):
+        k = -int(coeff or 1) if sign == "-" else int(coeff or 1)
+        if name in _BASIS_INDEX and not arg:  # a basis vector: straight into its coordinate
+            total[_BASIS_INDEX[name]] += k
+            continue
         if name == "L":  # L(i) = u1 + i*u2
-            if arg is None:
+            if not arg:
                 raise ExpressionError("L requires an argument, e.g. L(1)")
-            parts = ((1, names["u1"]), (-int(arg) if m["neg"] else int(arg), names["u2"]))
-        elif arg is not None:
+            parts = ((1, names["u1"]), (-int(arg) if neg else int(arg), names["u2"]))
+        elif arg:
             raise ExpressionError(f"{name!r} does not take an argument")
         elif name not in names:
             raise ExpressionError(f"unknown vector name {name!r}")
         else:
             parts = ((1, names[name]),)
-        coeff = (-1 if m["sign"] == "-" else 1) * int(m["coeff"] or 1)
-        for k, support in parts:
-            k *= coeff
+        for n, support in parts:
+            n *= k
             for i, c in support:
-                total[i] += k * c
+                total[i] += n * c
     return LatticeVector._of_ints(model.lambda_Y, tuple(total))
 
 

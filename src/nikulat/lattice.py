@@ -116,16 +116,16 @@ class Lattice:
         return f"Lattice({self.label!r}, rank={self.rank})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticeVector:
     """An element of a lattice, given by integer coordinates in its basis.
 
     Coordinates are not coerced: a float, bool or string raises ``LatticeError``.
     They are checked here, where every reader and :meth:`Lattice.vector` enter.
     Sums, differences and int multiples of checked vectors, and the enumerator's
-    and parser's vectors (from ``range`` and parsed digits), skip the re-check
-    through :meth:`_of_ints`: ints are closed under these operations.
-    """
+    and parser's vectors (from ``range``, ``isqrt`` and parsed digits), skip the
+    re-check through :meth:`_of_ints`: ints are closed under these operations.
+    The two fields are slots: a vector has no ``__dict__``."""
 
     lattice: Lattice
     coords: IntVector
@@ -142,10 +142,11 @@ class LatticeVector:
 
     @classmethod
     def _of_ints(cls, lattice: Lattice, coords: IntVector) -> LatticeVector:
-        """The vector with ``coords``, trusted to be a tuple of exact ints of the lattice's rank."""
+        """The vector with ``coords``, trusted to be a tuple of exact ints of the lattice's rank;
+        the slots' member descriptors set it past the frozen ``__setattr__``."""
         v = object.__new__(cls)
-        object.__setattr__(v, "lattice", lattice)
-        object.__setattr__(v, "coords", coords)
+        _set_lattice(v, lattice)
+        _set_coords(v, coords)
         return v
 
     def is_zero(self) -> bool:
@@ -168,6 +169,9 @@ class LatticeVector:
 
     def __repr__(self) -> str:
         return f"{self.lattice.label}{list(self.coords)}"
+
+
+_set_lattice, _set_coords = LatticeVector.lattice.__set__, LatticeVector.coords.__set__
 
 
 def _same_lattice(v: LatticeVector, w: LatticeVector) -> None:
@@ -242,7 +246,7 @@ def linear_source(terms) -> str:
 
 
 def gx_source(rows: SparseRows) -> list[str]:
-    """Per sparse Gram row, the source of its entry of G.x in the names x0, x1, ..."""
+    """Per sparse row of G (a Gram or an embedding matrix), the source of its entry of G.x in x0, x1, ..."""
     return [linear_source((g, f"x{j}") for j, g in row) for row in rows]
 
 
@@ -373,24 +377,21 @@ class EmbeddingMap:
             )
 
     @cached_property
-    def sparse_rows(self) -> SparseRows:
-        """Per matrix row, its nonzero entries as (column, value) pairs."""
-        return _sparse_rows(self.matrix)
+    def image_kernel(self):
+        """The image tuple of a coordinate tuple, compiled from the matrix's sparse rows once, on first use."""
+        rows = "".join(f"{form or '0x0'}, " for form in gx_source(_sparse_rows(self.matrix)))  # 0x0: a zero row
+        source = f"def image(x):\n ({''.join(f'x{j}, ' for j in range(self.domain.rank))}) = x\n return ({rows})"
+        namespace = {}
+        exec(compile(source, "<embedding kernel>", "exec"), namespace)
+        return namespace["image"]
 
     def __call__(self, v: LatticeVector) -> LatticeVector:
         if v.lattice.gram != self.domain.gram:
             raise LatticeError(
                 f"vector lattice {v.lattice.label!r} does not match domain {self.domain.label!r}"
             )
-        x = v.coords
-        image = []
-        for row in self.sparse_rows:
-            y = 0
-            for j, a in row:
-                y += a * x[j]
-            image.append(y)
         # trusted: the frozen matrix holds ints, its row count is the codomain rank, and v is checked
-        return LatticeVector._of_ints(self.codomain, tuple(image))
+        return LatticeVector._of_ints(self.codomain, self.image_kernel(v.coords))
 
     def column_vectors(self) -> tuple[LatticeVector, ...]:
         return tuple(

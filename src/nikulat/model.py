@@ -525,7 +525,8 @@ def _slice_gram(lattice: Lattice, block: slice) -> Matrix:
 @lru_cache(maxsize=8)  # layouts kept compiled, least recently used out
 def _generator(layout: tuple, rank: int):
     """``make(lattice, bound, ranges, boxes)`` of the straight-line generator of a window
-    ``layout``, ``(start, stop, ellipsoid)`` for each run; see :func:`enumerate_with_square`."""
+    ``layout``, ``(start, stop, ellipsoid)`` for each run; see :func:`enumerate_with_square`,
+    also for the last coordinate of a last definite run, solved with one ``isqrt``."""
     out = ["def make(lattice, bound, ranges, boxes):", " low = -bound"]
     out.append(f" ({''.join(f'lo{i}, hi{i}, ' for i in range(len(layout)))}) = ranges")
     out.append(f" ({''.join(f'box{i}, ' for i, run in enumerate(layout) if run[2] is None)}) = boxes")
@@ -563,18 +564,27 @@ def _generator(layout: tuple, rank: int):
             spent = ""
             for p, (e, den, lower) in enumerate(rows, start):
                 c = linear_source((n, f"x{start + j}") for j, n in lower)
+                live, rest = [acc, f"b{i}", f"l{i}"] + ([spent] if spent else []), f"b{i}{spent and ' - ' + spent}"
+                if i == len(layout) - 1 and p == stop - 1:  # b == l: solve e * (den x + c)^2 == rest
+                    loop(live, f"c{p} = {c or '0x0'}", f"t = {rest}", f"r = isqrt(t // {e:#x})",
+                         f"if {e:#x} * r * r == t:", f" for d in ((-r - c{p}, r - c{p}) if r else (-c{p},)):")
+                    depth += 1  # d = den x runs over -r - c and r - c, ascending
+                    chosen.append(f"x{p}")
+                    line(f"x{p}, m = divmod(d, {den:#x})")
+                    line(f"if not m and low <= x{p} <= bound:")
+                    break
                 first, last = (f"(r + c{p})", f"(r - c{p})") if c else ("r", "r")
                 if den != 1:
                     first, last = f"({first} // {den:#x})", f"{last} // {den:#x}"
-                loop([acc, f"b{i}", f"l{i}"] + ([spent] if spent else []),
-                     *([f"c{p} = {c}"] if c else []),
-                     f"r = isqrt((b{i}{spent and ' - ' + spent}) // {e:#x})",  # the largest |den_k t_k + c_k|
+                loop(live, *([f"c{p} = {c}"] if c else []),
+                     f"r = isqrt(({rest}) // {e:#x})",  # the largest |den_k t_k + c_k|
                      f"for x{p} in range(max(low, -{first}), min(bound, {last}) + 0x1):")
                 chosen.append(f"x{p}")
                 d = f"{f'{den:#x} * ' if den != 1 else ''}x{p}{f' + c{p}' if c else ''}"
                 line(f"s{p} = {f'{spent} + ' if spent else ''}{e:#x} * ({d}) ** 0x2")
                 spent = f"s{p}"
-            line(f"if {spent} >= l{i}:")
+            else:  # no coordinate solved: the run's sum must reach l
+                line(f"if {spent} >= l{i}:")
             total = f"{acc} - {spent} // {scale:#x}"
         depth += 1
         if i < len(layout) - 1:
@@ -598,10 +608,14 @@ def enumerate_with_square(lattice: Lattice, blocks: tuple[str, ...], bound: int,
     plane loops over its box; a definite run writes out the Fincke-Pohst loop
     of each coordinate through its ellipsoid, so no box of E8 is built.  Each
     run keeps the squares that the runs after it can still make up, so the
-    last tests acc == target.  The source is keyed by the layout alone (runs,
-    ellipsoid data, rank), 8 layouts kept; the bound, the ranges and the boxes
-    are passed in as values, and the source writes its integers in hex.  A
-    function nests at most 20 loops, so a deeper layout chains functions.
+    last tests acc == target.  A last definite run solves its last coordinate x
+    instead of looping: the square left must be e * (den * x + c)^2, so when
+    r = isqrt(left // e) has e * r * r == left, den * x + c = -r or r, ascending,
+    and each x that den divides and the bound admits is kept.  The source is
+    keyed by the layout alone (runs, ellipsoid data, rank), 8 layouts kept; the
+    bound, the ranges and the boxes are passed in as values, and the source
+    writes its integers in hex.  A function nests at most 20 loops, so a deeper
+    layout chains functions.
     """
     if type(target) is not int:
         raise LatticeError(f"target square must be an integer, got {target!r}")

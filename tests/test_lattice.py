@@ -1,5 +1,7 @@
 """Lattice construction, pairings, vector invariants, saturation, embeddings."""
 
+import copy
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import islice
@@ -174,6 +176,32 @@ def test_trusted_vectors_equal_checked_ones(ly, nv):
         assert v == checked and hash(v) == hash(checked)
         assert type(v.coords) is tuple and len(v.coords) == ly.rank
         assert all(type(c) is int for c in v.coords)
+
+
+def test_vector_is_slotted_and_frozen(ly, nv):
+    v = nv.L(1) + nv.e2
+    assert not hasattr(v, "__dict__") and LatticeVector.__slots__ == ("lattice", "coords")
+    for name, value in (("coords", (0,) * 16), ("lattice", ly)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, value)
+    # a name that is no field has no slot; CPython 3.11 raises TypeError here
+    with pytest.raises((AttributeError, TypeError)):
+        v.other = 1
+    assert v.coords == (1, 1) + (0,) * 4 + (1, 0, 1) + (0,) * 7
+
+
+def test_copies_and_replacements_equal_the_vector(nv):
+    for v in (nv.w, -nv.gamma2, 2**70 * nv.L(3), eta_embedding()(eta_embedding().domain.basis_vector(6))):
+        for twin in (copy.copy(v), copy.deepcopy(v), dataclasses.replace(v), dataclasses.replace(v, coords=v.coords)):
+            assert twin == v and hash(twin) == hash(v) and type(twin) is LatticeVector
+            assert repr(twin) == repr(v)
+
+
+def test_of_ints_vectors_equal_checked_ones(ly):
+    for lat, x in ((ly, tuple(range(-8, 8))), (U, (3, -4)), (MINUS2, (10**5000,)), (E8, (0,) * 8)):
+        trusted, checked = LatticeVector._of_ints(lat, x), LatticeVector(lat, list(x))
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert trusted.lattice is lat and trusted.coords is x and type(checked.coords) is tuple
 
 
 # --- pairings and invariants -------------------------------------------------

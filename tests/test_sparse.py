@@ -268,6 +268,28 @@ def test_embedding_matches_dense_matvec(emb, data):
     assert str(err.value) == f"vector lattice 'other' does not match domain {emb.domain.label!r}"
 
 
+def test_each_embedding_compiles_its_image_once_with_a_huge_entry(monkeypatch):
+    """A 5,001-digit entry and a zero row: the image source writes its integers in hex, so it
+    compiles under the default digit limit, and 30 images compile it once."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(lattice, "compile", spy, raising=False)
+    domain, codomain = standard_lattice("U"), Lattice("three", ((-2, 0, 0), (0, 2, 1), (0, 1, 2)))
+    emb = EmbeddingMap(domain, codomain, ((BIG, -1), (0, 0), (3, BIG + 1)))
+
+    def check():
+        for k in range(30):
+            x = (k - 15, BIG if k % 2 else 2 - k)
+            assert emb(domain.vector(x)) == codomain.vector(intmat.matvec(emb.matrix, x))
+
+    at_default_digit_limit(check)
+    assert len(sources) == 1 and "0x0," in sources[0]
+
+
 REFLECTIONS = [(name, reflection(root)) for name, root in default_generator_table()]
 
 
@@ -443,6 +465,42 @@ def test_walker_matches_box_oracle_on_random_definite_blocks(case, data):
     lattice, names, bound = case
     table = lru_cache(maxsize=None)(lambda name: block_table(lattice, lattice.block_slice(name), bound))
     assert_enumerate_matches_oracle(lattice, names, bound, table, draw_targets(data, names, table))
+
+
+def chained_lattice():
+    """<-2>^5 + E8(-1) + E8(-1): one definite run of 21 coordinates, one loop more than a
+    compiled function may nest, so the solved last coordinate (den 2, c = -x17) is chained."""
+    diagonal = tuple(tuple(-2 * (i == j) for j in range(5)) for i in range(5))
+    return direct_sum([Lattice("G", diagonal), Lattice("E8a", E8_NEG_GRAM), Lattice("E8b", E8_NEG_GRAM)])
+
+
+@pytest.mark.parametrize("lattice,names,bound,targets", [
+    # G2 = <-2> is solved with e = 2: from U1 (square 4xy), -6 leaves 6 + 4xy, which e divides
+    # and which is e times a square only at xy = -1; -8 puts x15 at +-bound at xy = 0; -18 gives
+    # x15 = +-3 at xy = 0, past the bound, besides x15 = +-1 at xy = -4
+    pytest.param(MODEL.lambda_Y, ("U1", "G2"), 2, (-6, -8, -18, 0, -2), id="one-coordinate-run-to-bound"),
+    pytest.param(MODEL.lambda_Y, ("G1",), 3, (-6, -2, -8), id="a-multiple-of-e-not-a-square"),
+    # the last E8 coordinate has den 2 and c = -x10, so x = (x10 - r) / 2 or (x10 + r) / 2
+    pytest.param(MODEL.lambda_Y, ("U1", "E8"), 1, (0, -2, -4, -6), id="den-2-with-c"),
+    # 4 * (-q) = 7 x0^2 + (4 x1 - x0)^2: at -q = 2 and x0 = 1, r = 1 gives 4 x1 = 0 or 2, only 0 divisible
+    pytest.param(Lattice("B", ((-2, 1), (1, -4))), ("B",), 2, (-2, -4, -8, -14), id="den-4-dividing-one"),
+    pytest.param(MODEL.lambda_Y, ("U1", "U2"), 2, (0, 4, -8, 12), id="planes-only"),
+    pytest.param(chained_lattice(), ("G", "E8a", "E8b"), 1, (-2, -3), id="chained-past-20-loops"),
+])
+def test_solved_coordinate_matches_box_oracle(lattice, names, bound, targets):
+    """Deterministic windows for the solved last coordinate.  A block table keeps only the
+    squares that the other blocks can still raise to the least target: the box is then small
+    enough for 21 coordinates, and loses no vector of a target."""
+    full = {name: block_table(lattice, lattice.block_slice(name), bound) for name in names}
+    most = {name: max(q for _, q in entries) for name, entries in full.items()}
+
+    def table(name):
+        floor = min(targets) - (sum(most.values()) - most[name])
+        return [(t, q) for t, q in full[name] if q >= floor]
+
+    found = box_oracle(lattice, names, table, targets)
+    assert any(found.values())
+    assert_enumerate_matches_oracle(lattice, names, bound, table, targets)
 
 
 @settings(max_examples=100, deadline=None)
