@@ -306,7 +306,7 @@ def _claim_two_orbit_dichotomy(ctx: AuditContext, stated: dict):
     smaller, larger = sorted((orbit_b, orbit_a), key=len)  # hash only the smaller orbit
     common = smaller.member_set.intersection(larger.members)
     overlap = [c for c in orbit_b.members if c in common]
-    _, divisibility_of = nv.L(0).lattice.invariant_kernels
+    divisibility_of = nv.L(0).lattice.invariant_kernels[1]
     # invariant-pure: every member has the divisibility of its orbit's start
     div_b, div_a = divisibility(nv.L(0)), divisibility(nv.L(1) + nv.e2)
     pure_b = all(d == div_b for d in map(divisibility_of, orbit_b.members))

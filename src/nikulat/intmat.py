@@ -1,8 +1,7 @@
-"""Exact integer matrix arithmetic: products, determinants, Smith normal form.
+"""Exact integer matrix arithmetic: determinants and the Smith normal form.
 
 Matrices are immutable tuples of tuples of Python ints, so every intermediate
-value is arbitrary precision (rank-16 Gram products overflow 64-bit machine
-integers, Python ints do not care).
+value is arbitrary precision.  Products G.x are the lattice's compiled kernels.
 """
 
 from __future__ import annotations
@@ -34,17 +33,7 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
+# no caller in src: kept because perfbench/tracing.py wraps it by name
 def matvec(m: Matrix, v: IntVector) -> IntVector:
     if len(m[0]) != len(v):
         raise ValueError(f"shape mismatch: {len(m)}x{len(m[0])} times vector of length {len(v)}")

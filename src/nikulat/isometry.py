@@ -9,7 +9,7 @@ invariant (square, divisibility, primitivity), never by a failed search.
 Orbit closure and witness search share one generation step on packed keys
 (balanced base-(2B+1) digits, B >= every |x_i|, so integer order is lexicographic
 order and a reflection adds c.key(r)); every generator is a reflection by type.
-A reflection reads only its lattice's sparse Gram rows; its one check is (r, r) = -2.
+A reflection reads G.r off its lattice's compiled product; its one check is (r, r) = -2.
 
 A generation runs in one kernel: a straight-line function compiled from the
 generators' supports and kept in a table of ``_KERNELS`` entries keyed by those,
@@ -34,7 +34,8 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache, partial
 from math import gcd
 
-from .lattice import IntVector, Lattice, LatticeError, LatticeVector, divisibility, is_primitive, linear_source, square
+from .lattice import (IntVector, Lattice, LatticeError, LatticeVector, compile_kernel, divisibility, is_primitive,
+                      linear_source, square)
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,8 @@ class Isometry:
     """The reflection x |-> x + (x, r) r of a lattice in a root r of square -2.
 
     Every isometry here is such a reflection; build one with :func:`reflection`.
-    Construction reads the supports of G.r and r off ``lattice.sparse_rows`` and
-    checks (r, r) = -2 on them.  That is Gram conservation: with c = (x, r),
+    Construction reads the support of G.r off the lattice's compiled ``gram_product``
+    and checks (r, r) = -2 on it and r's support.  That is Gram conservation: with c = (x, r),
     (s x, s x) = (x, x) + c^2 (2 + (r, r)), and c != 0 for some x since the
     lattice is nondegenerate.  ``apply_coords`` and the orbit searches take the
     O(support) path: x is returned unchanged when (x, r) = 0, and otherwise only
@@ -60,8 +61,7 @@ class Isometry:
             raise LatticeError(f"root has {len(r)} coordinates, the lattice has rank {self.lattice.rank}")
         if any(type(c) is not int for c in r):  # orbit members built from it are trusted to be ints
             raise LatticeError(f"root coordinates must be integers, got {list(r)!r}")
-        gram_root = ((i, sum(g * r[j] for j, g in row)) for i, row in enumerate(self.lattice.sparse_rows))
-        gram_root = tuple((i, c) for i, c in gram_root if c)
+        gram_root = tuple((i, c) for i, c in enumerate(self.lattice.invariant_kernels[2](r)) if c)
         sq = sum(c * r[i] for i, c in gram_root)
         if sq != -2:
             raise LatticeError(f"reflection root must have square -2 to conserve the Gram form, got {sq}")
@@ -192,9 +192,7 @@ def _kernel(supports: tuple, bound: int, rank: int):
         lines.append("      if k in other:\n       return fresh, clipped, False, k\n      room -= 0x1\n"
                      "      if room < 0x0:\n       return fresh, clipped, True, None\n    else:\n     clipped = True")
     lines.append("  return fresh, clipped, False, None\n return generation")
-    namespace = {}
-    exec(compile("\n".join(lines), "<generation kernel>", "exec"), namespace)
-    return partial(namespace["make"], -bound, bound)
+    return partial(compile_kernel("\n".join(lines), "generation kernel", ("make",))[0], -bound, bound)
 
 
 def _engine(supports: tuple, bound: int, rank: int, width: int) -> tuple:
@@ -293,7 +291,7 @@ def _assert_orbit_invariants(seed: LatticeVector, members: tuple[IntVector, ...]
     ``members``, not a per-member recomputation on million-entry sets: every member
     when there are n < 4,096, otherwise every (n // 2048)-th, read by the compiled kernels.
     """
-    square_of, divisibility_of = seed.lattice.invariant_kernels
+    square_of, divisibility_of, _ = seed.lattice.invariant_kernels
     expected = (square(seed), divisibility(seed), is_primitive(seed))
     sample = members if len(members) <= 2048 else members[:: max(1, len(members) // 2048)]
     for coords in sample:  # members are ints of the lattice's rank: no re-validation

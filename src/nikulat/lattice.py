@@ -4,9 +4,10 @@ A lattice is a free Z-module of finite rank together with a nondegenerate
 integer-valued symmetric bilinear form, stored as a Gram matrix.  Everything
 here is a pure function on immutable values; no floats appear anywhere.
 
-A lattice compiles the square and the divisibility of a coordinate tuple from its
-sparse Gram rows on first use (:attr:`Lattice.invariant_kernels`): the same integer
-sums and gcd as a loop over the rows, written out straight-line, integers in hex.
+A lattice compiles the square, the divisibility and the product G.x of a coordinate tuple
+from its sparse Gram rows on first use (:attr:`Lattice.invariant_kernels`), straight-line,
+integers in hex.  That G.x is the package's one writer of Gram products, and
+:func:`compile_kernel` compiles every kernel of the package.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
-from operator import add, sub
+from operator import add, mul, sub
 
 from . import intmat
 from .intmat import IntVector, Matrix
@@ -59,7 +60,7 @@ class Lattice:
         n = len(gram)
         if len(gram[0]) != n:
             raise LatticeError(f"Gram matrix of {self.label!r} is not square")
-        if gram != intmat.transpose(gram):
+        if gram != tuple(zip(*gram)):
             raise LatticeError(f"Gram matrix of {self.label!r} is not symmetric")
         if intmat.det(gram) == 0:
             raise LatticeError(f"Gram matrix of {self.label!r} is degenerate")
@@ -85,11 +86,10 @@ class Lattice:
 
     @cached_property
     def invariant_kernels(self) -> tuple:
-        """``(square, divisibility)`` of a coordinate tuple, compiled from :func:`_invariant_source`
-        once, on first use, and kept on this lattice."""
-        namespace = {"gcd": gcd}
-        exec(compile(_invariant_source(self), "<invariant kernel>", "exec"), namespace)
-        return namespace["square"], namespace["divisibility"]
+        """``(square, divisibility, gram_product)`` of a coordinate tuple, compiled from
+        :func:`_invariant_source` once, on first use, and kept on this lattice."""
+        return compile_kernel(_invariant_source(self), "invariant kernel",
+                              ("square", "divisibility", "gram_product"), gcd=gcd)
 
     def vector(self, coords) -> LatticeVector:
         return LatticeVector(self, coords)
@@ -238,6 +238,13 @@ def direct_sum(parts: list[Lattice] | tuple[Lattice, ...], label: str | None = N
     return Lattice(label, tuple(tuple(r) for r in rows), tuple(blocks))
 
 
+def compile_kernel(source: str, label: str, names: tuple[str, ...], **scope) -> tuple:
+    """The functions ``names`` that ``source`` defines, run once with the globals ``scope``;
+    the one place the package compiles source text, which each kernel writes and caches."""
+    exec(compile(source, f"<{label}>", "exec"), scope)
+    return tuple(scope[name] for name in names)
+
+
 def linear_source(terms) -> str:
     """The sum of coef*var over the ``(coef, var)`` ``terms`` as source text, "" if none, for every
     compiled kernel: each coefficient in hex, which the int-to-decimal-text limit does not cover."""
@@ -252,8 +259,9 @@ def gx_source(rows: SparseRows) -> list[str]:
 
 def _invariant_source(lat: Lattice) -> str:
     """The source of :attr:`Lattice.invariant_kernels`: ``square(x)``, which sums
-    x_i (G_ii x_i + sum_{j>i} 2 G_ij x_j) over the upper triangle of the sparse rows, and
-    ``divisibility(x)``, the gcd of G.x as :func:`coords_divisibility` reads it."""
+    x_i (G_ii x_i + sum_{j>i} 2 G_ij x_j) over the upper triangle of the sparse rows,
+    ``divisibility(x)``, the gcd of G.x as :func:`coords_divisibility` reads it, and
+    ``gram_product(x)``, the tuple G.x."""
     unpack = f" ({''.join(f'x{i}, ' for i in range(lat.rank))}) = x"
     upper = (linear_source((g if j == i else 2 * g, f"x{j}") for j, g in row if j >= i)
              for i, row in enumerate(lat.sparse_rows))
@@ -261,20 +269,14 @@ def _invariant_source(lat: Lattice) -> str:
     first, *rest = gx_source(lat.rows_by_content)  # a nondegenerate form has no zero row
     lines = ["def square(x):", unpack, f" return {square}", "def divisibility(x):", unpack, f" d = gcd({first})"]
     lines += [f" if d == 0x1:\n  return d\n d = gcd(d, {form})" for form in rest] + [" return d"]
+    lines += ["def gram_product(x):", unpack, f" return ({''.join(f'{g}, ' for g in gx_source(lat.sparse_rows))})"]
     return "\n".join(lines)
 
 
 def pair(v: LatticeVector, w: LatticeVector) -> int:
-    """The bilinear pairing (v, w), exactly."""
+    """The bilinear pairing (v, w), exactly: v against the compiled G.w."""
     _same_lattice(v, w)
-    x, y = v.coords, w.coords
-    total = 0
-    for i, row in enumerate(v.lattice.sparse_rows):
-        xi = x[i]
-        if xi:
-            for j, g in row:
-                total += xi * g * y[j]
-    return total
+    return sum(map(mul, v.coords, v.lattice.invariant_kernels[2](w.coords)))
 
 
 def square(v: LatticeVector) -> int:
@@ -381,9 +383,7 @@ class EmbeddingMap:
         """The image tuple of a coordinate tuple, compiled from the matrix's sparse rows once, on first use."""
         rows = "".join(f"{form or '0x0'}, " for form in gx_source(_sparse_rows(self.matrix)))  # 0x0: a zero row
         source = f"def image(x):\n ({''.join(f'x{j}, ' for j in range(self.domain.rank))}) = x\n return ({rows})"
-        namespace = {}
-        exec(compile(source, "<embedding kernel>", "exec"), namespace)
-        return namespace["image"]
+        return compile_kernel(source, "embedding kernel", ("image",))[0]
 
     def __call__(self, v: LatticeVector) -> LatticeVector:
         if v.lattice.gram != self.domain.gram:
@@ -409,11 +409,10 @@ class EmbeddingReport:
 
 
 def check_embedding(emb: EmbeddingMap) -> EmbeddingReport:
-    """Whether an embedding conserves the form and whether its image is saturated."""
-    mt = intmat.transpose(emb.matrix)
-    pulled_back = intmat.matmul(intmat.matmul(mt, emb.codomain.gram), emb.matrix)
-    isometric = pulled_back == emb.domain.gram
-    report = saturate(emb.codomain, list(emb.column_vectors()))
+    """Whether an embedding conserves the form, (M e_i, M e_j) = G_ij, and whether its image is saturated."""
+    columns = emb.column_vectors()
+    isometric = all(pair(a, b) == g for a, row in zip(columns, emb.domain.gram) for b, g in zip(columns, row))
+    report = saturate(emb.codomain, list(columns))
     return EmbeddingReport(
         isometric=isometric,
         primitive=report.total_index == 1,

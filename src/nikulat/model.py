@@ -33,6 +33,7 @@ from .lattice import (
     Lattice,
     LatticeError,
     LatticeVector,
+    compile_kernel,
     direct_sum,
     discriminant_group,
     divisibility,
@@ -230,17 +231,6 @@ def _require_in_LY(v: LatticeVector) -> None:
         raise LatticeError("expected a vector of LY")
 
 
-def _block_square(lattice: Lattice, block: slice, t: IntVector) -> int:
-    """The square of coordinates ``t`` on ``block``, a direct summand, from its sparse Gram rows."""
-    off = block.start
-    total = 0
-    for x, row in zip(t, lattice.sparse_rows[block]):
-        if x:
-            for j, g in row:
-                total += x * g * t[j - off]
-    return total
-
-
 @dataclass(frozen=True)
 class VectorProfile:
     """Every numerical invariant the decision table consults, computed exactly."""
@@ -287,9 +277,7 @@ def _profile_kernel():
     """:class:`VectorProfile`'s fields as one straight-line function of LY's coordinates x, each
     read off one product g = G.x: q = sum x_i g_i, div = gcd(g), (x, SigmaY) = sum SigmaY_i g_i,
     and the E8 square sums x_i g_i over E8, exact because E8 is a direct summand of LY."""
-    namespace = {"gcd": gcd}
-    exec(compile(_profile_source(), "<profile kernel>", "exec"), namespace)
-    return namespace["profile"]
+    return compile_kernel(_profile_source(), "profile kernel", ("profile",), gcd=gcd)[0]
 
 
 def vector_profile(v: LatticeVector) -> VectorProfile:
@@ -593,9 +581,8 @@ def _generator(layout: tuple, rank: int):
     line(f"if gcd({', '.join(chosen)}) == 0x1:")
     line(f" yield of_ints(lattice, ({''.join(f'x{p}, ' if f'x{p}' in chosen else '0x0, ' for p in range(rank))}))")
     out.append(" return piece0")
-    namespace = {"isqrt": isqrt, "gcd": gcd, "of_ints": LatticeVector._of_ints}
-    exec(compile("\n".join(out), "<enumeration generator>", "exec"), namespace)
-    return namespace["make"]
+    return compile_kernel("\n".join(out), "enumeration generator", ("make",),
+                          isqrt=isqrt, gcd=gcd, of_ints=LatticeVector._of_ints)[0]
 
 
 def enumerate_with_square(lattice: Lattice, blocks: tuple[str, ...], bound: int,
@@ -636,7 +623,8 @@ def enumerate_with_square(lattice: Lattice, blocks: tuple[str, ...], bound: int,
             hi += bound * bound * sum(abs(g) for row in gram for g in row)
         else:
             box = product(range(-bound, bound + 1), repeat=len(gram))
-            boxes.insert(0, [(t, _block_square(lattice, run, t)) for t in box])
+            pad, tail = (0,) * run.start, (0,) * (lattice.rank - run.stop)  # the plane is a direct summand
+            boxes.insert(0, [(t, lattice.invariant_kernels[0](pad + t + tail)) for t in box])
             lo, hi = lo - max(q for _, q in boxes[0]), hi - min(q for _, q in boxes[0])
     make = _generator(tuple(layout), lattice.rank)
     return make(lattice, bound, ranges, boxes)()

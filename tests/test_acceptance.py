@@ -11,6 +11,8 @@ import time
 
 import pytest
 
+from dense import matmul
+
 from nikulat import (
     OrbitBudget,
     check_embedding,
@@ -25,7 +27,7 @@ from nikulat import (
     square,
 )
 from nikulat import serialize
-from nikulat.intmat import det, identity, matmul, smith_decomposition
+from nikulat.intmat import det, identity, smith_decomposition
 from nikulat.lattice import E8_NEG_GRAM
 from nikulat.model import (
     DEFAULT_WINDOW,

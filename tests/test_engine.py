@@ -498,19 +498,12 @@ def test_orbits_at_two_bounds_compile_a_kernel_each():
     assert (_kernel.cache_info().misses, _kernel.cache_info().currsize) == (2, 2)
 
 
-def test_kernel_source_writes_every_integer_in_hex_and_no_step(monkeypatch):
-    sources = []
-
-    def spy(source, *args):
-        sources.append(source)
-        return compile(source, *args)
-
-    monkeypatch.setattr(isometry, "compile", spy, raising=False)
+def test_kernel_source_writes_every_integer_in_hex_and_no_step(compiled_sources):
     supports = tuple(g._supports for g in LY_GENS)
     for bound, width in ((4, 9), (5, 23)):  # another bound, and other steps in another width
         _kernel.cache_clear()
         _engine(supports, bound, 16, width)
-    first, second = sources
+    first, second = compiled_sources
     assert first == second  # so no bound and no step is written into the source
     numbers = [t.string for t in tokenize.generate_tokens(io.StringIO(first).readline)
                if t.type == tokenize.NUMBER]

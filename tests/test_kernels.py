@@ -1,0 +1,111 @@
+"""Every compiled kernel of the package, and its one compiler.
+
+``lattice.compile_kernel`` holds the only ``exec`` and ``compile`` in ``src/nikulat``.
+Each kernel's source text is pinned by sha256, so a change to how kernels are written
+or compiled shows here byte for byte, and the readers of G.x are checked to read it
+from the lattice's compiled ``gram_product``.
+"""
+
+import ast
+import hashlib
+from pathlib import Path
+
+import pytest
+
+import nikulat
+from nikulat import intmat, isometry, model
+from nikulat.isometry import Isometry
+from nikulat.lattice import EmbeddingMap, Lattice, check_embedding, direct_sum, pair, standard_lattice
+from nikulat.model import build_model, default_generators, enumerate_with_square, eta_as_written_matrix, eta_from_matrix
+
+LY = build_model()[0].lambda_Y
+
+
+def generation():
+    isometry._kernel.cache_clear()
+    isometry._kernel(tuple(g._supports for g in default_generators()), 4, 16)
+
+
+def enumeration(*blocks):
+    def run():
+        model._generator.cache_clear()
+        next(enumerate_with_square(LY, blocks, 2, 0))
+    return run
+
+
+def embedding():
+    return eta_from_matrix(eta_as_written_matrix()).image_kernel  # a new map: compiled afresh
+
+
+def invariants():
+    return Lattice(LY.label, LY.gram, LY.blocks).invariant_kernels  # a new lattice: compiled afresh
+
+
+@pytest.mark.parametrize("compile_it,length,digest", [
+    pytest.param(generation, 9629, "75e09be5ee2ffc10c6a9ad878a6e041c956aadf5978329bd262b3d86bce8e723",
+                 id="generation-default-supports-bound-4"),
+    pytest.param(enumeration("U1", "E8"), 2067, "c59fc4af2b6db262783dda3eefef46d1d0e4793491118b1f1ee0ee0c26808460",
+                 id="enumeration-U1-E8"),
+    pytest.param(enumeration("U1", "E8", "G1", "G2"), 2468,
+                 "9c3cefd2666fcfa395ffbc4d4ce1fef688432952bf403c6c5276742092dd9f9c", id="enumeration-U1-E8-G1-G2"),
+    pytest.param(embedding, 199, "e17a360c5810790df79ec0b414b1a0656e70373ce6b938a294bd0334ec056f92",
+                 id="embedding-eta-as-written"),
+    pytest.param(invariants, 1580, "784d5189040bf622acd5f43f682f3ac64b9da89f6b68b0729468c80735aa2699",
+                 id="invariants-LY"),
+])
+def test_kernel_source_is_pinned(compiled_sources, compile_it, length, digest):
+    """What is compiled, one source per kernel, byte for byte."""
+    default_generators()  # LY's own kernels, which the searches and the enumerator read, compiled first
+    compiled_sources.clear()
+    compile_it()
+    (source,) = compiled_sources
+    assert (len(source), hashlib.sha256(source.encode()).hexdigest()) == (length, digest)
+
+
+def test_invariant_source_before_the_gram_product_is_pinned(compiled_sources):
+    """``square`` and ``divisibility`` come first, their text unchanged since ``gram_product``
+    joined them in the one source."""
+    invariants()
+    (source,) = compiled_sources
+    head, _, _ = source.partition("\ndef gram_product(x):")
+    assert (len(head), hashlib.sha256(head.encode()).hexdigest()) == (
+        1256, "fd48b5abde73e7306f57d3057348f2cda83361d9dcba4f9141e8120edb081832")
+
+
+def test_source_text_is_compiled_in_one_place():
+    """One ``exec`` and one ``compile`` call in ``src/nikulat``, both in ``compile_kernel``;
+    and no dense matrix product is left in ``intmat``."""
+    sites = []
+    for path in sorted(Path(nikulat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("exec", "compile"):
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parents[scope]
+                sites.append((path.name, getattr(scope, "name", None), node.func.id))
+    assert sorted(sites) == [("lattice.py", "compile_kernel", "compile"), ("lattice.py", "compile_kernel", "exec")]
+    assert not hasattr(intmat, "matmul") and not hasattr(intmat, "transpose")
+
+
+def test_gram_readers_read_the_compiled_kernels():
+    """The pairing, a reflection's G.r and the embedding check call the lattice's compiled
+    ``gram_product``, and the enumerator its ``square`` for a plane's box."""
+    lat = direct_sum([standard_lattice("U"), standard_lattice("rank1", -2)], label="spied")
+    square, divisibility, product = lat.invariant_kernels
+    calls = []
+
+    def spy(name, kernel):
+        return lambda x: calls.append(name) or kernel(x)
+
+    lat.__dict__["invariant_kernels"] = (spy("square", square), divisibility, spy("product", product))
+    u, v = lat.vector((1, 2, 0)), lat.vector((0, 1, 1))
+    assert pair(u, v) == 1 and calls == ["product"]
+    assert Isometry(lat, (0, 0, 1)).apply_coords((0, 1, 1)) == (0, 1, -1) and calls == ["product"] * 2
+    identity = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+    assert check_embedding(EmbeddingMap(lat, lat, identity)).isometric and calls == ["product"] * 11
+    calls.clear()
+    assert [w.coords for w in enumerate_with_square(lat, ("U",), 1, 0)] == [(-1, 0, 0), (0, -1, 0), (0, 1, 0),
+                                                                            (1, 0, 0)]
+    assert calls == ["square"] * 9

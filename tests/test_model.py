@@ -239,8 +239,8 @@ def test_profile_parity_invariants(setup):
 
 # The reference: each invariant by its own pass over LY's Gram rows, through
 # the lattice module's square, divisibility, is_primitive and pair, and the
-# E8 block square, as the profile and the type verdict were computed before
-# one compiled G.x gave them all.
+# E8 block square as a dense sum over that block, as the profile and the type
+# verdict were computed before one compiled G.x gave them all.
 
 
 def _reference_profile(v):
@@ -255,7 +255,7 @@ def _reference_profile(v):
         u_part_div_by_2=all(c % 2 == 0 for c in x[u1] + x[u2] + x[u3]),
         e8_part=x[e8],
         e8_part_div_by_2=all(c % 2 == 0 for c in x[e8]),
-        q_e8_mod4=model_module._block_square(ly, e8, x[e8]) % 4,
+        q_e8_mod4=sum(x[i] * ly.gram[i][j] * x[j] for i in range(16)[e8] for j in range(16)[e8]) % 4,
         gamma_coords=(k, m),
         gamma_in_delta_sigma_span=(k - m) % 2 == 0,
         pair_sigma_mod4=pair(v, nv.SigmaY) % 4,

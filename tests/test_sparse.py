@@ -1,9 +1,10 @@
 """Sparse Gram kernels against the dense reference ``intmat.matvec``.
 
-Pairings, divisibility, reflections and block squares read only the nonzero
-Gram entries, and embeddings only the nonzero matrix entries; each must agree
-exactly with the dense matrix formula.  The compiled square and divisibility
-are checked against it too, and the compiled enumerator against a full box table.
+Pairings, divisibility, reflections, block squares and the embedding check read
+only the nonzero Gram entries, through the lattice's compiled square, divisibility
+and G.x, and embeddings only the nonzero matrix entries; each must agree exactly
+with the dense matrix formula (``dense``), and the compiled enumerator with a full
+box table.
 """
 
 import io
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nikulat import intmat, lattice
+import dense
+from nikulat import intmat
 from nikulat.isometry import Isometry, reflection
 from nikulat.lattice import (
     E8_NEG_GRAM,
@@ -25,6 +27,7 @@ from nikulat.lattice import (
     Lattice,
     LatticeError,
     _invariant_source,
+    check_embedding,
     coords_divisibility,
     direct_sum,
     divisibility,
@@ -34,7 +37,6 @@ from nikulat.lattice import (
     standard_lattice,
 )
 from nikulat.model import (
-    _block_square,
     _ellipsoid,
     build_model,
     default_generator_table,
@@ -62,7 +64,7 @@ def dense_reflection(lat, r):
 
 def conserves_gram(lat, m):
     """Oracle: M^T G M == G, computed densely."""
-    return intmat.matmul(intmat.matmul(intmat.transpose(m), lat.gram), m) == lat.gram
+    return dense.pulls_back(lat.gram, m, lat.gram)
 
 
 def coords(rank):
@@ -165,8 +167,9 @@ def at_default_digit_limit(check):
 
 
 def assert_invariants_match_dense(lat, x):
-    """square and both divisibilities against the dense oracle; the zero vector too."""
+    """G.x, square and both divisibilities against the dense oracle; the zero vector too."""
     gx = intmat.matvec(lat.gram, x)
+    assert lat.invariant_kernels[2](x) == gx
     assert square(lat.vector(x)) == dense_pair(lat.gram, x, x)
     assert coords_divisibility(lat, x) == gcd(*gx)
     if any(x):
@@ -223,21 +226,14 @@ def test_invariant_source_writes_every_integer_in_hex(lat):
     assert numbers and all(n.startswith("0x") for n in numbers)
 
 
-def test_each_lattice_compiles_its_invariants_once(monkeypatch):
-    sources = []
-
-    def spy(source, *args):
-        sources.append(source)
-        return compile(source, *args)
-
-    monkeypatch.setattr(lattice, "compile", spy, raising=False)
+def test_each_lattice_compiles_its_invariants_once(compiled_sources):
     fresh = [direct_sum([rescale(standard_lattice("U"), 2), standard_lattice("E8_neg")]),
              direct_sum([standard_lattice("U"), standard_lattice("rank1", -2)])]
     for lat in fresh:
         for k in range(50):
             x = tuple((k * i) % 7 - 3 for i in range(lat.rank))
             assert_invariants_match_dense(lat, x)
-    assert sources == [_invariant_source(lat) for lat in fresh]
+    assert compiled_sources == [_invariant_source(lat) for lat in fresh]
 
 
 @st.composite
@@ -268,16 +264,36 @@ def test_embedding_matches_dense_matvec(emb, data):
     assert str(err.value) == f"vector lattice 'other' does not match domain {emb.domain.label!r}"
 
 
-def test_each_embedding_compiles_its_image_once_with_a_huge_entry(monkeypatch):
+@st.composite
+def inclusion_with_one_change(draw):
+    """The inclusion of a random lattice into its sum with another, an isometric embedding,
+    with one matrix entry moved by 1 on most draws."""
+    domain, extra = draw(small_symmetric_lattice()), draw(small_symmetric_lattice())
+    codomain = direct_sum([domain, extra])
+    rows = [[int(i == j) for j in range(domain.rank)] for i in range(codomain.rank)]
+    rows[draw(st.integers(0, codomain.rank - 1))][draw(st.integers(0, domain.rank - 1))] += draw(
+        st.sampled_from((0, 1, -1)))
+    return EmbeddingMap(domain, codomain, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(emb=st.one_of(embedding_with_zero_lines(), inclusion_with_one_change()))
+def test_isometric_matches_dense_pull_back(emb):
+    """``check_embedding`` pairs the columns through the codomain's compiled G.x; the dense
+    M^T G M is the oracle.  Dependent columns make the saturation raise, and such a map
+    never pulls back the nondegenerate domain form."""
+    isometric = dense.pulls_back(emb.codomain.gram, emb.matrix, emb.domain.gram)
+    try:
+        report = check_embedding(emb)
+    except LatticeError as err:
+        assert str(err) == "generators are linearly dependent over Q" and not isometric
+        return
+    assert report.isometric == isometric
+
+
+def test_each_embedding_compiles_its_image_once_with_a_huge_entry(compiled_sources):
     """A 5,001-digit entry and a zero row: the image source writes its integers in hex, so it
     compiles under the default digit limit, and 30 images compile it once."""
-    sources = []
-
-    def spy(source, *args):
-        sources.append(source)
-        return compile(source, *args)
-
-    monkeypatch.setattr(lattice, "compile", spy, raising=False)
     domain, codomain = standard_lattice("U"), Lattice("three", ((-2, 0, 0), (0, 2, 1), (0, 1, 2)))
     emb = EmbeddingMap(domain, codomain, ((BIG, -1), (0, 0), (3, BIG + 1)))
 
@@ -287,7 +303,7 @@ def test_each_embedding_compiles_its_image_once_with_a_huge_entry(monkeypatch):
             assert emb(domain.vector(x)) == codomain.vector(intmat.matvec(emb.matrix, x))
 
     at_default_digit_limit(check)
-    assert len(sources) == 1 and "0x0," in sources[0]
+    assert len(compiled_sources) == 1 and "0x0," in compiled_sources[0]
 
 
 REFLECTIONS = [(name, reflection(root)) for name, root in default_generator_table()]
@@ -358,8 +374,12 @@ def test_block_table_squares_match_dense_on_e8():
 @settings(max_examples=100, deadline=None)
 @given(t=coords(8))
 def test_e8_square_matches_dense(t):
+    """E8 is a direct summand of LY: the square of t, zero-padded to LY, is its E8 square,
+    as the enumerator reads a plane's box squares."""
     lat = MODEL.lambda_Y
-    assert _block_square(lat, lat.block_slice("E8"), t) == dense_pair(E8_NEG_GRAM, t, t)
+    padded = [0] * lat.rank
+    padded[lat.block_slice("E8")] = t
+    assert square(lat.vector(padded)) == dense_pair(E8_NEG_GRAM, t, t)
 
 
 # --- enumerate_with_square against the box oracle ---------------------------------
