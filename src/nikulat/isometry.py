@@ -18,20 +18,18 @@ share it.  It does the sums, updates and comparisons of a loop over the supports
 in the same order, so every answer is exact, and builds an image's coordinate
 tuple only for a key it has not seen.
 
-Witness search keeps, in a least-recently-used table of ``_KEPT_ENDPOINTS``
-entries, the breadth-first levels around an endpoint searched more than once
-under the same generators, coordinate bound, frontier cap and key width: at most
-``_KEPT_ENDPOINTS * max_frontier`` keys.  Endpoints searched once are only
-remembered, in a table of ``_SEEN_ONCE`` markers of their own.  A search reuses
-kept levels and answers exactly as one that rebuilt them.
+Each side of a witness search runs through one breadth-first ball around its endpoint,
+whose new levels stop at the meet: prefix first, then finish.  A least-recently-used table
+keeps the balls of endpoints searched more than once under the same generators, coordinate
+bound, frontier cap and key width; endpoints searched once only leave a marker.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 from math import gcd
 
 from .lattice import (IntVector, Lattice, LatticeError, LatticeVector, compile_kernel, divisibility, is_primitive,
@@ -156,6 +154,15 @@ def _pack(x: IntVector, width: int) -> int:
     for c in x:
         key = key * width + c
     return key
+
+
+def _unpack(key: int, width: int, rank: int) -> IntVector:
+    """The ``rank`` coordinates packed in ``key``: the inverse of :func:`_pack`."""
+    half, x = width // 2, []
+    for _ in range(rank):
+        key, c = divmod(key + half, width)  # the last digit, shifted into 0..width - 1
+        x.append(c - half)
+    return tuple(reversed(x))
 
 
 #: generation kernels kept compiled, least recently used out
@@ -309,69 +316,51 @@ def distinct_invariants(v: LatticeVector, u: LatticeVector) -> tuple[tuple[str, 
     return tuple(entry for entry in values if entry[1] != entry[2])
 
 
-#: endpoints whose breadth-first levels witness search keeps across searches
+#: endpoints whose breadth-first balls witness search keeps across searches
 _KEPT_ENDPOINTS = 4
-#: endpoints searched once that witness search remembers, so that a second search keeps levels
+#: endpoints searched once that witness search remembers, so that a second search keeps its ball
 _SEEN_ONCE = 64
-# (endpoint, generator supports, coord_bound, max_frontier, width) -> _Levels in _kept, and
-# -> None in _seen_once; least recently used first
+# (endpoint, generator supports, coord_bound, max_frontier, width) -> _Ball in _kept, -> None in
+# _seen_once; least recently used first.  A search owns the balls it takes out of _kept.
 _kept: OrderedDict = OrderedDict()
 _seen_once: OrderedDict = OrderedDict()
-_kept_lock = threading.Lock()  # searches in several threads share the tables and the levels
 
 
-class _Levels:
-    """An endpoint's complete breadth-first levels, kept for later witness searches.
+class _Ball:
+    """An endpoint's breadth-first levels: ``tree`` maps each key to the index of the reflection that
+    reached it (None at the root), ``levels[d]`` lists the keys at distance d in insertion order, ``cut``
+    says that the frontier cap stopped the last level and ``whole`` that it is complete.  Only the last
+    whole level, the one expanded next, and a partial one after it map keys to coordinates."""
 
-    ``levels[d]`` maps the keys at distance d to their coordinates in insertion
-    order, ``tree`` is the parent map of all of them, and ``cut`` says that the
-    frontier cap stopped the last level.
-    """
-
-    __slots__ = ("levels", "tree", "cut")
+    __slots__ = ("tree", "levels", "cut", "whole")
 
     def __init__(self, key: int, x: IntVector) -> None:
-        self.levels = [{key: x}]
-        self.tree = {key: None}
-        self.cut = False
+        self.tree, self.levels, self.cut, self.whole = {key: None}, [{key: x}], False, True
 
-    def level(self, d: int, engine: tuple, cap: int) -> tuple[dict, bool]:
-        """Level ``d``, generated in full when first asked for, and whether the cap cut it."""
-        with _kept_lock:
-            if d == len(self.levels):
-                n = len(self.tree)
-                try:
-                    fresh, _, self.cut, _ = _generation(self.levels[-1], self.tree, engine, cap)
-                except BaseException:  # an interrupted level must not stay half in the parent map
-                    for k in list(self.tree)[n:]:
-                        del self.tree[k]
-                    raise
-                self.levels.append(fresh)
-            return self.levels[d], self.cut and d == len(self.levels) - 1
+    def level(self, d: int, engine: tuple, cap: int, other) -> tuple:
+        """``(level d, its first key in other or None, whether the cap stops the search there)``.
 
-
-def _kept_levels(entry: tuple, key: int, x: IntVector) -> _Levels | None:
-    """The levels kept for ``entry`` = (endpoint coordinates, search parameters).
-
-    None on the endpoint's first search, which keeps nothing but a marker in
-    ``_seen_once``; a second search while the marker lasts promotes the endpoint
-    to kept levels that it and later searches grow.  Endpoints searched once
-    therefore never push kept levels out.
-    """
-    with _kept_lock:
-        if entry in _kept:
-            _kept.move_to_end(entry)
-            return _kept[entry]
-        if entry in _seen_once:
-            del _seen_once[entry]
-            levels = _kept[entry] = _Levels(key, x)
-            if len(_kept) > _KEPT_ENDPOINTS:
-                _kept.popitem(last=False)
-            return levels
-        _seen_once[entry] = None
-        if len(_seen_once) > _SEEN_ONCE:
-            _seen_once.popitem(last=False)
-        return None
+        A new level stops at its first key in ``other``.  A partial level with no such key in
+        its prefix is finished by generating it again: that skips the prefix, now in ``tree``,
+        and appends the rest as a whole generation does, from the room the prefix left.
+        """
+        levels, tree = self.levels, self.tree
+        if d < len(levels):
+            meet = next((k for k in levels[d] if k in other), None)
+            if meet is not None or self.whole or d < len(levels) - 1:
+                return levels[d], meet, self.cut and d == len(levels) - 1
+            fresh = _generation(levels[d - 1], tree, engine, cap)[0]
+            meet = next((k for k in fresh if k in other), None)
+            levels[d].update(fresh)
+            self.whole = True
+        else:
+            fresh, _, _, meet = _generation(levels[-1], tree, engine, cap, other)
+            levels.append(fresh)
+            self.whole = meet is None or len(tree) > cap  # a meet on the insertion past the cap ends it
+        self.cut = len(tree) > cap
+        if self.whole:
+            levels[d - 1] = tuple(levels[d - 1])
+        return levels[d], meet, self.cut
 
 
 def same_orbit_witness(
@@ -390,15 +379,13 @@ def same_orbit_witness(
     Absence of a witness is NOT a proof of distinct orbits, merely of distance
     beyond the budget.
 
-    An endpoint's first search keeps nothing.  From its second search under
-    the same generators, coordinate bound, ``max_frontier`` and key width
-    (while it is among the last ``_SEEN_ONCE`` endpoints searched once),
-    its levels are generated in full and kept, for at most ``_KEPT_ENDPOINTS``
-    endpoints (least recently used out): at most that many times
-    ``max_frontier`` keys.  On kept levels the two sides meet at the first key
-    of a level, in insertion order, that the other side holds at its current
-    depth, and a level cut by the cap overflows as it did when generated, so
-    every answer is the one a search without kept levels gives.
+    Each side runs through its endpoint's ball of levels: prefix first, then finish.
+    An endpoint's first search drops its ball and keeps a marker (for the last
+    ``_SEEN_ONCE`` endpoints searched once); from its second search under the same
+    generators, coordinate bound, ``max_frontier`` and key width, its ball is kept for
+    at most ``_KEPT_ENDPOINTS`` endpoints (least recently used out): at most that many
+    times ``max_frontier`` keys.  Every answer is the one a search from fresh balls
+    gives.  A search that raises puts no ball back.
     """
     if v.lattice != u.lattice:
         raise LatticeError("witness search needs both vectors in one lattice")
@@ -411,26 +398,18 @@ def same_orbit_witness(
     if distinct_invariants(v, u):
         return None  # provably distinct orbits
 
-    bound, cap = budget.coord_bound, budget.max_frontier
+    bound, cap, rank = budget.coord_bound, budget.max_frontier, v.lattice.rank
     width = 2 * max(bound, *map(abs, v.coords), *map(abs, u.coords)) + 1
     supports = tuple(g._supports for g in gens)
-    engine = _engine(supports, bound, v.lattice.rank, width)
+    engine = _engine(supports, bound, rank, width)
     apply = [g.apply_coords for g in gens]
-    # per side (v, u): its kept levels (None on a first search); its parent map (key ->
-    # index of the reflection that reached it, None at the root); the keys it holds at
-    # its current depth; its current level and that level's depth
-    kept, trees, held, frontiers = [], [], [], []
-    for x in (v.coords, u.coords):
-        key = _pack(x, width)
-        levels = _kept_levels((x, supports, bound, cap, width), key, x)
-        kept.append(levels)
-        if levels is None:
-            trees.append({key: None})
-            held.append(trees[-1])
-        else:
-            trees.append(levels.tree)  # may reach deeper than this search has gone
-            held.append({key: x})
-        frontiers.append({key: x})
+    # per side (v, u): its table entry, the ball taken from _kept (or None), the ball it runs
+    # through, and the keys it holds at its current depth (while that is the ball's, its tree)
+    entries = [(x, supports, bound, cap, width) for x in (v.coords, u.coords)]
+    taken = [_kept.pop(entry, None) for entry in entries]
+    balls = [ball or _Ball(_pack(entry[0], width), entry[0]) for ball, entry in zip(taken, entries)]
+    held = [ball.tree if len(ball.levels) == 1 else set(ball.levels[0]) for ball in balls]
+    frontiers = [ball.levels[0] for ball in balls]
     depth = [0, 0]
 
     def path(tree: dict, key: int, x: IntVector) -> list[int]:
@@ -442,28 +421,31 @@ def same_orbit_witness(
             key = _pack(x, width)
         return word
 
+    word = None
     for _ in range(budget.max_depth):
         if not (frontiers[0] or frontiers[1]):
-            return None
+            break
         # expand the smaller live frontier to keep the two searches balanced
         s = 1 if frontiers[1] and (not frontiers[0] or len(frontiers[0]) > len(frontiers[1])) else 0
-        other = held[1 - s]
-        if kept[s] is None:
-            frontiers[s], _, overflow, meet = _generation(frontiers[s], trees[s], engine, cap, other)
-        else:
-            depth[s] += 1
-            frontiers[s], overflow = kept[s].level(depth[s], engine, cap)
-            meet = next((k for k in frontiers[s] if k in other), None)
+        depth[s] += 1
+        frontiers[s], meet, overflow = balls[s].level(depth[s], engine, cap, held[1 - s])
+        if held[s] is not balls[s].tree:
             held[s].update(frontiers[s])
         if meet is not None:
-            x = frontiers[s][meet]
-            word = path(trees[0], meet, x)[::-1] + path(trees[1], meet, x)
-            cur = v.coords
-            for j in word:
-                cur = apply[j](cur)
-            if cur != u.coords:
+            x = _unpack(meet, width, rank)  # its level may keep only keys
+            word = path(balls[0].tree, meet, x)[::-1] + path(balls[1].tree, meet, x)
+            if reduce(lambda y, j: apply[j](y), word, v.coords) != u.coords:
                 raise LatticeError("internal error: reconstructed word does not verify")
-            return word
+            break
         if overflow:
-            return None
-    return None
+            break
+    for entry, ball, took in zip(entries, balls, taken):
+        keep = took is not None or entry in _seen_once
+        table, limit = (_kept, _KEPT_ENDPOINTS) if keep else (_seen_once, _SEEN_ONCE)
+        table[entry] = ball if keep else None
+        while len(table) > limit:  # least recently used out
+            with suppress(KeyError):  # emptied meanwhile by searches in other threads
+                table.popitem(last=False)
+        if entry in _kept:  # checked last: a search in another thread may have kept it meanwhile
+            _seen_once.pop(entry, None)
+    return word

@@ -406,16 +406,21 @@ class EmbeddingReport:
     primitive: bool
     saturation_index: int
     index_invariant_factors: tuple[int, ...]
+    gram_pair_failures: int = 0  # pairs i <= j of domain basis vectors with (M e_i, M e_j) != G_ij
 
 
 def check_embedding(emb: EmbeddingMap) -> EmbeddingReport:
-    """Whether an embedding conserves the form, (M e_i, M e_j) = G_ij, and whether its image is saturated."""
+    """Whether an embedding conserves the form, (M e_i, M e_j) = G_ij, and whether its image is saturated.
+
+    Both forms are symmetric, so the pairs i <= j decide it."""
     columns = emb.column_vectors()
-    isometric = all(pair(a, b) == g for a, row in zip(columns, emb.domain.gram) for b, g in zip(columns, row))
+    failures = sum(pair(columns[i], a) != g for i, row in enumerate(emb.domain.gram)
+                   for a, g in zip(columns[i:], row[i:]))
     report = saturate(emb.codomain, list(columns))
     return EmbeddingReport(
-        isometric=isometric,
+        isometric=not failures,
         primitive=report.total_index == 1,
         saturation_index=report.total_index,
         index_invariant_factors=report.index_invariant_factors,
+        gram_pair_failures=failures,
     )

@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 
 from nikulat import OrbitBudget, isometry, orbit_explore, reflection, same_orbit_witness
 from nikulat.intmat import det
-from nikulat.isometry import _KEPT_ENDPOINTS, _SEEN_ONCE, _engine, _generation, _kernel, _kept, _pack, _seen_once
+from nikulat.isometry import (_KEPT_ENDPOINTS, _SEEN_ONCE, _engine, _generation, _kernel, _kept, _pack, _seen_once,
+                              _unpack)
 from nikulat.lattice import Lattice, square
 from nikulat.model import build_model, default_generators
 
@@ -542,23 +543,37 @@ def walks(start, count, steps, bound=4, seed=0):
 
 
 def holding():
-    """The endpoints that hold kept levels, least recently used first."""
+    """The endpoints whose balls are kept, least recently used first."""
     return [entry[0] for entry in _kept]
 
 
 def assert_kept_levels_complete():
-    """Each kept endpoint's parent map is the union of its levels, and each level is
-    the full generation of the one before it, in insertion order and cut as the cap cuts."""
+    """Each kept ball's parent map lists the keys of its levels in their order, and each
+    level is the whole generation of the one before it, in insertion order and cut as the
+    cap cuts, or, the last level only, a prefix of it; only the last whole level and a
+    partial one after it hold coordinates, the older levels being tuples of keys."""
     assert not set(_kept) & set(_seen_once)
-    for (x, supports, bound, cap, width), levels in _kept.items():
+    for (x, supports, bound, cap, width), ball in _kept.items():
         engine = _engine(supports, bound, len(x), width)
-        assert set(levels.tree) == {k for level in levels.levels for k in level}
-        seen = {}
-        for d, level in enumerate(levels.levels[:-1]):
-            seen.update((k, levels.tree[k]) for k in level)
-            fresh, _, cut, _ = _generation(level, seen, engine, cap)
-            assert list(fresh.items()) == list(levels.levels[d + 1].items())
-            assert cut == (levels.cut and d + 2 == len(levels.levels))
+        levels, last = ball.levels, len(ball.levels) - 1
+        old = last if ball.whole else last - 1
+        assert [type(level) for level in levels] == [tuple] * old + [dict] * (len(levels) - old)
+        assert list(ball.tree) == [k for level in levels for k in level]
+        frontier = {_pack(x, width): x}
+        seen = {_pack(x, width): None}
+        assert list(levels[0]) == list(frontier)
+        for d in range(1, len(levels)):
+            fresh, _, cut, _ = _generation(frontier, seen, engine, cap)
+            keys = list(levels[d])
+            if d == last and not ball.whole:  # a meet stopped it: a prefix, not cut by the cap
+                assert keys == list(fresh)[: len(keys)] and keys and not ball.cut
+            else:
+                assert keys == list(fresh)
+                assert cut == (ball.cut and d == last)
+            if isinstance(levels[d], dict):
+                assert levels[d] == {k: fresh[k] for k in keys}
+            frontier = fresh
+        assert ball.tree == {k: seen[k] for k in ball.tree}
 
 
 @pytest.fixture
@@ -617,6 +632,16 @@ def test_kept_levels_cut_by_the_cap(fresh_cache):
     start, budget = NV.L(1) + NV.e2, OrbitBudget(4, 60, 8)
     words = [assert_witness_matches(start, t, LY_GENS, budget) for t in walks(start, 8, 4, seed=2)]
     assert None in words
+    assert _kept[next(e for e in _kept if e[0] == start.coords)].cut
+
+
+def test_a_meet_on_the_insertion_past_the_cap_ends_the_level(fresh_cache):
+    # with room for one key, the start's first image meets the first target and fills the cap
+    start, budget = NV.L(1) + NV.e2, OrbitBudget(4, 1, 3)
+    first, second = [y for g in LY_GENS if (y := g(start)) != start and max(map(abs, y.coords)) <= 4][:2]
+    words = [assert_witness_matches(start, target, LY_GENS, budget) for target in (first, first, second)]
+    assert words[0] == words[1] == [next(j for j, g in enumerate(LY_GENS) if g(start) == first)]
+    assert words[2] is None  # the kept level is cut at that key, not finished past it
     assert _kept[next(e for e in _kept if e[0] == start.coords)].cut
 
 
@@ -679,24 +704,87 @@ def test_kept_levels_shared_by_threads(fresh_cache):
         sys.setswitchinterval(interval)
 
 
-def test_a_first_search_drops_each_level_once_it_is_expanded(fresh_cache, monkeypatch):
-    class Level(dict):  # a dict that takes weak references
-        pass
+def test_a_ball_holds_coordinates_for_at_most_two_levels(fresh_cache, monkeypatch):
+    balls, generations = [], []
 
-    levels = []
+    class Ball(isometry._Ball):  # a ball that takes weak references
+        __slots__ = ("__weakref__",)
 
-    def generation(frontier, *args):
-        # a first search holds only the frontier it expands and the other side's
-        assert sum(ref() is not None for ref in levels) <= 2
-        fresh, *rest = _generation(frontier, *args)
-        fresh = Level(fresh)
-        levels.append(weakref.ref(fresh))
-        return (fresh, *rest)
+        def __init__(self, *args):
+            super().__init__(*args)
+            balls.append(weakref.ref(self))
+
+    def coordinate_levels():  # per live ball, the levels that map keys to coordinates
+        live = [ref() for ref in balls]
+        return [sum(isinstance(level, dict) for level in ball.levels) for ball in live if ball is not None]
+
+    def generation(*args):
+        assert all(n <= 2 for n in coordinate_levels())
+        generations.append(None)
+        return _generation(*args)
+
+    monkeypatch.setattr(isometry, "_Ball", Ball)
+    monkeypatch.setattr(isometry, "_generation", generation)
+    start, budget = NV.L(1) + NV.e2, OrbitBudget(4, 10**5, 8)
+    first, *others = walks(start, 4, 6)
+    assert same_orbit_witness(start, first, LY_GENS, budget)
+    assert len(generations) >= 4 and len(balls) == 2 and coordinate_levels() == []  # a first search keeps no ball
+    for target in [first, *others, first]:  # kept from the second search on, and grown
+        assert_witness_matches(start, target, LY_GENS, budget)
+    assert len(coordinate_levels()) == 2 and all(n <= 2 for n in coordinate_levels())
+
+
+def test_repeated_identical_searches_insert_no_more_keys(fresh_cache, monkeypatch):
+    inserted = []
+
+    def generation(frontier, seen, *args):
+        n = len(seen)
+        try:
+            return _generation(frontier, seen, *args)
+        finally:
+            inserted[-1] += len(seen) - n
 
     monkeypatch.setattr(isometry, "_generation", generation)
-    start = NV.L(1) + NV.e2
-    assert same_orbit_witness(start, walks(start, 1, 6)[0], LY_GENS, OrbitBudget(4, 10**5, 8))
-    assert len(levels) >= 4 and all(ref() is None for ref in levels)
+    for start, budget in ((NV.L(0), OrbitBudget(4, 10**5, 8)), (NV.L(1) + NV.e2, OrbitBudget(4, 60, 8))):
+        for target in walks(start, 2, 4, seed=6):
+            inserted.clear()
+            for _ in range(3):
+                inserted.append(0)
+                assert_witness_matches(start, target, LY_GENS, budget)
+            assert inserted[0] > 0 and inserted[1] <= inserted[0] and inserted[2] == 0
+
+
+def test_a_search_that_raises_puts_no_ball_back(fresh_cache, monkeypatch):
+    start, budget = NV.L(1) + NV.e2, OrbitBudget(4, 10**5, 8)
+    first, second = walks(start, 2, 3, seed=5)
+    (third,) = walks(start, 1, 7, seed=2)  # seven reflections out, further than the kept ball reaches
+    for target in (first, second):
+        assert_witness_matches(start, target, LY_GENS, budget)
+    assert holding() == [start.coords]
+    markers, root = list(_seen_once), _pack(start.coords, 9)
+
+    def generation(frontier, seen, *args):
+        if root in seen:  # the kept ball grows: stop partway, with half the frontier expanded
+            _generation(dict(list(frontier.items())[: (len(frontier) + 1) // 2]), seen, *args)
+            raise RuntimeError("interrupted")
+        return _generation(frontier, seen, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(isometry, "_generation", generation)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            same_orbit_witness(start, third, LY_GENS, budget)
+    assert holding() == [] and list(_seen_once) == markers
+    for target in (third, first, third, second):
+        assert_witness_matches(start, target, LY_GENS, budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_unpack_inverts_pack(data):
+    b = data.draw(st.integers(1, 9) | st.integers(2**31, 2**70) | st.just(10**5000))
+    n = data.draw(st.integers(1, 23))
+    x = data.draw(st.tuples(*[st.sampled_from((-b, b, 0)) | st.integers(-b, b)] * n))
+    assert _unpack(_pack(x, 2 * b + 1), 2 * b + 1, n) == x
 
 
 # --- keys and contract ---------------------------------------------------------------

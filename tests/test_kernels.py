@@ -104,7 +104,8 @@ def test_gram_readers_read_the_compiled_kernels():
     assert pair(u, v) == 1 and calls == ["product"]
     assert Isometry(lat, (0, 0, 1)).apply_coords((0, 1, 1)) == (0, 1, -1) and calls == ["product"] * 2
     identity = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
-    assert check_embedding(EmbeddingMap(lat, lat, identity)).isometric and calls == ["product"] * 11
+    # the six pairs i <= j: both forms are symmetric
+    assert check_embedding(EmbeddingMap(lat, lat, identity)).isometric and calls == ["product"] * 8
     calls.clear()
     assert [w.coords for w in enumerate_with_square(lat, ("U",), 1, 0)] == [(-1, 0, 0), (0, -1, 0), (0, 1, 0),
                                                                             (1, 0, 0)]

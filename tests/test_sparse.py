@@ -291,6 +291,21 @@ def test_isometric_matches_dense_pull_back(emb):
     assert report.isometric == isometric
 
 
+@settings(max_examples=100, deadline=None)
+@given(emb=st.one_of(embedding_with_zero_lines(), inclusion_with_one_change()))
+def test_gram_pair_failures_count_the_dense_upper_triangle(emb):
+    """``gram_pair_failures`` counts the pairs i <= j at which the dense M^T G M differs from
+    the domain form, and the map is isometric exactly when there is none."""
+    pulled = dense.matmul(dense.matmul(dense.transpose(emb.matrix), emb.codomain.gram), emb.matrix)
+    n = emb.domain.rank
+    expected = sum(pulled[i][j] != emb.domain.gram[i][j] for i in range(n) for j in range(i, n))
+    try:
+        report = check_embedding(emb)
+    except LatticeError:  # dependent columns: checked by the test above
+        return
+    assert report.gram_pair_failures == expected and report.isometric == (expected == 0)
+
+
 def test_each_embedding_compiles_its_image_once_with_a_huge_entry(compiled_sources):
     """A 5,001-digit entry and a zero row: the image source writes its integers in hex, so it
     compiles under the default digit limit, and 30 images compile it once."""
