@@ -7,13 +7,13 @@ here is a pure function on immutable values; no floats appear anywhere.
 A lattice compiles the square, the divisibility and the product G.x of a coordinate tuple
 from its sparse Gram rows on first use (:attr:`Lattice.invariant_kernels`), straight-line,
 integers in hex.  That G.x is the package's one writer of Gram products, and
-:func:`compile_kernel` compiles every kernel of the package.
+:func:`compile_kernel` compiles every kernel of the package and every :func:`trusted_builder`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
+from functools import cache, cached_property
 from math import gcd, prod
 from operator import add, mul, sub
 
@@ -29,6 +29,12 @@ SparseRows = tuple[tuple[tuple[int, int], ...], ...]
 
 class LatticeError(ValueError):
     """Domain-level failure: bad vector, mismatched lattice, degenerate form."""
+
+
+def _declared_fields(obj) -> dict:
+    """The pickle and copy state of a value with cached kernels: its declared fields only, since
+    compiled functions do not pickle; a copy compiles its own on first use."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 # Negated Cartan matrix of E8.  Node ordering: 1-2-3-4-5-6-7 is a path and
@@ -66,6 +72,8 @@ class Lattice:
             raise LatticeError(f"Gram matrix of {self.label!r} is degenerate")
         if not self.blocks:
             object.__setattr__(self, "blocks", ((self.label, 0, n),))
+
+    __getstate__ = _declared_fields
 
     @property
     def rank(self) -> int:
@@ -124,7 +132,8 @@ class LatticeVector:
     They are checked here, where every reader and :meth:`Lattice.vector` enter.
     Sums, differences and int multiples of checked vectors, and the enumerator's
     and parser's vectors (from ``range``, ``isqrt`` and parsed digits), skip the
-    re-check through :meth:`_of_ints`: ints are closed under these operations.
+    re-check through ``_of_ints(lattice, coords)``, the :func:`trusted_builder` of this
+    class: ints are closed under these operations.
     The two fields are slots: a vector has no ``__dict__``."""
 
     lattice: Lattice
@@ -139,15 +148,6 @@ class LatticeVector:
             )
         if any(type(c) is not int for c in coords):
             raise LatticeError(f"vector coordinates must be integers, got {list(coords)!r}")
-
-    @classmethod
-    def _of_ints(cls, lattice: Lattice, coords: IntVector) -> LatticeVector:
-        """The vector with ``coords``, trusted to be a tuple of exact ints of the lattice's rank;
-        the slots' member descriptors set it past the frozen ``__setattr__``."""
-        v = object.__new__(cls)
-        _set_lattice(v, lattice)
-        _set_coords(v, coords)
-        return v
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -169,9 +169,6 @@ class LatticeVector:
 
     def __repr__(self) -> str:
         return f"{self.lattice.label}{list(self.coords)}"
-
-
-_set_lattice, _set_coords = LatticeVector.lattice.__set__, LatticeVector.coords.__set__
 
 
 def _same_lattice(v: LatticeVector, w: LatticeVector) -> None:
@@ -243,6 +240,20 @@ def compile_kernel(source: str, label: str, names: tuple[str, ...], **scope) -> 
     the one place the package compiles source text, which each kernel writes and caches."""
     exec(compile(source, f"<{label}>", "exec"), scope)
     return tuple(scope[name] for name in names)
+
+
+@cache
+def trusted_builder(cls):
+    """``build(*values)``: the frozen, slotted dataclass ``cls`` with these field values, each set
+    through its slot's member descriptor, past ``__init__``, ``__post_init__`` and the frozen
+    ``__setattr__``, for values the caller has checked.  Compiled once per class, on first use."""
+    names = [f.name for f in fields(cls)]
+    lines = [f"def build({', '.join(names)}):", " obj = new(cls)", *(f" set_{n}(obj, {n})" for n in names)]
+    return compile_kernel("\n".join(lines + [" return obj"]), f"{cls.__name__} builder", ("build",),
+                          new=object.__new__, cls=cls, **{f"set_{n}": cls.__dict__[n].__set__ for n in names})[0]
+
+
+LatticeVector._of_ints = staticmethod(trusted_builder(LatticeVector))  # at import: build_model's sums need it
 
 
 def linear_source(terms) -> str:
@@ -377,6 +388,8 @@ class EmbeddingMap:
             raise LatticeError(
                 f"embedding matrix must be {self.codomain.rank}x{self.domain.rank}"
             )
+
+    __getstate__ = _declared_fields
 
     @cached_property
     def image_kernel(self):

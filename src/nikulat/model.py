@@ -16,6 +16,13 @@ Fixed conventions (part of this package's contract):
 With this ordering eps1,eps3 and eps4,eps6 are non-adjacent, which forces
 e2^2 = ew^2 = -4 and (e2, ew) = 1; a chain ordering with eps1,eps3 adjacent
 would give e2^2 = -2 instead.
+
+The three readers of a vector's :class:`VectorProfile` (``vector_profile``,
+``classify_orbit``, ``classify_isotropic_type``) share one profile per vector
+object (:func:`_profile`).  The three value types are frozen and slotted; the
+profile and a table row's ``OrbitClass`` are built by the compiled
+:func:`~nikulat.lattice.trusted_builder`, and the eight ``FibrationType``
+values once each.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .lattice import (
     rescale,
     square,
     standard_lattice,
+    trusted_builder,
 )
 
 #: The rows of the decision table, each with its printed representative in i (and j = i + 1).
@@ -231,7 +239,7 @@ def _require_in_LY(v: LatticeVector) -> None:
         raise LatticeError("expected a vector of LY")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VectorProfile:
     """Every numerical invariant the decision table consults, computed exactly."""
 
@@ -280,15 +288,34 @@ def _profile_kernel():
     return compile_kernel(_profile_source(), "profile kernel", ("profile",), gcd=gcd)[0]
 
 
+_held: tuple = (None, None)  # (coords, profile) of the last profile computed
+
+
+def _profile(coords: IntVector) -> VectorProfile:
+    """The profile of LY's coordinate tuple ``coords``: the one caller of :func:`_profile_kernel`.
+
+    It holds the last ``(coords, profile)`` and returns the held profile for that very tuple
+    (``is``), so a vector read by :func:`vector_profile`, :func:`classify_orbit` and
+    :func:`classify_isotropic_type` in a row is profiled once.  Exact: the held tuple is never
+    freed, so no other tuple takes its id, and a tuple is immutable.  Thread-safe: one read and
+    one assignment of a tuple."""
+    global _held
+    held, profile = _held
+    if held is not coords:
+        profile = trusted_builder(VectorProfile)(*_profile_kernel()(coords))
+        _held = coords, profile
+    return profile
+
+
 def vector_profile(v: LatticeVector) -> VectorProfile:
     """Every invariant of ``v`` that the decision table consults, from one compiled G.x."""
     _require_in_LY(v)
     if v.is_zero():
         raise LatticeError("profile of the zero vector is undefined")
-    return VectorProfile(*_profile_kernel()(v.coords))
+    return _profile(v.coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitClass:
     """Outcome of the monodromy-orbit decision table."""
 
@@ -386,22 +413,15 @@ def classify_orbit(v: LatticeVector) -> OrbitClass:
         if len(matches) > 1:
             raise LatticeError(f"table rows are not exclusive on {v}: {matches}")
         if not matches:
-            return OrbitClass(
-                case="Unmatched",
-                i=0,
-                representative=v,
-                representative_expr="(input)",
-                profile=profile,
-                note=f"no printed row matches profile {profile}",
-            )
+            return OrbitClass(case="Unmatched", i=0, representative=v, representative_expr="(input)",
+                              profile=profile, note=f"no printed row matches profile {profile}")
         case, i = matches[0]
     rep, expr = _checked_representative(case, i, profile.q, profile.div)
     note = "" if i >= 0 else "parameter i is negative: outside the table's stated range i in N"
-    return OrbitClass(case=case, i=i, representative=rep, representative_expr=expr,
-                      profile=profile, note=note)
+    return trusted_builder(OrbitClass)(case, i, rep, expr, profile, note)  # a table case: no check needed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FibrationType:
     """Type A/B verdict for a primitive isotropic class, with its metadata."""
 
@@ -417,35 +437,32 @@ class FibrationType:
 _FIBRATION_TYPES = {1: ("A", "L(1)+e2", (1, 2)), 2: ("B", "L(0)", (1, 1))}
 
 
+@lru_cache(maxsize=8)
+def _fibration_type(div: int, sigma_mod4: int) -> FibrationType:
+    """The verdict of every primitive isotropic vector with this divisibility and (v, SigmaY) mod 4,
+    built and checked once; a failed check raises on every call (``lru_cache`` keeps no errors)."""
+    if div not in _FIBRATION_TYPES:
+        raise RuntimeError(f"internal consistency error: primitive vector with divisibility {div}")
+    type_label, expr, polarisation = _FIBRATION_TYPES[div]
+    if sigma_mod4 == 2 and type_label != "A":
+        raise RuntimeError("internal consistency error: (v,SigmaY) = 2 mod 4 with type B")
+    return FibrationType(type_label, _representative_vector(expr), expr, polarisation, sigma_mod4, sigma_mod4 == 2)
+
+
 def classify_isotropic_type(v: LatticeVector) -> FibrationType:
     """Type A (div 1, fiber polarisation (1,2)) or B (div 2, polarisation (1,1)).
 
     Also reports (v, SigmaY) mod 4; the value 2 forces type A, since every
     divisibility-2 isotropic vector pairs with SigmaY to a multiple of 4.
-    Every invariant it reads comes off the one compiled G.x of :func:`vector_profile`.
+    Every invariant it reads comes off the profile of :func:`vector_profile`.
     """
     _require_in_LY(v)
-    q, div, primitive, *_, sigma_mod4 = _profile_kernel()(v.coords)
-    if not primitive:  # the zero vector too: its coordinates have gcd 0
+    profile = _profile(v.coords)
+    if not profile.primitive:  # the zero vector too: its coordinates have gcd 0
         raise LatticeError("type classification needs a primitive nonzero vector")
-    if q != 0:
-        raise LatticeError(f"vector is not isotropic: q = {q}")
-    if div not in _FIBRATION_TYPES:
-        raise RuntimeError(
-            f"internal consistency error: primitive vector with divisibility {div}"
-        )
-    type_label, expr, polarisation = _FIBRATION_TYPES[div]
-    result = FibrationType(
-        type_label=type_label,
-        orbit_representative=_representative_vector(expr),
-        representative_expr=expr,
-        polarisation_type=polarisation,
-        pair_sigma_mod4=sigma_mod4,
-        sigma_pairing_forces_type_a=sigma_mod4 == 2,
-    )
-    if result.sigma_pairing_forces_type_a and result.type_label != "A":
-        raise RuntimeError("internal consistency error: (v,SigmaY) = 2 mod 4 with type B")
-    return result
+    if profile.q != 0:
+        raise LatticeError(f"vector is not isotropic: q = {profile.q}")
+    return _fibration_type(profile.div, profile.pair_sigma_mod4)
 
 
 # ---------------------------------------------------------------------------

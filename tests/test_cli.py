@@ -571,6 +571,30 @@ def test_profile_and_classify_json_pinned(capsys, expr):
     assert tuple(digests) == JSON_SHA256[expr]
 
 
+#: expression -> (stdout of ``classify EXPR``, sha256 of the stdout of ``classify EXPR --json``) for
+#: the Unmatched pocket, whose note prints the profile's repr, and a row of negative i
+CLASSIFY_PINS = {
+    "2*u1+u2+2*e1+gamma1": (
+        "Unmatched i=0 rep=(input) [q=-2 div=2] (no printed row matches profile VectorProfile(q=-2, div=2, "
+        "primitive=True, u_part_div_by_2=False, e8_part=(2, 0, 0, 0, 0, 0, 0, 0), e8_part_div_by_2=True, "
+        "q_e8_mod4=0, gamma_coords=(1, 0), gamma_in_delta_sigma_span=False, pair_sigma_mod4=2))\n",
+        "df080cb7941ebdc645454aa8a3d8c17e4d664666af8bc7552c20665c6c4f2575",
+    ),
+    "u1-2*u2": (
+        "Star1 i=-2 rep=L(-2) [q=-8 div=2] (parameter i is negative: outside the table's stated range i in N)\n",
+        "001daaf3bd2bec7fc74af632e43351030301ea70d570f12adf627d5b486591a2",
+    ),
+}
+
+
+@pytest.mark.parametrize("expr", list(CLASSIFY_PINS))
+def test_classify_text_and_json_pinned(capsys, expr):
+    text, digest = CLASSIFY_PINS[expr]
+    assert run(capsys, "classify", expr) == (0, text, "")
+    code, out, _ = run(capsys, "classify", expr, "--json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # --- integers beyond the interpreter's default int/str conversion limit ----------
 
 ONES = "1" * 5000  # more digits than the default limit of 4,300

@@ -1,4 +1,4 @@
-"""Every compiled kernel of the package, and its one compiler.
+"""Every compiled kernel and trusted builder of the package, and their one compiler.
 
 ``lattice.compile_kernel`` holds the only ``exec`` and ``compile`` in ``src/nikulat``.
 Each kernel's source text is pinned by sha256, so a change to how kernels are written
@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import nikulat
-from nikulat import intmat, isometry, model
+from nikulat import intmat, isometry, lattice, model
 from nikulat.isometry import Isometry
-from nikulat.lattice import EmbeddingMap, Lattice, check_embedding, direct_sum, pair, standard_lattice
-from nikulat.model import build_model, default_generators, enumerate_with_square, eta_as_written_matrix, eta_from_matrix
+from nikulat.lattice import EmbeddingMap, Lattice, LatticeVector, check_embedding, direct_sum, pair, standard_lattice
+from nikulat.model import (OrbitClass, VectorProfile, build_model, default_generators, enumerate_with_square,
+                           eta_as_written_matrix, eta_from_matrix)
 
 LY = build_model()[0].lambda_Y
 
@@ -41,6 +42,10 @@ def invariants():
     return Lattice(LY.label, LY.gram, LY.blocks).invariant_kernels  # a new lattice: compiled afresh
 
 
+def builder(cls):
+    return lambda: lattice.trusted_builder.__wrapped__(cls)  # past the per-class cache: compiled afresh
+
+
 @pytest.mark.parametrize("compile_it,length,digest", [
     pytest.param(generation, 9629, "75e09be5ee2ffc10c6a9ad878a6e041c956aadf5978329bd262b3d86bce8e723",
                  id="generation-default-supports-bound-4"),
@@ -52,6 +57,12 @@ def invariants():
                  id="embedding-eta-as-written"),
     pytest.param(invariants, 1580, "784d5189040bf622acd5f43f682f3ac64b9da89f6b68b0729468c80735aa2699",
                  id="invariants-LY"),
+    pytest.param(builder(LatticeVector), 107, "af6e28f1e75be3315dd2191e30731dd41fa2e8234d697703fd9e3c6a9603fbc8",
+                 id="builder-LatticeVector"),
+    pytest.param(builder(VectorProfile), 524, "1f409be660349bc4ccc52369827054b2b6aaa6bdd375bf50a53a856a86d93a1e",
+                 id="builder-VectorProfile"),
+    pytest.param(builder(OrbitClass), 275, "8e85b35801436c8233457a3052e6f4529a9d8e375adc8ef959f8b48f5418f78e",
+                 id="builder-OrbitClass"),
 ])
 def test_kernel_source_is_pinned(compiled_sources, compile_it, length, digest):
     """What is compiled, one source per kernel, byte for byte."""

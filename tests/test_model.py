@@ -1,10 +1,15 @@
 """Named model, condition (*), the decision table, types, enumeration."""
 
+import contextlib
+import copy
+import dataclasses
 import hashlib
 import io
 import itertools
+import pickle
 import random
 import sys
+import threading
 import tokenize
 
 import pytest
@@ -34,12 +39,14 @@ from nikulat.model import (
     SECOND_WINDOW,
     EnumerationWindow,
     FibrationType,
+    OrbitClass,
     VectorProfile,
     build_model,
     case_representative,
     default_generators,
     enumerate_primitive_isotropic,
     enumerate_with_square,
+    eta_as_written_matrix,
     eta_from_matrix,
     lattice_registry,
 )
@@ -686,3 +693,193 @@ def test_classify_wide_coordinate_scan(setup):
         else:
             assert square(got.representative) == square(v)
             assert divisibility(got.representative) == divisibility(v)
+
+
+# --- one profile per vector object -------------------------------------------------
+
+_READERS = {"vector_profile": vector_profile, "classify_orbit": classify_orbit,
+            "classify_isotropic_type": classify_isotropic_type}
+
+
+def _memo_free(name, v):
+    """What reader ``name`` answers for ``v`` with no profile held: the profile kernel's fields,
+    the decision table and the type map, every value through its public constructor."""
+    model, _ = build_model()
+    if v.lattice != model.lambda_Y:
+        raise LatticeError("expected a vector of LY")
+    profile = VectorProfile(*model_module._profile_kernel()(v.coords))
+    if name == "classify_isotropic_type":
+        if not profile.primitive:
+            raise LatticeError("type classification needs a primitive nonzero vector")
+        if profile.q != 0:
+            raise LatticeError(f"vector is not isotropic: q = {profile.q}")
+        label, expr, polarisation = {1: ("A", "L(1)+e2", (1, 2)), 2: ("B", "L(0)", (1, 1))}[profile.div]
+        sigma = profile.pair_sigma_mod4
+        return FibrationType(label, parse_vector(expr), expr, polarisation, sigma, sigma == 2)
+    if v.is_zero():
+        raise LatticeError("profile of the zero vector is undefined")
+    if name == "vector_profile":
+        return profile
+    if not profile.primitive:
+        raise LatticeError("vector not primitive")
+    matches = [("Star1", profile.q // 4)] if profile.star else model_module._row_matches(profile)
+    if not matches:
+        return OrbitClass("Unmatched", 0, v, "(input)", profile, f"no printed row matches profile {profile}")
+    (case, i), = matches
+    rep, expr = case_representative(case, i)
+    note = "" if i >= 0 else "parameter i is negative: outside the table's stated range i in N"
+    return OrbitClass(case, i, rep, expr, profile, note)
+
+
+def _special_vectors():
+    model, nv = build_model()
+    return [model.lambda_Y.vector((0,) * 16), 2 * nv.L(0), 2 * nv.u[0] + nv.u[1] + 2 * nv.e1 + nv.gamma1,
+            nv.u[0] - 2 * nv.u[1], nv.L(1) + nv.e2, nv.L(0), model.lambda_X.basis_vector(0)]
+
+
+_STEP = st.tuples(
+    st.sampled_from(sorted(_READERS)),
+    st.sampled_from(["same", "twin", "other", "isotropic", "special"]),
+    st.lists(st.integers(-3, 3), min_size=16, max_size=16),
+    st.integers(0, len(_special_vectors()) - 1),
+)
+
+
+@given(steps=st.lists(_STEP, min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_readers_share_a_profile_and_answer_as_without_it(steps):
+    """Any interleaving of the three readers on the same vector object, on a new vector with
+    equal coordinates, and on other vectors answers as the memo-free reference does."""
+    model, _ = build_model()
+    v = model.lambda_Y.vector([1] + [0] * 15)
+    for name, pick, coords, special in steps:
+        if pick == "twin":
+            v = v.lattice.vector(list(v.coords))  # equal coordinates, another tuple
+        elif pick == "other":
+            v = model.lambda_Y.vector(coords)
+        elif pick == "isotropic":
+            v = _isotropic(_off_u1(coords))
+        elif pick == "special":
+            v = _special_vectors()[special]
+        assert _outcome(_READERS[name], v) == _outcome(lambda w: _memo_free(name, w), v)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The coordinate tuples handed to the profile kernel during a test."""
+    calls, kernel = [], model_module._profile_kernel()
+    monkeypatch.setattr(model_module, "_profile_kernel", lambda: lambda x: calls.append(x) or kernel(x))
+    return calls
+
+
+def test_one_vector_is_profiled_once(setup, kernel_calls):
+    _, nv = setup
+    v = nv.L(1) + nv.e2
+    assert vector_profile(v) is vector_profile(v)
+    assert classify_orbit(v).profile is vector_profile(v)
+    assert classify_isotropic_type(v).type_label == "A"
+    assert [id(x) for x in kernel_calls] == [id(v.coords)]
+    twin = v.lattice.vector(list(v.coords))  # equal coordinates, another tuple: computed afresh
+    twin_profile, profile = vector_profile(twin), vector_profile(v)
+    assert twin_profile == profile and twin_profile is not profile
+    assert [id(x) for x in kernel_calls] == [id(v.coords), id(twin.coords), id(v.coords)]
+
+
+def test_classify_command_profiles_once(capsys, kernel_calls):
+    from nikulat.cli import main
+    assert main(["classify", "L(1)+e2"]) == 0
+    assert "Case9 i=0" in capsys.readouterr().out and len(kernel_calls) == 1
+
+
+def test_errors_hold_while_a_profile_is_held(setup):
+    model, nv = setup
+    zero = model.lambda_Y.vector((0,) * 16)
+    doubled = Lattice("LY(2)", [[2 * g for g in row] for row in model.lambda_Y.gram])
+    errors = ((vector_profile, "profile of the zero vector is undefined"),
+              (classify_orbit, "profile of the zero vector is undefined"),
+              (classify_isotropic_type, "type classification needs a primitive nonzero vector"))
+    for held in (nv.L(0), zero):
+        with contextlib.suppress(LatticeError):
+            classify_isotropic_type(held)  # holds the profile of held, the zero vector's too
+        outside = doubled.vector(held.coords)
+        assert outside.coords is model_module._held[0]  # the held tuple, as coordinates outside LY
+        for reader in _READERS.values():
+            with pytest.raises(LatticeError, match="^expected a vector of LY$"):
+                reader(outside)
+        for reader, message in errors:
+            with pytest.raises(LatticeError, match=f"^{message}$"):
+                reader(zero)
+
+
+def test_two_threads_never_see_each_others_profile(setup):
+    _, nv = setup
+    vectors = (nv.L(1) + nv.e2, nv.L(0))
+    expected = [(vector_profile(v), classify_orbit(v), classify_isotropic_type(v)) for v in vectors]
+    wrong = []
+
+    def classify(v, answers):
+        for _ in range(10_000):
+            got = (vector_profile(v), classify_orbit(v), classify_isotropic_type(v))
+            if got != answers:
+                wrong.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        threads = [threading.Thread(target=classify, args=args) for args in zip(vectors, expected)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not wrong
+
+
+# --- the value types ------------------------------------------------------------------
+
+
+def _values():
+    """A classifier-built value of each type, with its twin from the public constructor."""
+    _, nv = build_model()
+    v = nv.L(1) + nv.e2
+    built = (vector_profile(v), classify_orbit(v), classify_isotropic_type(v), classify_orbit(nv.u[0] - 2 * nv.u[1]))
+    return [(value, type(value)(*(getattr(value, f.name) for f in dataclasses.fields(value)))) for value in built]
+
+
+def test_value_types_are_slotted_and_frozen():
+    for value, _ in _values():
+        assert not hasattr(value, "__dict__")
+        for field in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, getattr(value, field.name))
+        # a name that is no field has no slot; CPython 3.11 raises TypeError here
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            value.other = 1
+
+
+def test_built_values_equal_constructed_ones():
+    for value, constructed in _values():
+        for twin in (constructed, copy.copy(value), copy.deepcopy(value), dataclasses.replace(value)):
+            assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+            assert type(twin) is type(value) and dataclasses.asdict(twin) == dataclasses.asdict(value)
+
+
+def test_values_pickle_and_copy_before_and_after_their_kernels_compile(setup):
+    model, nv = setup
+    ly = model.lambda_Y
+    fresh = Lattice(ly.label, ly.gram, ly.blocks)  # a new lattice: no kernel compiled yet
+    eta = eta_from_matrix(eta_as_written_matrix())  # a new map: no image compiled yet
+    w = fresh.vector(nv.w.coords)
+    values = [fresh, w, eta] + [value for value, _ in _values()]
+    for compiled in (False, True):
+        if compiled:
+            assert square(w) == -2 and eta(eta.domain.basis_vector(0)) == eta.column_vectors()[0]
+            assert "invariant_kernels" in vars(fresh) and "image_kernel" in vars(eta)
+        for value in values:
+            for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert twin == value and type(twin) is type(value) and repr(twin) == repr(value)
+    twin_lattice, twin_map = copy.deepcopy(fresh), pickle.loads(pickle.dumps(eta))
+    assert "invariant_kernels" not in vars(twin_lattice) and "image_kernel" not in vars(twin_map)
+    assert square(twin_lattice.vector(nv.w.coords)) == -2  # compiled afresh on first use
+    assert twin_map(twin_map.domain.basis_vector(6)) == eta(eta.domain.basis_vector(6))
