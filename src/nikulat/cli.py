@@ -207,7 +207,7 @@ def cmd_orbit(args) -> int:
 def cmd_embed(args) -> int:
     if args.matrix_file:
         emb = eta_from_matrix(serialize.matrix_from_obj(serialize.load_json(args.matrix_file)))
-        label = args.matrix_file
+        label = os.path.basename(args.matrix_file)
     else:
         emb, label = eta_embedding(), "as-written"
     report = check_embedding(emb)

@@ -271,8 +271,9 @@ def gx_source(rows: SparseRows) -> list[str]:
 def _invariant_source(lat: Lattice) -> str:
     """The source of :attr:`Lattice.invariant_kernels`: ``square(x)``, which sums
     x_i (G_ii x_i + sum_{j>i} 2 G_ij x_j) over the upper triangle of the sparse rows,
-    ``divisibility(x)``, the gcd of G.x as :func:`coords_divisibility` reads it, and
-    ``gram_product(x)``, the tuple G.x."""
+    ``divisibility(x)``, the gcd of G.x (0 at x = 0), and ``gram_product(x)``, the tuple G.x.
+    ``divisibility`` reads the rows in ``lat.rows_by_content`` order, smallest content first,
+    and returns once the gcd is 1, which no further entry can move."""
     unpack = f" ({''.join(f'x{i}, ' for i in range(lat.rank))}) = x"
     upper = (linear_source((g if j == i else 2 * g, f"x{j}") for j, g in row if j >= i)
              for i, row in enumerate(lat.sparse_rows))
@@ -300,16 +301,6 @@ def divisibility(v: LatticeVector) -> int:
     if v.is_zero():
         raise LatticeError("divisibility of the zero vector is undefined")
     return v.lattice.invariant_kernels[1](v.coords)
-
-
-def coords_divisibility(lat: Lattice, x: IntVector) -> int:
-    """gcd of the entries of G.x for a coordinate tuple (0 at x = 0), by ``lat``'s compiled kernel.
-
-    It reads the rows in ``lat.rows_by_content`` order, smallest content first, and
-    returns once the gcd is 1: no further entry can move it from 1, so the early exit
-    is exact.  Rows of content above 1 alone never reach 1, so content-1 rows go first.
-    """
-    return lat.invariant_kernels[1](x)
 
 
 def is_primitive(v: LatticeVector) -> bool:

@@ -1,11 +1,11 @@
 """The claim catalog: statuses, witnesses, determinism, coefficient solver."""
 
 import dataclasses
-import hashlib
 import json
 
 import pytest
 
+from answers import ANSWERS
 from nikulat import LatticeError, OrbitBudget, divisibility, mt_coefficients, run_all, run_claim
 from nikulat import serialize
 from nikulat.audit import (
@@ -176,13 +176,10 @@ def test_report_json_round_trips_byte_identically(report):
     assert serialize.dumps(json.loads(text)) == text
 
 
-#: sha256 of the audit's report.json at the default budget
-REPORT_SHA256 = "16ead83d859c0480b99f457e31a46149db055227f55d2a139616020a7ec05fc6"
-
-
 def test_report_json_pinned(report):
-    text = serialize.dumps(report.to_obj()) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
+    """The library's report serialises to the report.json that the ledger pins for ``nikulat audit``."""
+    mismatch = ANSWERS["audit"].mismatch((serialize.dumps(report.to_obj()) + "\n").encode())
+    assert not mismatch, mismatch
 
 
 def test_report_schema(report):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from answers import ANSWERS, output
 from nikulat import (
     LatticeError,
     OrbitBudget,
@@ -570,22 +571,24 @@ def test_enumerate_lexicographic_and_deterministic(setup):
 
 
 @pytest.mark.parametrize(
-    "blocks,bound,count,digest",
+    "key,blocks,bound,count",
     [
-        (("U1", "E8"), 1, 948, "0ec559c574aeafd0f41a25532fa2a2e096a4a425eb801d62f85bcddd65b868e1"),
-        (("U1", "E8"), 2, 53172, "9bc79d8a8f09e40672f39cfb6f9a535c4c47053a7c734e4f10b1377673cd0552"),
-        (DEFAULT_WINDOW.blocks, 1, 1660, "d5ceafc5021c04972484a857dd008c1bffee5c923f8516b79718ab0e694e6952"),
-        (SECOND_WINDOW.blocks, 2, 800, "732e23a8969507d16cb38f8ff680513b80099d7b67045ef8f5fe616499ad0b88"),
-        (("U1", "E8", "G2"), 1, 1300, "285a429075e1fead2799a7a02dbdfe90d79dc3e40ae8e2e3ae1a7a98f267a7a7"),
+        ("census-1", ("U1", "E8"), 1, 948),
+        ("census-2", ("U1", "E8"), 2, 53172),
+        ("window1", DEFAULT_WINDOW.blocks, 1, 1660),
+        ("window2", SECOND_WINDOW.blocks, 2, 800),
+        ("gap-before-G2", ("U1", "E8", "G2"), 1, 1300),
     ],
     ids=["census-1", "census-2", "window1", "window2", "gap-before-G2"],
 )
-def test_enumerate_windows_pinned(blocks, bound, count, digest):
-    """Count and sha256 of the coordinate list: U1+E8 is the window the census
+def test_enumerate_windows_pinned(key, blocks, bound, count):
+    """Count and pinned ``nikulat enumerate`` output: U1+E8 is the window the census
     classifies, window1/window2 feed the audit, and E8 + G2 are not adjacent."""
-    coords = [v.coords for v in enumerate_primitive_isotropic(EnumerationWindow(blocks, bound))]
-    assert len(coords) == count
-    assert hashlib.sha256(repr(coords).encode()).hexdigest() == digest
+    answer = ANSWERS[f"enumerate:{key}"]
+    assert answer.argv == ("enumerate", "--blocks", ",".join(blocks), "--bound", str(bound))
+    out = output(answer)
+    assert out.endswith(f"# {count} vectors\n".encode()) and out.count(b"\n") == count + 1
+    answer.check()
 
 
 def test_enumerate_rejects_empty_window():

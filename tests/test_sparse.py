@@ -28,7 +28,6 @@ from nikulat.lattice import (
     LatticeError,
     _invariant_source,
     check_embedding,
-    coords_divisibility,
     direct_sum,
     divisibility,
     pair,
@@ -100,7 +99,7 @@ def check_against_dense(lat, data):
     v, w = lat.vector(x), lat.vector(y)
     assert pair(v, w) == dense_pair(lat.gram, x, y)
     assert square(v) == dense_pair(lat.gram, x, x)
-    assert coords_divisibility(lat, x) == gcd(*intmat.matvec(lat.gram, x))
+    assert lat.invariant_kernels[1](x) == gcd(*intmat.matvec(lat.gram, x))
     if any(x):
         assert divisibility(v) == gcd(*intmat.matvec(lat.gram, x))
 
@@ -144,7 +143,7 @@ def test_divisibility_matches_dense_when_leading_rows_have_content_above_one():
         (0, (0,) * 10),
     ]
     for div, x in cases:
-        assert coords_divisibility(lat, x) == gcd(*intmat.matvec(lat.gram, x)) == div
+        assert lat.invariant_kernels[1](x) == gcd(*intmat.matvec(lat.gram, x)) == div
 
 
 # --- the compiled square and divisibility ------------------------------------------
@@ -171,7 +170,7 @@ def assert_invariants_match_dense(lat, x):
     gx = intmat.matvec(lat.gram, x)
     assert lat.invariant_kernels[2](x) == gx
     assert square(lat.vector(x)) == dense_pair(lat.gram, x, x)
-    assert coords_divisibility(lat, x) == gcd(*gx)
+    assert lat.invariant_kernels[1](x) == gcd(*gx)
     if any(x):
         assert divisibility(lat.vector(x)) == gcd(*gx)
 
@@ -204,7 +203,7 @@ def test_invariants_compile_a_gram_entry_past_the_decimal_conversion_limit():
         for x in vectors:
             assert_invariants_match_dense(lat, x)
         assert square(lat.vector((1, 0, 0))) == BIG
-        assert coords_divisibility(lat, (0, 2, 0)) == 2
+        assert lat.invariant_kernels[1]((0, 2, 0)) == 2
 
     at_default_digit_limit(check)
 
@@ -212,7 +211,7 @@ def test_invariants_compile_a_gram_entry_past_the_decimal_conversion_limit():
 @pytest.mark.parametrize("lat", [*LATTICES.values(), big_entry()], ids=[*LATTICES, "big"])
 def test_zero_vector_has_divisibility_zero_and_square_zero(lat):
     zero = (0,) * lat.rank
-    assert coords_divisibility(lat, zero) == 0
+    assert lat.invariant_kernels[1](zero) == 0
     assert square(lat.vector(zero)) == 0
     with pytest.raises(LatticeError, match="divisibility of the zero vector is undefined"):
         divisibility(lat.vector(zero))
