@@ -11,23 +11,20 @@ Orbit closure and witness search share one generation step on packed keys
 order and a reflection adds c.key(r)); every generator is a reflection by type.
 A reflection reads G.r off its lattice's compiled product; its one check is (r, r) = -2.
 
-A generation runs in one kernel: a straight-line function compiled from the
-generators' supports and kept in a table of ``_KERNELS`` entries keyed by those,
-the coordinate bound and the rank only, so that endpoints of every key width
-share it.  It does the sums, updates and comparisons of a loop over the supports,
-in the same order, so every answer is exact, and builds an image's coordinate
-tuple only for a key it has not seen.
+Every generation runs in one kernel: a straight-line function compiled from the
+generators' supports and kept in a table of ``_KERNELS`` entries keyed by those, the
+coordinate bound, the rank and whether it guards a witness endpoint outside the box,
+so that endpoints of every key width share it.  It does the sums, updates and
+comparisons of a loop over the supports, in the same order, so every answer is exact,
+and builds an image's coordinate tuple only for a key it has not seen.
 
 Each side of a witness search runs through one breadth-first ball around its endpoint,
-whose new levels stop at the meet: prefix first, then finish.  A least-recently-used table
-keeps the balls of endpoints searched more than once under the same generators, coordinate
-bound, frontier cap and key width; endpoints searched once only leave a marker.
+whose new levels stop at the meet: prefix first, then finish.  The last search that
+returned leaves its two balls; the next one reuses a side's ball on an equal entry.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache, partial, reduce
 from math import gcd
@@ -170,19 +167,21 @@ _KERNELS = 8
 
 
 @lru_cache(maxsize=_KERNELS)
-def _kernel(supports: tuple, bound: int, rank: int):
+def _kernel(supports: tuple, bound: int, rank: int, guarded: bool = False):
     """The generation kernel of reflections with ``supports`` in the box ``bound``.
 
     ``supports`` holds each reflection's ``Isometry._supports``.  The kernel is one
     straight-line ``generation(frontier, seen, cap, other)`` that runs :func:`_generation`
-    on vectors of ``rank`` inside the box: for each vector, in key order, and each
-    reflection j, in order, the pairing c = (x, r_j), the update of r_j's support, the box
-    test there, the key k = key + c.s_j and the ``seen`` test; only a new key gets its
-    coordinate tuple, then the meet and cap tests (the cap counting down the room left).
-    Every integer in its source (an index or a coefficient of G.r or r, each an int checked
-    by :class:`Isometry`) is written in hex, which the interpreter's limit on converting
-    ints to decimal text does not cover.  The bound and the steps s_j are closure values:
-    called with the steps in the caller's key width, the result returns the generation.
+    on vectors of ``rank``: for each vector, in key order, and each reflection j, in order,
+    the pairing c = (x, r_j), the update of r_j's support, the box test there, the key
+    k = key + c.s_j and the ``seen`` test; only a new key gets its coordinate tuple, then
+    the meet and cap tests (the cap counting down the room left).  The ``guarded`` kernel
+    skips r_j, leaving ``clipped`` as it is, unless r_j's support covers every coordinate
+    outside the box.  Every integer in its source (an index or a coefficient of G.r or r,
+    each an int checked by :class:`Isometry`) is written in hex, which the interpreter's
+    limit on converting ints to decimal text does not cover.  The bound and the steps s_j
+    are closure values: called with the steps in the caller's key width, the result
+    returns the generation.
     """
     lines = [f"def make(lo, hi{''.join(f', s{j}' for j in range(len(supports)))}):",
              " def generation(frontier, seen, cap, other):",
@@ -191,7 +190,8 @@ def _kernel(supports: tuple, bound: int, rank: int):
     for j, (gram_root, root) in enumerate(supports):
         cover = {i for i, _ in root}
         lines.append(f"   c = {linear_source((g, f'x{i}') for i, g in gram_root)}")  # G.r != 0: nondegenerate form
-        lines.append("   if c:")
+        guard = "".join(f" and lo <= x{i} <= hi" for i in range(rank) if guarded and i not in cover)
+        lines.append(f"   if c{guard}:")
         lines.extend(f"    y{i} = {linear_source(((1, f'x{i}'), (r, 'c')))}" for i, r in root)
         lines.append(f"    if {' and '.join(f'lo <= y{i} <= hi' for i, _ in root)}:")
         lines.append(f"     k = key + c*s{j}\n     if k not in seen:\n      seen[k] = {j:#x}")
@@ -203,10 +203,11 @@ def _kernel(supports: tuple, bound: int, rank: int):
 
 
 def _engine(supports: tuple, bound: int, rank: int, width: int) -> tuple:
-    """What :func:`_generation` expands by: ``(generation, supports, steps, bound)``, the
-    kernel of the reflections with ``supports`` bound to their packed steps in base ``width``."""
+    """What :func:`_generation` expands by: ``(generation, guarded, bound)``, the kernel of the
+    reflections with ``supports`` bound to their steps in base ``width``, and a call that
+    returns the guarded kernel so bound, compiled when an endpoint outside the box needs it."""
     steps = [sum(r * width ** (rank - 1 - i) for i, r in root) for _, root in supports]
-    return _kernel(supports, bound, rank)(*steps), supports, steps, bound
+    return _kernel(supports, bound, rank)(*steps), lambda: _kernel(supports, bound, rank, True)(*steps), bound
 
 
 def _generation(frontier: dict, seen: dict, engine: tuple, cap, other=frozenset()):
@@ -214,40 +215,21 @@ def _generation(frontier: dict, seen: dict, engine: tuple, cap, other=frozenset(
 
     ``frontier`` (key -> coordinates) is expanded in key order, each vector by every
     reflection of the ``engine`` (see :func:`_engine`) in order; image j of the vector of
-    key k has key k + c * steps[j].  A new image inside ``bound`` is recorded as
+    key k has key k + c * key(r_j).  A new image inside ``bound`` is recorded as
     ``seen[key] = generator index`` and in ``fresh``.  Expansion stops at the first
     inserted key that ``other`` (the opposite search's parent map; empty for orbit
     closure) already holds, or else once ``seen`` holds more than ``cap`` keys.  ``fresh``
     is insertion-ordered, so that meeting key is the first key of the full generation's
     ``fresh`` found in ``other``.  Returns fresh, whether an image before the stop left
     the box, whether the cap stopped the expansion, and the meeting key (None if the
-    sides did not meet).  The compiled kernel runs every generation but a witness
-    endpoint's outside the box, a root alone in its frontier: that one is expanded here,
-    by the reflections whose r covers its outliers.
+    sides did not meet).  The guarded kernel expands a witness endpoint outside the box,
+    a root alone in its frontier, by the reflections whose r covers its outliers.
     """
-    generation, supports, steps, bound = engine
+    generation, guarded, bound = engine
     if len(frontier) == 1:
         ((key, x),) = frontier.items()
         if seen[key] is None and (max(x) > bound or min(x) < -bound):
-            # a witness endpoint outside the box: r's support must cover its outliers
-            out = {i for i, c in enumerate(x) if abs(c) > bound}
-            fresh, clipped = {}, False
-            for j, (gram_root, root) in enumerate(supports):
-                c = sum(g * x[i] for i, g in gram_root)
-                if not c or not out <= {i for i, _ in root}:
-                    continue
-                y = list(x)
-                for i, r in root:
-                    y[i] += c * r
-                if max(y) > bound or min(y) < -bound:
-                    clipped = True
-                elif (k := key + c * steps[j]) not in seen:
-                    seen[k], fresh[k] = j, tuple(y)
-                    if k in other:
-                        return fresh, clipped, False, k
-                    if len(seen) > cap:
-                        return fresh, clipped, True, None
-            return fresh, clipped, False, None
+            generation = guarded()
     return generation(frontier, seen, cap, other)
 
 
@@ -316,14 +298,9 @@ def distinct_invariants(v: LatticeVector, u: LatticeVector) -> tuple[tuple[str, 
     return tuple(entry for entry in values if entry[1] != entry[2])
 
 
-#: endpoints whose breadth-first balls witness search keeps across searches
-_KEPT_ENDPOINTS = 4
-#: endpoints searched once that witness search remembers, so that a second search keeps its ball
-_SEEN_ONCE = 64
-# (endpoint, generator supports, coord_bound, max_frontier, width) -> _Ball in _kept, -> None in
-# _seen_once; least recently used first.  A search owns the balls it takes out of _kept.
-_kept: OrderedDict = OrderedDict()
-_seen_once: OrderedDict = OrderedDict()
+# under key 0: the last witness search's (entry, ball) pair per side, v then u; an entry is
+# (endpoint, generator supports, coord_bound, max_frontier, width)
+_last: dict = {}
 
 
 class _Ball:
@@ -380,12 +357,11 @@ def same_orbit_witness(
     beyond the budget.
 
     Each side runs through its endpoint's ball of levels: prefix first, then finish.
-    An endpoint's first search drops its ball and keeps a marker (for the last
-    ``_SEEN_ONCE`` endpoints searched once); from its second search under the same
-    generators, coordinate bound, ``max_frontier`` and key width, its ball is kept for
-    at most ``_KEPT_ENDPOINTS`` endpoints (least recently used out): at most that many
-    times ``max_frontier`` keys.  Every answer is the one a search from fresh balls
-    gives.  A search that raises puts no ball back.
+    A search that returns keeps its two balls (at most 2 * ``max_frontier`` keys) until
+    the next one, which runs a side through the kept ball when the side's endpoint,
+    generators, coordinate bound, ``max_frontier`` and key width are equal, and drops
+    every other ball before it expands anything.  Every answer is the one a search from
+    fresh balls gives.  A search that raises puts no ball back.
     """
     if v.lattice != u.lattice:
         raise LatticeError("witness search needs both vectors in one lattice")
@@ -403,11 +379,12 @@ def same_orbit_witness(
     supports = tuple(g._supports for g in gens)
     engine = _engine(supports, bound, rank, width)
     apply = [g.apply_coords for g in gens]
-    # per side (v, u): its table entry, the ball taken from _kept (or None), the ball it runs
-    # through, and the keys it holds at its current depth (while that is the ball's, its tree)
+    # per side (v, u): its entry, its ball (the last search's on an equal entry, compared without
+    # hashing; one pop takes them, so no two threads share one) and the keys it holds at its
+    # current depth (while that is the ball's, its tree)
     entries = [(x, supports, bound, cap, width) for x in (v.coords, u.coords)]
-    taken = [_kept.pop(entry, None) for entry in entries]
-    balls = [ball or _Ball(_pack(entry[0], width), entry[0]) for ball, entry in zip(taken, entries)]
+    balls = [ball if entry == last else _Ball(_pack(entry[0], width), entry[0])
+             for entry, (last, ball) in zip(entries, _last.pop(0, ((None, None), (None, None))))]
     held = [ball.tree if len(ball.levels) == 1 else set(ball.levels[0]) for ball in balls]
     frontiers = [ball.levels[0] for ball in balls]
     depth = [0, 0]
@@ -439,13 +416,5 @@ def same_orbit_witness(
             break
         if overflow:
             break
-    for entry, ball, took in zip(entries, balls, taken):
-        keep = took is not None or entry in _seen_once
-        table, limit = (_kept, _KEPT_ENDPOINTS) if keep else (_seen_once, _SEEN_ONCE)
-        table[entry] = ball if keep else None
-        while len(table) > limit:  # least recently used out
-            with suppress(KeyError):  # emptied meanwhile by searches in other threads
-                table.popitem(last=False)
-        if entry in _kept:  # checked last: a search in another thread may have kept it meanwhile
-            _seen_once.pop(entry, None)
+    _last[0] = tuple(zip(entries, balls))
     return word

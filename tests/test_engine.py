@@ -27,8 +27,7 @@ from hypothesis import strategies as st
 
 from nikulat import OrbitBudget, isometry, orbit_explore, reflection, same_orbit_witness
 from nikulat.intmat import det
-from nikulat.isometry import (_KEPT_ENDPOINTS, _SEEN_ONCE, _engine, _generation, _kernel, _kept, _pack, _seen_once,
-                              _unpack)
+from nikulat.isometry import _engine, _generation, _kernel, _last, _pack, _unpack
 from nikulat.lattice import Lattice, square
 from nikulat.model import build_model, default_generators
 
@@ -172,10 +171,8 @@ def reference_generation(frontier: dict, seen: dict, moves, bound: int, cap, oth
 
 
 def engine_of(gens, bound, rank, width):
-    """What the engine expands by, for these reflections; its steps must be ``reference_moves``'."""
-    engine = _engine(tuple(g._supports for g in gens), bound, rank, width)
-    assert engine[2] == [move[3] for move in reference_moves(gens, width)]
-    return engine
+    """What the engine expands by, for these reflections."""
+    return _engine(tuple(g._supports for g in gens), bound, rank, width)
 
 
 # --- strategies -----------------------------------------------------------------------
@@ -489,7 +486,9 @@ def test_one_kernel_serves_endpoints_of_every_key_width(fresh_cache):
     for target in targets:
         assert_witness_matches(start, target, LY_GENS, budget)
     info = _kernel.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, len(targets) - 1, 1)
+    # two compiles: the plain kernel, then shared by the other searches, and the guarded kernel
+    # of the two targets outside the box, shared by the second of them
+    assert (info.misses, info.hits, info.currsize) == (2, (len(targets) - 1) + 1, 2)
 
 
 def test_orbits_at_two_bounds_compile_a_kernel_each():
@@ -526,7 +525,7 @@ def test_kernels_take_integers_past_the_decimal_conversion_limit():
         sys.set_int_max_str_digits(limit)
 
 
-# --- levels kept across searches ----------------------------------------------------
+# --- the last search's balls ---------------------------------------------------------
 
 
 def walks(start, count, steps, bound=4, seed=0):
@@ -543,8 +542,14 @@ def walks(start, count, steps, bound=4, seed=0):
 
 
 def holding():
-    """The endpoints whose balls are kept, least recently used first."""
-    return [entry[0] for entry in _kept]
+    """The endpoints whose balls the last search left, v's then u's (none after a raise)."""
+    return [entry[0] for entry, _ in _last.get(0, ())]
+
+
+def kept_ball(x):
+    """The ball the last search left around the endpoint ``x``."""
+    (ball,) = [ball for entry, ball in _last[0] if entry[0] == x]
+    return ball
 
 
 def assert_kept_levels_complete():
@@ -552,8 +557,7 @@ def assert_kept_levels_complete():
     level is the whole generation of the one before it, in insertion order and cut as the
     cap cuts, or, the last level only, a prefix of it; only the last whole level and a
     partial one after it hold coordinates, the older levels being tuples of keys."""
-    assert not set(_kept) & set(_seen_once)
-    for (x, supports, bound, cap, width), ball in _kept.items():
+    for (x, supports, bound, cap, width), ball in _last.get(0, ()):
         engine = _engine(supports, bound, len(x), width)
         levels, last = ball.levels, len(ball.levels) - 1
         old = last if ball.whole else last - 1
@@ -578,11 +582,26 @@ def assert_kept_levels_complete():
 
 @pytest.fixture
 def fresh_cache():
-    _kept.clear()
-    _seen_once.clear()
+    _last.clear()
     yield
-    assert len(_kept) <= _KEPT_ENDPOINTS and len(_seen_once) <= _SEEN_ONCE
+    assert len(holding()) in (0, 2)
     assert_kept_levels_complete()
+
+
+@pytest.fixture
+def weak_balls(monkeypatch):
+    """A weak reference to every ball built while the test runs, in the order built."""
+    balls = []
+
+    class Ball(isometry._Ball):  # a ball that takes weak references
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            balls.append(weakref.ref(self))
+
+    monkeypatch.setattr(isometry, "_Ball", Ball)
+    return balls
 
 
 def test_kept_levels_one_start_many_targets_in_both_positions(fresh_cache):
@@ -590,7 +609,7 @@ def test_kept_levels_one_start_many_targets_in_both_positions(fresh_cache):
     for target in walks(start, 6, 3, bound=3):
         assert_witness_matches(start, target, LY_GENS, budget)
         assert_witness_matches(target, start, LY_GENS, budget)
-    assert holding()[-1] == start.coords
+        assert holding() == [target.coords, start.coords]
 
 
 def test_kept_levels_two_starts_interleaved(fresh_cache):
@@ -598,26 +617,31 @@ def test_kept_levels_two_starts_interleaved(fresh_cache):
     starts = (NV.L(1) + NV.e2, NV.L(0))
     batches = {s: walks(s, 9, 3, bound=3, seed=1) for s in starts}
     for batch in range(3):
-        for n, start in enumerate(starts):
+        for start in starts:
             for target in batches[start][3 * batch: 3 * batch + 3]:
                 assert_witness_matches(start, target, LY_GENS, budget)
-            # the other start's one-off targets leave its kept levels in place
-            held_before = [] if batch == n == 0 else [starts[1 - n].coords]
-            assert holding() == held_before + [start.coords]
+                assert holding() == [start.coords, target.coords]
 
 
-def test_kept_levels_survive_one_off_searches(fresh_cache):
+def test_a_search_between_other_endpoints_frees_the_last_balls(fresh_cache, weak_balls, monkeypatch):
     start, budget = NV.L(1) + NV.e2, OrbitBudget(4, 10**5, 8)
-    first, second, last = walks(start, 3, 3)
-    for target in (first, second):
-        assert_witness_matches(start, target, LY_GENS, budget)
-    (levels,) = [levels for entry, levels in _kept.items() if entry[0] == start.coords]
-    assert levels is not None
-    others = walks(NV.L(0), 10, 3, seed=4)
-    for v, u in zip(others[::2], others[1::2]):  # five searches between endpoints seen once
+    first, second = walks(start, 2, 3)
+    others = walks(NV.L(0), 2, 3, seed=4)
+    live = []  # per search, which balls built so far were alive at its first generation
+
+    def generation(*args):
+        if not live[-1]:
+            live[-1].extend(ref() is not None for ref in weak_balls)
+        return _generation(*args)
+
+    monkeypatch.setattr(isometry, "_generation", generation)
+    for v, u in ((start, first), (start, second), tuple(others)):
+        live.append([])
         assert_witness_matches(v, u, LY_GENS, budget)
-    assert_witness_matches(start, last, LY_GENS, budget)
-    assert [levels for entry, levels in _kept.items() if entry[0] == start.coords] == [levels]
+        assert holding() == [v.coords, u.coords]
+    # the second search runs through start's ball and drops first's; the search between other
+    # endpoints drops both of the second search's balls, before either search expands anything
+    assert live == [[True, True], [True, False, True], [False, False, False, True, True]]
 
 
 def test_kept_levels_repeated_identical_pair(fresh_cache):
@@ -632,7 +656,7 @@ def test_kept_levels_cut_by_the_cap(fresh_cache):
     start, budget = NV.L(1) + NV.e2, OrbitBudget(4, 60, 8)
     words = [assert_witness_matches(start, t, LY_GENS, budget) for t in walks(start, 8, 4, seed=2)]
     assert None in words
-    assert _kept[next(e for e in _kept if e[0] == start.coords)].cut
+    assert kept_ball(start.coords).cut
 
 
 def test_a_meet_on_the_insertion_past_the_cap_ends_the_level(fresh_cache):
@@ -642,38 +666,41 @@ def test_a_meet_on_the_insertion_past_the_cap_ends_the_level(fresh_cache):
     words = [assert_witness_matches(start, target, LY_GENS, budget) for target in (first, first, second)]
     assert words[0] == words[1] == [next(j for j, g in enumerate(LY_GENS) if g(start) == first)]
     assert words[2] is None  # the kept level is cut at that key, not finished past it
-    assert _kept[next(e for e in _kept if e[0] == start.coords)].cut
+    assert kept_ball(start.coords).cut
 
 
 def test_kept_levels_endpoint_outside_the_box_has_its_own_width(fresh_cache):
     start, budget = NV.L(1) + NV.e2, OrbitBudget(4, 10**5, 6)
     outside = reflection(NV.w)(start)
-    assert max(map(abs, outside.coords)) > 4
+    wide = 2 * max(map(abs, outside.coords)) + 1
+    assert wide > 9
     for target in walks(start, 3, 2):
         assert_witness_matches(start, target, LY_GENS, budget)
-        assert_witness_matches(start, outside, LY_GENS, budget)
-    assert sorted(e[4] for e in _kept if e[0] == start.coords) == [9, 2 * max(map(abs, outside.coords)) + 1]
+        assert [entry[4] for entry, _ in _last[0]] == [9, 9]
+        for _ in range(2):  # the second search runs through both balls of the first
+            assert_witness_matches(start, outside, LY_GENS, budget)
+            assert [entry[4] for entry, _ in _last[0]] == [wide, wide]
 
 
-def test_a_single_search_keeps_no_levels(fresh_cache):
+def test_a_single_search_leaves_its_two_balls(fresh_cache):
     start = NV.L(1) + NV.e2
-    assert same_orbit_witness(start, walks(start, 1, 3)[0], LY_GENS, OrbitBudget(4, 10**5, 8))
-    assert len(_seen_once) == 2 and holding() == []
+    target = walks(start, 1, 3)[0]
+    assert same_orbit_witness(start, target, LY_GENS, OrbitBudget(4, 10**5, 8))
+    assert holding() == [start.coords, target.coords]
 
 
 def test_at_most_the_fixed_number_of_endpoints_hold_levels(fresh_cache):
     budget = OrbitBudget(3, 10**5, 6)
     start = NV.L(1) + NV.e2
-    ends = walks(start, _KEPT_ENDPOINTS + 2, 2, bound=3)
+    ends = walks(start, 6, 2, bound=3)
     for _ in range(2):
         for end in ends:
             same_orbit_witness(start, end, LY_GENS, budget)
-            assert len(_kept) <= _KEPT_ENDPOINTS
+            assert holding() == [start.coords, end.coords]
     for end in ends:
         same_orbit_witness(end, start, LY_GENS, budget)
         same_orbit_witness(start, end, LY_GENS, budget)
-        assert len(holding()) <= _KEPT_ENDPOINTS
-    assert len(holding()) == _KEPT_ENDPOINTS
+        assert holding() == [start.coords, end.coords]
 
 
 def test_kept_levels_shared_by_threads(fresh_cache):
@@ -689,8 +716,8 @@ def test_kept_levels_shared_by_threads(fresh_cache):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):  # each round, the threads race to promote the start and grow its levels
-            _kept.clear()
+        for _ in range(5):  # each round, the threads race to take the start's ball and grow it
+            _last.clear()
             words.clear()
             threads = [threading.Thread(target=search, args=(n,)) for n in range(4)]
             for t in threads:
@@ -704,18 +731,11 @@ def test_kept_levels_shared_by_threads(fresh_cache):
         sys.setswitchinterval(interval)
 
 
-def test_a_ball_holds_coordinates_for_at_most_two_levels(fresh_cache, monkeypatch):
-    balls, generations = [], []
-
-    class Ball(isometry._Ball):  # a ball that takes weak references
-        __slots__ = ("__weakref__",)
-
-        def __init__(self, *args):
-            super().__init__(*args)
-            balls.append(weakref.ref(self))
+def test_a_ball_holds_coordinates_for_at_most_two_levels(fresh_cache, weak_balls, monkeypatch):
+    generations = []
 
     def coordinate_levels():  # per live ball, the levels that map keys to coordinates
-        live = [ref() for ref in balls]
+        live = [ref() for ref in weak_balls]
         return [sum(isinstance(level, dict) for level in ball.levels) for ball in live if ball is not None]
 
     def generation(*args):
@@ -723,13 +743,12 @@ def test_a_ball_holds_coordinates_for_at_most_two_levels(fresh_cache, monkeypatc
         generations.append(None)
         return _generation(*args)
 
-    monkeypatch.setattr(isometry, "_Ball", Ball)
     monkeypatch.setattr(isometry, "_generation", generation)
     start, budget = NV.L(1) + NV.e2, OrbitBudget(4, 10**5, 8)
     first, *others = walks(start, 4, 6)
     assert same_orbit_witness(start, first, LY_GENS, budget)
-    assert len(generations) >= 4 and len(balls) == 2 and coordinate_levels() == []  # a first search keeps no ball
-    for target in [first, *others, first]:  # kept from the second search on, and grown
+    assert len(generations) >= 4 and len(weak_balls) == 2 and len(coordinate_levels()) == 2  # both kept
+    for target in [first, *others, first]:  # the start's ball runs through every search, and grows
         assert_witness_matches(start, target, LY_GENS, budget)
     assert len(coordinate_levels()) == 2 and all(n <= 2 for n in coordinate_levels())
 
@@ -751,7 +770,7 @@ def test_repeated_identical_searches_insert_no_more_keys(fresh_cache, monkeypatc
             for _ in range(3):
                 inserted.append(0)
                 assert_witness_matches(start, target, LY_GENS, budget)
-            assert inserted[0] > 0 and inserted[1] <= inserted[0] and inserted[2] == 0
+            assert inserted[0] > 0 and inserted[1] == inserted[2] == 0
 
 
 def test_a_search_that_raises_puts_no_ball_back(fresh_cache, monkeypatch):
@@ -760,8 +779,8 @@ def test_a_search_that_raises_puts_no_ball_back(fresh_cache, monkeypatch):
     (third,) = walks(start, 1, 7, seed=2)  # seven reflections out, further than the kept ball reaches
     for target in (first, second):
         assert_witness_matches(start, target, LY_GENS, budget)
-    assert holding() == [start.coords]
-    markers, root = list(_seen_once), _pack(start.coords, 9)
+    assert holding() == [start.coords, second.coords]
+    root = _pack(start.coords, 9)
 
     def generation(frontier, seen, *args):
         if root in seen:  # the kept ball grows: stop partway, with half the frontier expanded
@@ -773,7 +792,7 @@ def test_a_search_that_raises_puts_no_ball_back(fresh_cache, monkeypatch):
         patch.setattr(isometry, "_generation", generation)
         with pytest.raises(RuntimeError, match="interrupted"):
             same_orbit_witness(start, third, LY_GENS, budget)
-    assert holding() == [] and list(_seen_once) == markers
+    assert holding() == []
     for target in (third, first, third, second):
         assert_witness_matches(start, target, LY_GENS, budget)
 

@@ -22,9 +22,11 @@ from nikulat.model import (OrbitClass, VectorProfile, build_model, default_gener
 LY = build_model()[0].lambda_Y
 
 
-def generation():
-    isometry._kernel.cache_clear()
-    isometry._kernel(tuple(g._supports for g in default_generators()), 4, 16)
+def generation(*guarded):
+    def run():
+        isometry._kernel.cache_clear()
+        isometry._kernel(tuple(g._supports for g in default_generators()), 4, 16, *guarded)
+    return run
 
 
 def enumeration(*blocks):
@@ -47,8 +49,10 @@ def builder(cls):
 
 
 @pytest.mark.parametrize("compile_it,length,digest", [
-    pytest.param(generation, 9629, "75e09be5ee2ffc10c6a9ad878a6e041c956aadf5978329bd262b3d86bce8e723",
+    pytest.param(generation(), 9629, "75e09be5ee2ffc10c6a9ad878a6e041c956aadf5978329bd262b3d86bce8e723",
                  id="generation-default-supports-bound-4"),
+    pytest.param(generation(True), 14897, "07760069de1c2aa59fd6158ee1cb9ccc132828cc864038bc1a3463304112bd76",
+                 id="generation-guarded-default-supports-bound-4"),
     pytest.param(enumeration("U1", "E8"), 2067, "c59fc4af2b6db262783dda3eefef46d1d0e4793491118b1f1ee0ee0c26808460",
                  id="enumeration-U1-E8"),
     pytest.param(enumeration("U1", "E8", "G1", "G2"), 2468,
