@@ -15,6 +15,7 @@ so a run is "clean" when every verdict matches its expectation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -303,9 +304,9 @@ def _claim_two_orbit_dichotomy(ctx: AuditContext, stated: dict):
     gens = default_generators()
     orbit_b = orbit_explore(nv.L(0), gens, ctx.budget)
     orbit_a = orbit_explore(nv.L(1) + nv.e2, gens, ctx.budget)
-    smaller, larger = sorted((orbit_b, orbit_a), key=len)  # hash only the smaller orbit
-    common = smaller.member_set.intersection(larger.members)
-    overlap = [c for c in orbit_b.members if c in common]
+    # members are sorted: look each of the smaller orbit's up in the larger by bisection, hashing none
+    small, large = (orbit.members for orbit in sorted((orbit_b, orbit_a), key=len))
+    overlap = [c for c in small if (i := bisect_left(large, c)) < len(large) and large[i] == c]
     divisibility_of = nv.L(0).lattice.invariant_kernels[1]
     # invariant-pure: every member has the divisibility of its orbit's start
     div_b, div_a = divisibility(nv.L(0)), divisibility(nv.L(1) + nv.e2)

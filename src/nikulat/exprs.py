@@ -15,13 +15,17 @@ L(i) = u1 + i*u2), ``u1``..``u6``, ``eps1``..``eps8``, ``e1``, ``e2``, ``ew``,
 ``w``, ``gamma1``, ``gamma2``, ``deltaY``, ``SigmaY``.  Names are case
 sensitive.
 
-One pattern checks the whole string, and one built from the same term body
-reads its terms; a syntax error names the position where no term fits.
+One scan of a whole-term pattern cuts the string into terms that must cover it,
+else the error names the position where no term fits.  Each term's contribution
+comes from its text alone, kept in a table of the 1,024 terms read last unless
+the term has 640 characters or more: only those can meet ``int``'s digit limit,
+so no answer depends on the limit in force when a term was first read.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache
 
 from .lattice import LatticeVector
@@ -35,15 +39,15 @@ class ExpressionError(ValueError):
 #: A term after its sign, ``[digits *] name [( [-] digits )]``, its coeff, name, neg and arg each
 #: opened by ``{0}``: "(" captures them, "(?:" only matches.
 _BODY = r"(?:{0}\d+)\s*\*\s*)?{0}[A-Za-z][A-Za-z0-9]*)(?:\s*\(\s*{0}-)?\s*{0}\d+)\s*\))?"
-#: One term with its optional sign; ``findall`` gives (sign, coeff, name, neg, arg), "" if absent.
+#: One term with its optional sign, its groups (sign, coeff, name, neg, arg), None if absent.
 _TERM = re.compile(r"\s*([+-])?\s*" + _BODY.format("("))
-#: A whole expression: only the first term may omit its sign.
-_EXPR = re.compile(r"\s*[+-]?\s*{0}(?:\s*[+-]\s*{0})*".format(_BODY.format("(?:")))
+#: One term with its sign, captures none: only the first term may omit its sign.
+_WHOLE = re.compile(r"\s*(?:[+-]|^)\s*" + _BODY.format("(?:"))
+#: The shortest digit string that ``int`` may check against the digit limit, under any setting.
+_LONG = getattr(sys.int_info, "str_digits_check_threshold", 640)
 
 #: The names of LY's basis vectors, in coordinate order.
 _BASIS = (*(f"u{k}" for k in range(1, 7)), *(f"eps{k}" for k in range(1, 9)), "gamma1", "gamma2")
-#: Each basis name's coordinate.
-_BASIS_INDEX = {name: i for i, name in enumerate(_BASIS)}
 #: Per basis vector, its name with a plus sign, with a minus sign, and bare.
 _SIGNED_BASIS = tuple((f"+{name}", f"-{name}", name) for name in _BASIS)
 
@@ -55,38 +59,44 @@ def _names() -> dict[str, tuple[tuple[int, int], ...]]:
     return {name: tuple((i, c) for i, c in enumerate(v.coords) if c) for name, v in nv.by_name().items()}
 
 
+def _support(term: str) -> tuple[tuple[int, int], ...]:
+    """The sparse contribution ``((i, c), ...)`` of a term that :data:`_WHOLE` found, from its text alone."""
+    sign, coeff, name, neg, arg = _TERM.match(term).groups()
+    k = -int(coeff or 1) if sign == "-" else int(coeff or 1)
+    names = _names()
+    if name == "L":  # L(i) = u1 + i*u2
+        if not arg:
+            raise ExpressionError("L requires an argument, e.g. L(1)")
+        parts = ((1, names["u1"]), (-int(arg) if neg else int(arg), names["u2"]))
+    elif arg:
+        raise ExpressionError(f"{name!r} does not take an argument")
+    elif name not in names:
+        raise ExpressionError(f"unknown vector name {name!r}")
+    else:
+        parts = ((1, names[name]),)
+    return tuple((i, n * k * c) for n, support in parts for i, c in support)
+
+
+#: the contributions of the terms read last, a term shorter than :data:`_LONG` each
+_table = lru_cache(maxsize=1024)(_support)
+
+
 def parse_vector(text: str) -> LatticeVector:
     """Parse an expression into a vector of LY, adding each term's support into one list of ints."""
     model, _ = build_model()
-    names = _names()
     total = [0] * model.lambda_Y.rank
     end = len(text.rstrip())
     if not end:
         raise ExpressionError("empty expression")
-    if _EXPR.fullmatch(text, 0, end) is None:  # the whole string is checked before any name is looked up
+    terms = _WHOLE.findall(text, 0, end)  # disjoint and in order: they cover text[:end] if their lengths add up
+    if sum(map(len, terms)) != end:  # the whole string is checked before any name is looked up
         pos = 0
         while (m := _TERM.match(text, pos, end)) and (m[1] or not pos):
             pos = m.end()
         raise ExpressionError(f"no term fits at position {pos} of {text!r}")
-    for sign, coeff, name, neg, arg in _TERM.findall(text, 0, end):
-        k = -int(coeff or 1) if sign == "-" else int(coeff or 1)
-        if name in _BASIS_INDEX and not arg:  # a basis vector: straight into its coordinate
-            total[_BASIS_INDEX[name]] += k
-            continue
-        if name == "L":  # L(i) = u1 + i*u2
-            if not arg:
-                raise ExpressionError("L requires an argument, e.g. L(1)")
-            parts = ((1, names["u1"]), (-int(arg) if neg else int(arg), names["u2"]))
-        elif arg:
-            raise ExpressionError(f"{name!r} does not take an argument")
-        elif name not in names:
-            raise ExpressionError(f"unknown vector name {name!r}")
-        else:
-            parts = ((1, names[name]),)
-        for n, support in parts:
-            n *= k
-            for i, c in support:
-                total[i] += n * c
+    for term in terms:
+        for i, c in _table(term) if len(term) < _LONG else _support(term):
+            total[i] += c
     return LatticeVector._of_ints(model.lambda_Y, tuple(total))
 
 

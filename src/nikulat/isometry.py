@@ -298,8 +298,8 @@ def distinct_invariants(v: LatticeVector, u: LatticeVector) -> tuple[tuple[str, 
     return tuple(entry for entry in values if entry[1] != entry[2])
 
 
-# under key 0: the last witness search's (entry, ball) pair per side, v then u; an entry is
-# (endpoint, generator supports, coord_bound, max_frontier, width)
+# under key 0: the last witness search's (entry, ball) pair per side, v then u, and its engine; an
+# entry is (endpoint, generator supports, coord_bound, max_frontier, width)
 _last: dict = {}
 
 
@@ -357,11 +357,12 @@ def same_orbit_witness(
     beyond the budget.
 
     Each side runs through its endpoint's ball of levels: prefix first, then finish.
-    A search that returns keeps its two balls (at most 2 * ``max_frontier`` keys) until
-    the next one, which runs a side through the kept ball when the side's endpoint,
-    generators, coordinate bound, ``max_frontier`` and key width are equal, and drops
-    every other ball before it expands anything.  Every answer is the one a search from
-    fresh balls gives.  A search that raises puts no ball back.
+    A search that returns keeps its two balls (at most 2 * ``max_frontier`` keys) and its
+    engine until the next one, which runs a side through the kept ball when the side's
+    endpoint, generators, coordinate bound, ``max_frontier`` and key width are equal, keeps
+    the engine if a side does, and drops every other ball before it expands anything.
+    Every answer is the one a search from fresh balls gives.  A search that raises puts
+    no ball back.
     """
     if v.lattice != u.lattice:
         raise LatticeError("witness search needs both vectors in one lattice")
@@ -377,14 +378,17 @@ def same_orbit_witness(
     bound, cap, rank = budget.coord_bound, budget.max_frontier, v.lattice.rank
     width = 2 * max(bound, *map(abs, v.coords), *map(abs, u.coords)) + 1
     supports = tuple(g._supports for g in gens)
-    engine = _engine(supports, bound, rank, width)
     apply = [g.apply_coords for g in gens]
     # per side (v, u): its entry, its ball (the last search's on an equal entry, compared without
     # hashing; one pop takes them, so no two threads share one) and the keys it holds at its
-    # current depth (while that is the ball's, its tree)
+    # current depth (while that is the ball's, its tree); an equal entry also keeps the engine
     entries = [(x, supports, bound, cap, width) for x in (v.coords, u.coords)]
-    balls = [ball if entry == last else _Ball(_pack(entry[0], width), entry[0])
-             for entry, (last, ball) in zip(entries, _last.pop(0, ((None, None), (None, None))))]
+    *pairs, engine = _last.pop(0, ((None, None), (None, None), None))
+    kept = [entry == last for entry, (last, _) in zip(entries, pairs)]
+    balls = [ball if same else _Ball(_pack(entry[0], width), entry[0])
+             for entry, same, (_, ball) in zip(entries, kept, pairs)]
+    del pairs  # so a ball not kept goes before anything is expanded
+    engine = engine if any(kept) else _engine(supports, bound, rank, width)
     held = [ball.tree if len(ball.levels) == 1 else set(ball.levels[0]) for ball in balls]
     frontiers = [ball.levels[0] for ball in balls]
     depth = [0, 0]
@@ -416,5 +420,5 @@ def same_orbit_witness(
             break
         if overflow:
             break
-    _last[0] = tuple(zip(entries, balls))
+    _last[0] = (*zip(entries, balls), engine)
     return word

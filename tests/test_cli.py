@@ -458,6 +458,19 @@ def test_big_coefficient_exits_by_the_normal_rules(capsys):
     assert "vector not primitive" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str conversion limit")
+def test_big_coefficient_read_by_the_cli_still_fails_under_the_default_limit(capsys):
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        assert run(capsys, "classify", f"{ONES}*e2")[0] == 1  # read with the limit lifted
+        with pytest.raises(ValueError) as exc:
+            parse_vector(f"{ONES}*e2")
+        assert type(exc.value) is ValueError  # the digit limit's, not a grammar error
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
 def test_big_coordinate_file_classifies_exactly(tmp_path, capsys):
     path = tmp_path / "v.json"
     path.write_text('{"lattice": "LY", "coords": [' + ONES + ", 1" + ", 0" * 14 + "]}")

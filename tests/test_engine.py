@@ -483,12 +483,17 @@ def test_one_kernel_serves_endpoints_of_every_key_width(fresh_cache):
     targets = walks(start, 3, 2) + [far_from(start, 5), far_from(start, 6)]
     assert len({2 * max(4, *map(abs, t.coords)) + 1 for t in targets}) == 3
     _kernel.cache_clear()
+    engines = []
     for target in targets:
         assert_witness_matches(start, target, LY_GENS, budget)
+        engines.append(_last[0][2])
     info = _kernel.cache_info()
-    # two compiles: the plain kernel, then shared by the other searches, and the guarded kernel
-    # of the two targets outside the box, shared by the second of them
-    assert (info.misses, info.hits, info.currsize) == (2, (len(targets) - 1) + 1, 2)
+    # the three searches in the box's width run through the first one's engine; each other width
+    # builds its own
+    assert [len({id(e) for e in engines[:n]}) for n in range(1, 6)] == [1, 1, 1, 2, 3]
+    # two compiles: the plain kernel, then shared by the engines of the two other widths, and the
+    # guarded kernel of the two targets outside the box, shared by the second of them
+    assert (info.misses, info.hits, info.currsize) == (2, 2 + 1, 2)
 
 
 def test_orbits_at_two_bounds_compile_a_kernel_each():
@@ -541,14 +546,19 @@ def walks(start, count, steps, bound=4, seed=0):
     return found
 
 
+def kept_pairs():
+    """The (entry, ball) pairs the last search left, v's then u's (none after a raise)."""
+    return _last[0][:2] if 0 in _last else ()
+
+
 def holding():
     """The endpoints whose balls the last search left, v's then u's (none after a raise)."""
-    return [entry[0] for entry, _ in _last.get(0, ())]
+    return [entry[0] for entry, _ in kept_pairs()]
 
 
 def kept_ball(x):
     """The ball the last search left around the endpoint ``x``."""
-    (ball,) = [ball for entry, ball in _last[0] if entry[0] == x]
+    (ball,) = [ball for entry, ball in kept_pairs() if entry[0] == x]
     return ball
 
 
@@ -557,7 +567,7 @@ def assert_kept_levels_complete():
     level is the whole generation of the one before it, in insertion order and cut as the
     cap cuts, or, the last level only, a prefix of it; only the last whole level and a
     partial one after it hold coordinates, the older levels being tuples of keys."""
-    for (x, supports, bound, cap, width), ball in _last.get(0, ()):
+    for (x, supports, bound, cap, width), ball in kept_pairs():
         engine = _engine(supports, bound, len(x), width)
         levels, last = ball.levels, len(ball.levels) - 1
         old = last if ball.whole else last - 1
@@ -676,10 +686,10 @@ def test_kept_levels_endpoint_outside_the_box_has_its_own_width(fresh_cache):
     assert wide > 9
     for target in walks(start, 3, 2):
         assert_witness_matches(start, target, LY_GENS, budget)
-        assert [entry[4] for entry, _ in _last[0]] == [9, 9]
+        assert [entry[4] for entry, _ in kept_pairs()] == [9, 9]
         for _ in range(2):  # the second search runs through both balls of the first
             assert_witness_matches(start, outside, LY_GENS, budget)
-            assert [entry[4] for entry, _ in _last[0]] == [wide, wide]
+            assert [entry[4] for entry, _ in kept_pairs()] == [wide, wide]
 
 
 def test_a_single_search_leaves_its_two_balls(fresh_cache):

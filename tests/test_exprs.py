@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nikulat import ExpressionError, enumerate_primitive_isotropic, format_vector, parse_vector
+from nikulat.exprs import _LONG, _table
 from nikulat.model import EnumerationWindow, build_model
 
 _, _NV = build_model()
@@ -44,37 +45,63 @@ def test_parse(nv, text, builder):
     assert parse_vector(text) == builder(nv)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "",
-        "   ",
-        "L",          # missing argument
-        "L(1",        # missing close paren
-        "L()",
-        "e2(3)",      # argument on a constant name
-        "q7",         # unknown name
-        "2L(1)",      # missing '*'
-        "L(1)++e2",
-        "L(1)+",
-        "e2 e2",
-        "3*",
-        "$",
-        "+-e2",
-        "--e2",
-        "L(+1)",
-        "L(1)(2)",
-        "2 L(1)",
-        "2*3*e2",
-        "L(1)2",
-        "e2 (3)",
-        "*e2",
-        "L(1 2)",
-    ],
-)
+#: each malformed input and its exact error: the syntax error, naming its position, comes before
+#: any name error, and name errors come in term order
+_ERRORS = {
+    "": "empty expression",
+    "   ": "empty expression",
+    "L": "L requires an argument, e.g. L(1)",          # missing argument
+    "L(1": "no term fits at position 1 of 'L(1'",      # missing close paren
+    "L()": "no term fits at position 1 of 'L()'",
+    "e2(3)": "'e2' does not take an argument",         # argument on a constant name
+    "q7": "unknown vector name 'q7'",                  # unknown name
+    "2L(1)": "no term fits at position 0 of '2L(1)'",  # missing '*'
+    "L(1)++e2": "no term fits at position 4 of 'L(1)++e2'",
+    "L(1)+": "no term fits at position 4 of 'L(1)+'",
+    "e2 e2": "no term fits at position 2 of 'e2 e2'",
+    "3*": "no term fits at position 0 of '3*'",
+    "$": "no term fits at position 0 of '$'",
+    "+-e2": "no term fits at position 0 of '+-e2'",
+    "--e2": "no term fits at position 0 of '--e2'",
+    "L(+1)": "no term fits at position 1 of 'L(+1)'",
+    "L(1)(2)": "no term fits at position 4 of 'L(1)(2)'",
+    "2 L(1)": "no term fits at position 0 of '2 L(1)'",
+    "2*3*e2": "no term fits at position 0 of '2*3*e2'",
+    "L(1)2": "no term fits at position 4 of 'L(1)2'",
+    "e2 (3)": "'e2' does not take an argument",
+    "*e2": "no term fits at position 0 of '*e2'",
+    "L(1 2)": "no term fits at position 1 of 'L(1 2)'",
+    "q7+L": "unknown vector name 'q7'",                # the first term's error comes first
+    "L+q7": "L requires an argument, e.g. L(1)",
+    "e2(3)+q7": "'e2' does not take an argument",
+    "q7+2L(1)": "no term fits at position 2 of 'q7+2L(1)'",  # syntax before any name
+}
+
+
+@pytest.mark.parametrize("bad", list(_ERRORS))
 def test_parse_errors(bad):
-    with pytest.raises(ExpressionError):
+    with pytest.raises(ExpressionError) as exc:
         parse_vector(bad)
+    assert str(exc.value) == _ERRORS[bad]
+
+
+def test_term_table_holds_at_most_its_size():
+    for n in range(3000):  # 6,000 distinct terms
+        assert parse_vector(f"{n}*e2-L({n})") == n * _NAMES["e2"] - _NV.L(n)
+    info = _table.cache_info()
+    assert info.currsize == info.maxsize == 1024
+
+
+@pytest.mark.parametrize("length, lookups", [(_LONG - 1, 2), (_LONG, 1)])
+def test_a_term_of_the_digit_check_length_bypasses_the_term_table(length, lookups):
+    # int() may check a digit string of _LONG (640) characters against the limit, never a shorter one
+    term = "+" + "7" * (length - 4) + "*e2"
+    assert len(term) == length
+    expected = _NAMES["u1"] + int(term[1:-3]) * _NAMES["e2"]
+    before = _table.cache_info()
+    assert parse_vector("u1" + term) == expected
+    after = _table.cache_info()
+    assert (after.hits + after.misses) - (before.hits + before.misses) == lookups
 
 
 def test_format_round_trip(nv):
@@ -239,7 +266,7 @@ def reference_parse(text):
 
 _ALPHABET = st.sampled_from(
     ["L", "e2", "w", "deltaY", "gamma1", "eps8", "u3", "q7", "Lx", "e2e2",
-     "0", "1", "2", "007", "12", "+", "-", "*", "(", ")", " ", "\t", "$"]
+     "0", "1", "2", "007", "12", "+", "-", "*", "(", ")", " ", "\t", "$", "\x1c", "\u2003", "\u0663"]
 )
 
 
