@@ -26,6 +26,7 @@ from typing import Callable
 from .exprs import parse_vector
 from .isometry import OrbitBudget, orbit_explore, reflection
 from .lattice import (
+    EmbeddingMap,
     EmbeddingReport,
     LatticeError,
     LatticeVector,
@@ -83,23 +84,15 @@ class AuditContext:
     """The inputs claims share in one audit run, each built once: the
     enumeration windows and their vectors, and the eta images of the Lfix samples.
 
-    Without ``eta_map`` the run checks the as-written eta, and ``eta_label``
-    must say so or be left out; a user-supplied map is labelled freely, and
-    "user-supplied" when no label is given.
+    ``eta`` is the variant under audit, a ``(label, EmbeddingMap)`` pair, or
+    ``None`` for the as-written eta.
     """
 
     budget: OrbitBudget
-    eta_label: str | None = None
-    eta_map: object = None
+    eta: tuple[str, EmbeddingMap] | None = None
 
     def __post_init__(self) -> None:
-        if self.eta_map is None:
-            if self.eta_label not in (None, "as-written"):
-                raise LatticeError(f"eta label {self.eta_label!r} needs its eta_map: only the "
-                                   "as-written eta is built in")
-            self.eta_label, self.eta_map = "as-written", eta_embedding()
-        elif self.eta_label is None:
-            self.eta_label = "user-supplied"
+        self.eta_label, self.eta_map = self.eta or ("as-written", eta_embedding())
 
     @cached_property
     def windows(self) -> tuple[EnumerationWindow, ...]:
@@ -647,26 +640,17 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def run_claim(
-    claim_id: str,
-    budget: OrbitBudget | None = None,
-    eta_label: str | None = None,
-    eta_map=None,
-) -> ClaimResult:
-    """Run one catalog entry and return its deterministic result."""
+def run_claim(claim_id: str, budget: OrbitBudget | None = None,
+              eta: tuple[str, EmbeddingMap] | None = None) -> ClaimResult:
+    """Run one catalog entry and return its deterministic result; ``eta`` as in :class:`AuditContext`."""
     if claim_id not in _CATALOG_BY_ID:
         raise LatticeError(f"unknown claim id {claim_id!r}")
-    ctx = AuditContext(budget or OrbitBudget(), eta_label=eta_label, eta_map=eta_map)
-    return _CATALOG_BY_ID[claim_id].run(ctx)
+    return _CATALOG_BY_ID[claim_id].run(AuditContext(budget or OrbitBudget(), eta))
 
 
-def run_all(
-    budget: OrbitBudget | None = None,
-    eta_label: str | None = None,
-    eta_map=None,
-) -> AuditReport:
+def run_all(budget: OrbitBudget | None = None, eta: tuple[str, EmbeddingMap] | None = None) -> AuditReport:
     """Run the full catalog in order; claim failures are data, not errors."""
     budget = budget or OrbitBudget()
-    ctx = AuditContext(budget, eta_label=eta_label, eta_map=eta_map)
+    ctx = AuditContext(budget, eta)
     results = tuple(claim.run(ctx) for claim in CATALOG)
-    return AuditReport(results, budget, ctx.eta_label, eta_supplied=eta_map is not None)
+    return AuditReport(results, budget, ctx.eta_label, eta_supplied=eta is not None)

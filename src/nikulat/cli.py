@@ -18,19 +18,18 @@ from . import serialize
 from .audit import run_all
 from .exprs import ExpressionError, format_vector, parse_vector
 from .isometry import OrbitBudget, distinct_invariants, orbit_explore, reflection, same_orbit_witness
-from .lattice import LatticeError, LatticeVector, check_embedding, divisibility, saturate
+from .lattice import EmbeddingMap, LatticeError, LatticeVector, check_embedding, divisibility, saturate
 from .model import (
     DEFAULT_WINDOW,
     EnumerationWindow,
     build_model,
     classify_isotropic_type,
     classify_orbit,
-    default_generator_names,
+    default_generator_table,
     default_generators,
     enumerate_primitive_isotropic,
     eta_embedding,
     eta_from_matrix,
-    lattice_registry,
     vector_profile,
 )
 
@@ -40,12 +39,12 @@ def _emit(obj) -> None:
 
 
 def _read_vector(args, attr="expr") -> LatticeVector:
-    """Vector from the expression argument, or from --coords FILE when given."""
-    coords_file = getattr(args, "coords", None)
-    if coords_file:
-        obj = serialize.load_json(coords_file)
-        return serialize.vector_from_obj(obj, lattice_registry())
+    """Vector from the expression argument or from --coords FILE; exactly one must be given."""
     expr = getattr(args, attr)
+    if args.coords:
+        if expr is not None:
+            raise UsageError(f"two sources for one vector: {expr!r} and --coords {args.coords}")
+        return serialize.vector_from_obj(serialize.load_json(args.coords))
     if expr is None:
         raise ExpressionError("no vector given: pass an expression or --coords FILE")
     return parse_vector(expr)
@@ -53,6 +52,11 @@ def _read_vector(args, attr="expr") -> LatticeVector:
 
 class UsageError(ValueError):
     """A flag value the verb cannot use; reported with exit code 2."""
+
+
+def _eta_file(path: str) -> tuple[str, EmbeddingMap]:
+    """The eta variant of a matrix file, labelled by the file's basename."""
+    return os.path.basename(path), eta_from_matrix(serialize.matrix_from_obj(serialize.load_json(path)))
 
 
 def _budget(args) -> OrbitBudget:
@@ -156,12 +160,9 @@ def cmd_reflect(args) -> int:
 def cmd_orbit(args) -> int:
     seed = _read_vector(args)
     gens = default_generators()
-    names = default_generator_names()
+    names = tuple(name for name, _ in default_generator_table())
     if args.gens_file:
-        roots = [
-            serialize.vector_from_obj(obj, lattice_registry())
-            for obj in serialize.load_json(args.gens_file)
-        ]
+        roots = [serialize.vector_from_obj(obj) for obj in serialize.load_json(args.gens_file)]
         gens = tuple(reflection(r) for r in roots)
         names = tuple(f"root{k}" for k in range(len(gens)))
     budget = _budget(args)
@@ -205,17 +206,15 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    if args.matrix_file:
-        emb = eta_from_matrix(serialize.matrix_from_obj(serialize.load_json(args.matrix_file)))
-        label = os.path.basename(args.matrix_file)
-    else:
-        emb, label = eta_embedding(), "as-written"
+    label, emb = _eta_file(args.matrix_file) if args.matrix_file else ("as-written", eta_embedding())
     report = check_embedding(emb)
     image_obj = None
     if args.vector or args.coords:
         model, _ = build_model()
+        if args.vector and args.coords:
+            raise UsageError(f"two sources for one vector: --vector {args.vector} and --coords {args.coords}")
         if args.coords:
-            v = serialize.vector_from_obj(serialize.load_json(args.coords), lattice_registry())
+            v = serialize.vector_from_obj(serialize.load_json(args.coords))
             if v.lattice.gram != model.lambda_fix.gram:
                 raise LatticeError("embed --coords expects a vector of Lfix")
         else:
@@ -243,8 +242,9 @@ def cmd_embed(args) -> int:
 
 def cmd_saturate(args) -> int:
     if args.coords:
-        objs = serialize.load_json(args.coords)
-        gens = [serialize.vector_from_obj(o, lattice_registry()) for o in objs]
+        if args.exprs:
+            raise UsageError(f"two sources for the generators: {args.exprs} and --coords {args.coords}")
+        gens = [serialize.vector_from_obj(o) for o in serialize.load_json(args.coords)]
     else:
         gens = [parse_vector(e) for e in args.exprs]
     if not gens:
@@ -289,11 +289,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    eta_map, eta_label = None, "as-written"
-    if args.eta_matrix:
-        eta_map = eta_from_matrix(serialize.matrix_from_obj(serialize.load_json(args.eta_matrix)))
-        eta_label = os.path.basename(args.eta_matrix)
-    report = run_all(budget=_budget(args), eta_label=eta_label, eta_map=eta_map)
+    report = run_all(budget=_budget(args), eta=_eta_file(args.eta_matrix) if args.eta_matrix else None)
     out_dir = args.output_dir
     os.makedirs(out_dir, exist_ok=True)
     serialize.save_text(os.path.join(out_dir, "report.txt"), report.to_text())

@@ -26,7 +26,7 @@ returned leaves its two balls; the next one reuses a side's ball on an equal ent
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce
 from math import gcd
 
 from .lattice import (IntVector, Lattice, LatticeError, LatticeVector, compile_kernel, divisibility, is_primitive,
@@ -128,10 +128,6 @@ class OrbitSet:
     def __post_init__(self) -> None:
         if self.seed.coords not in self.members:  # a scan of the tuple: hashes no member
             raise LatticeError("orbit seed must be among the members")
-
-    @cached_property
-    def member_set(self) -> frozenset[IntVector]:
-        return frozenset(self.members)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -181,23 +181,15 @@ def lattice_registry() -> dict[str, Lattice]:
 # the involution on LX and its fixed sublattice
 
 
-@lru_cache(maxsize=1)
-def _sigma_permutation() -> tuple[int, ...]:
-    """Coordinate i of sigma_star(v) is coordinate perm[i] of v: LX's E8a and E8b exchanged."""
-    model, _ = build_model()
-    lx = model.lambda_X
-    perm = list(range(lx.rank))
-    a, b = lx.block_slice("E8a"), lx.block_slice("E8b")
-    perm[a], perm[b] = perm[b], perm[a]
-    return tuple(perm)
-
-
 def sigma_star(v: LatticeVector) -> LatticeVector:
     """The involution of LX exchanging the two E8(-1) blocks."""
     model, _ = build_model()
-    if v.lattice != model.lambda_X:
+    lx = model.lambda_X
+    if v.lattice != lx:
         raise LatticeError("sigma_star acts on LX only")
-    return model.lambda_X.vector(tuple(v.coords[j] for j in _sigma_permutation()))
+    coords, a, b = list(v.coords), lx.block_slice("E8a"), lx.block_slice("E8b")
+    coords[a], coords[b] = coords[b], coords[a]
+    return lx.vector(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -364,19 +356,13 @@ def _row_matches(profile: VectorProfile) -> list[tuple[str, int]]:
     return matches
 
 
-@lru_cache(maxsize=1024)
-def _representative_vector(expr: str) -> LatticeVector:
-    """The vector of a representative's expression, parsed once."""
-    from .exprs import parse_vector  # exprs imports this module at load time
-    return parse_vector(expr)
-
-
 def case_representative(case: str, i: int) -> tuple[LatticeVector, str]:
     """The printed representative of a table row, with its expression string."""
+    from .exprs import parse_vector  # exprs imports this module at load time
     if case not in _REPRESENTATIVES:
         raise LatticeError(f"no representative for case {case!r}")
     expr = _REPRESENTATIVES[case].format(i=i, j=i + 1)
-    return _representative_vector(expr), expr
+    return parse_vector(expr), expr
 
 
 @lru_cache(maxsize=1024)
@@ -446,7 +432,8 @@ def _fibration_type(div: int, sigma_mod4: int) -> FibrationType:
     type_label, expr, polarisation = _FIBRATION_TYPES[div]
     if sigma_mod4 == 2 and type_label != "A":
         raise RuntimeError("internal consistency error: (v,SigmaY) = 2 mod 4 with type B")
-    return FibrationType(type_label, _representative_vector(expr), expr, polarisation, sigma_mod4, sigma_mod4 == 2)
+    from .exprs import parse_vector  # exprs imports this module at load time
+    return FibrationType(type_label, parse_vector(expr), expr, polarisation, sigma_mod4, sigma_mod4 == 2)
 
 
 def classify_isotropic_type(v: LatticeVector) -> FibrationType:
@@ -682,7 +669,3 @@ def default_generator_table() -> tuple[tuple[str, LatticeVector], ...]:
 
 def default_generators() -> tuple[Isometry, ...]:
     return tuple(reflection(root) for _, root in default_generator_table())
-
-
-def default_generator_names() -> tuple[str, ...]:
-    return tuple(name for name, _ in default_generator_table())

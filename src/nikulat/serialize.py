@@ -2,6 +2,7 @@
 
 Vector file:    {"lattice": label, "coords": [int, ...]}   label one of LX, Lfix, LY;
                 read by --coords, and a list of them by orbit --gens-file
+                and saturate --coords
 Matrix file:    {"matrix": [[int, ...], ...]}   nonempty and rectangular;
                 read by embed --matrix-file and audit --eta-matrix
 Orbit file:     {"seed": vector, "members": [vector, ...], "exhausted": bool}
@@ -22,7 +23,8 @@ from typing import Any
 
 from . import intmat
 from .isometry import OrbitSet
-from .lattice import Lattice, LatticeError, LatticeVector
+from .lattice import LatticeError, LatticeVector
+from .model import lattice_registry
 
 
 def dumps(obj: Any) -> str:
@@ -53,7 +55,8 @@ def vector_to_obj(v: LatticeVector) -> dict:
     return {"lattice": v.lattice.label, "coords": list(v.coords)}
 
 
-def vector_from_obj(obj: dict, registry: dict[str, Lattice]) -> LatticeVector:
+def vector_from_obj(obj: dict) -> LatticeVector:
+    registry = lattice_registry()
     try:
         label, coords = obj["lattice"], obj["coords"]
     except (KeyError, TypeError) as exc:

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from answers import ANSWERS
-from nikulat import LatticeError, OrbitBudget, divisibility, mt_coefficients, run_all, run_claim
+from nikulat import OrbitBudget, divisibility, mt_coefficients, run_all, run_claim
 from nikulat import serialize
 from nikulat.audit import (
     CATALOG,
@@ -204,8 +204,7 @@ def test_user_eta_variant_is_exploratory():
         rows[k][k] = 1
     report = run_all(
         budget=OrbitBudget(coord_bound=1, max_frontier=2000, max_depth=2),
-        eta_label="inclusion",
-        eta_map=eta_from_matrix(rows),
+        eta=("inclusion", eta_from_matrix(rows)),
     )
     by_id = {r.id: r for r in report.results}
     assert by_id["eta-embedding"].status == REFUTED  # not even isometric
@@ -213,33 +212,38 @@ def test_user_eta_variant_is_exploratory():
     assert report.exit_code == 0
 
 
-@pytest.mark.parametrize("run", [
-    lambda: run_all(budget=TINY, eta_label="bogus"),
-    lambda: run_claim("eta-embedding", eta_label="bogus"),
-    lambda: AuditContext(TINY, eta_label="bogus"),
-], ids=["run_all", "run_claim", "AuditContext"])
-def test_eta_label_without_map_raises(run):
-    """Only the as-written eta is built in; another label needs its matrix."""
-    with pytest.raises(LatticeError, match="bogus"):
-        run()
-
-
 def test_user_map_labelled_as_written_is_still_per_variant():
     """Per-variant marking follows whether a map was supplied, not the label text."""
-    report = run_all(budget=TINY, eta_label="as-written", eta_map=eta_from_matrix(eta_as_written_matrix()))
+    report = run_all(budget=TINY, eta=("as-written", eta_from_matrix(eta_as_written_matrix())))
     assert report.to_obj() == run_all(budget=TINY).to_obj()
     assert "(per-variant)" in report.to_text()
     assert "(per-variant)" not in run_all(budget=TINY).to_text()
 
 
-def test_user_map_without_label_is_user_supplied():
-    """A supplied eta map with no label is named "user-supplied", not "as-written"."""
-    eta = eta_from_matrix(eta_as_written_matrix())
-    report = run_all(budget=TINY, eta_map=eta)
-    assert "eta variant: user-supplied" in report.to_text()
-    assert {r.computed["eta_variant"] for r in report.results if "eta_variant" in r.computed} == {"user-supplied"}
-    assert run_claim("eta-embedding", eta_map=eta).computed["eta_variant"] == "user-supplied"
-    assert AuditContext(TINY, eta_map=eta).eta_label == "user-supplied"
+def test_supplied_eta_pair_names_the_variant():
+    """The label of a supplied (label, map) pair names the variant in the text, the results and the context."""
+    eta = ("copy", eta_from_matrix(eta_as_written_matrix()))
+    report = run_all(budget=TINY, eta=eta)
+    assert "eta variant: copy" in report.to_text()
+    assert {r.computed["eta_variant"] for r in report.results if "eta_variant" in r.computed} == {"copy"}
+    assert run_claim("eta-embedding", eta=eta).computed["eta_variant"] == "copy"
+    assert (AuditContext(TINY, eta).eta_label, AuditContext(TINY).eta_label) == ("copy", "as-written")
+
+
+def test_a_verdict_other_than_expected_exits_1(report):
+    """A verdict that differs from its claim's expectation is unexpected: marked in the text, exit code 1."""
+    flipped = tuple(
+        dataclasses.replace(r, status=REFUTED, computed={"counter_witness": None}) if r.id == "mt-coefficients" else r
+        for r in report.results
+    )
+    bad = AuditReport(flipped, report.budget, report.eta_label)
+    assert (report.unexpected, report.exit_code) == ((), 0)
+    assert (bad.unexpected, bad.exit_code) == (("mt-coefficients",), 1)
+    text = bad.to_text()
+    assert [line for line in text.splitlines() if "<< UNEXPECTED" in line] == [
+        f"{'mt-coefficients':28s} {REFUTED:12s} expected {VERIFIED}  << UNEXPECTED"
+    ]
+    assert text.endswith("unexpected 1\n")
 
 
 def test_refuted_index_note_names_the_computed_index():
@@ -258,7 +262,7 @@ def test_non_isometric_eta_variant_is_not_checkable():
     """Claims whose checks the variant makes impossible are NotCheckable, not a crash."""
     rows = [list(row) for row in eta_as_written_matrix()]
     rows[0][0] = 2  # no longer isometric
-    report = run_all(budget=TINY, eta_label="broken", eta_map=eta_from_matrix(rows))
+    report = run_all(budget=TINY, eta=("broken", eta_from_matrix(rows)))
     by_id = {r.id: r for r in report.results}
     assert by_id["invariant-type-a"].status == NOT_CHECKABLE
     assert by_id["invariant-type-a"].computed == {"error": "vector is not isotropic: q = 4"}

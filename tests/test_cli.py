@@ -46,6 +46,12 @@ def test_classify_parse_error_exits_2(capsys):
     assert "error" in err
 
 
+def test_classify_without_a_vector_exits_2(capsys):
+    code, out, err = run(capsys, "classify")
+    assert code == 2
+    assert out == "" and "no vector given" in err
+
+
 def test_classify_json_round_trips(capsys):
     code, out, _ = run(capsys, "classify", "2*L(1)-deltaY", "--json")
     assert code == 0
@@ -140,6 +146,13 @@ def test_orbit_witness_distinct_invariants_text(capsys):
     assert out == "distinct orbits: divisibility 2 vs 1\n"
 
 
+def test_orbit_witness_not_found_text(capsys):
+    # same square and divisibility, and no word within the default budget: no verdict
+    code, out, _ = run(capsys, "orbit", "L(0)", "--witness", "L(0)+u3")
+    assert code == 0
+    assert out == "no witness within budget (absence is not a proof of distinct orbits)\n"
+
+
 def test_orbit_witness_distinct_invariants_json(capsys):
     code, out, _ = run(capsys, "orbit", "L(0)", "--witness", "L(1)+e2", "--json")
     assert code == 0
@@ -184,6 +197,24 @@ def test_embed_maps_vector_ok(capsys):
     assert obj["image"]["coords"][14:] == [1, 1]
 
 
+def test_embed_coords_maps_an_lfix_vector(tmp_path, capsys):
+    coords = [0] * 14 + [1]
+    path = tmp_path / "fix.json"
+    path.write_text(json.dumps({"lattice": "Lfix", "coords": coords}))
+    code, out, _ = run(capsys, "embed", "--coords", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["image"]["coords"][14:] == [1, 1]
+    assert (code, out) == run(capsys, "embed", "--vector", json.dumps(coords), "--json")[:2]
+
+
+def test_embed_coords_rejects_an_ly_vector(tmp_path, capsys):
+    path = tmp_path / "ly.json"
+    path.write_text(json.dumps({"lattice": "LY", "coords": [1] + [0] * 15}))
+    code, out, err = run(capsys, "embed", "--coords", str(path))
+    assert code == 1
+    assert out == "" and "expects a vector of Lfix" in err
+
+
 def test_embed_matrix_file(tmp_path, capsys):
     rows = [[0] * 15 for _ in range(16)]
     for k in range(15):
@@ -213,8 +244,9 @@ def test_embed_labels_a_matrix_file_by_its_basename(tmp_path, monkeypatch, capsy
         {"matrix": "abc"},
         {"matrix": [[0] * 15 for _ in range(15)] + [[0] * 14]},
         {"matrix": [[True] * 15 for _ in range(16)]},
+        {"matrix": []},
     ],
-    ids=["missing-key", "float", "string", "ragged", "bool"],
+    ids=["missing-key", "float", "string", "ragged", "bool", "empty"],
 )
 @pytest.mark.parametrize("verb, flag", [("embed", "--matrix-file"), ("audit", "--eta-matrix")])
 def test_matrix_file_malformed_exits_2(tmp_path, capsys, obj, verb, flag):
@@ -233,6 +265,23 @@ def test_saturate(capsys):
     obj = json.loads(out)
     assert obj["total_index"] == 2
     assert obj["index_invariant_factors"] == [2]
+
+
+def test_saturate_coords_file_matches_the_expressions(tmp_path, capsys):
+    _, nv = build_model()
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps([{"lattice": "LY", "coords": list(v.coords)} for v in (nv.deltaY, nv.SigmaY)]))
+    from_file = run(capsys, "saturate", "--coords", str(path))
+    assert from_file == run(capsys, "saturate", "deltaY", "SigmaY")
+    assert from_file[0] == 0 and from_file[1].startswith("total index 2")
+
+
+def test_saturate_empty_coords_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "gens.json"
+    path.write_text("[]")
+    code, out, err = run(capsys, "saturate", "--coords", str(path))
+    assert code == 2
+    assert out == "" and "at least one generator" in err
 
 
 def test_saturate_dependent_exits_1(capsys):
@@ -365,6 +414,23 @@ def test_classify_coords_file(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", "--coords", str(path))
     assert code == 0
     assert "Case9" in out
+
+
+@pytest.mark.parametrize("argv, obj", [
+    (["classify", "L(1)+e2"], {"lattice": "LY", "coords": [1] + [0] * 15}),
+    (["profile", "L(1)+e2"], {"lattice": "LY", "coords": [1] + [0] * 15}),
+    (["reflect", "e1", "L(1)+e2"], {"lattice": "LY", "coords": [1] + [0] * 15}),
+    (["orbit", "L(1)+e2"], {"lattice": "LY", "coords": [1] + [0] * 15}),
+    (["saturate", "deltaY"], [{"lattice": "LY", "coords": [1] + [0] * 15}]),
+    (["embed", "--vector", json.dumps([0] * 14 + [1])], {"lattice": "Lfix", "coords": [1] + [0] * 14}),
+], ids=["classify", "profile", "reflect", "orbit", "saturate", "embed"])
+def test_two_sources_for_one_vector_exit_2(tmp_path, capsys, argv, obj):
+    """An expression (or --vector) and --coords together are refused, not resolved in favour of the file."""
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *argv, "--coords", str(path))
+    assert code == 2
+    assert out == "" and "two sources" in err
 
 
 def test_classify_coords_wrong_lattice(tmp_path, capsys):

@@ -27,7 +27,7 @@ from nikulat.isometry import Isometry, distinct_invariants
 from nikulat.model import (
     build_model,
     classify_orbit,
-    default_generator_names,
+    default_generator_table,
     default_generators,
     enumerate_with_square,
     sigma_star,
@@ -218,6 +218,24 @@ def test_orbit_rejects_zero_seed(setup):
         orbit_explore(model.lambda_Y.vector((0,) * 16), default_generators())
 
 
+#: a (-2)-root of <-2>, a lattice of no model vector
+FOREIGN_ROOT = standard_lattice("rank1", -2).basis_vector(0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda nv: orbit_explore(nv.u[0] + 5 * nv.u[1], default_generators()), "exceeds the coordinate bound"),
+    (lambda nv: orbit_explore(nv.L(0), [reflection(FOREIGN_ROOT)]), "different lattice than the seed"),
+    (lambda nv: same_orbit_witness(nv.L(0), FOREIGN_ROOT, default_generators()), "both vectors in one lattice"),
+    (lambda nv: same_orbit_witness(2 * nv.L(0), nv.L(0), default_generators()), "expects primitive vectors"),
+    (lambda nv: reflection(nv.w)(FOREIGN_ROOT), "does not live on this isometry's lattice"),
+], ids=["orbit-seed-outside-the-box", "orbit-foreign-generator", "witness-across-lattices",
+        "witness-non-primitive", "isometry-on-a-foreign-vector"])
+def test_inputs_outside_the_domain_raise(setup, call, message):
+    _, nv = setup
+    with pytest.raises(LatticeError, match=message):
+        call(nv)
+
+
 def test_orbit_reads_a_one_shot_iterable_of_generators(setup):
     # the input check once consumed the iterable, leaving a one-member "complete" orbit
     _, nv = setup
@@ -260,7 +278,7 @@ def test_witness_trivial(setup):
 def test_witness_one_step(setup):
     _, nv = setup
     gens = default_generators()
-    names = default_generator_names()
+    names = [name for name, _ in default_generator_table()]
     word = same_orbit_witness(nv.gamma1, -1 * nv.gamma1, gens, OrbitBudget(2, 1000, 3))
     assert word is not None
     assert names[word[0]] == "gamma1" and len(word) == 1
@@ -321,7 +339,7 @@ def test_cases_8_and_9_frozen_witness_word(setup):
     isotropic divisibility-1 cases merge under (-2)-reflections alone."""
     _, nv = setup
     gens = default_generators()
-    names = list(default_generator_names())
+    names = [name for name, _ in default_generator_table()]
     word_names = [
         "w21", "eps3", "eps2", "eps7", "eps6", "w21", "u2+gamma1", "u2+eps1",
         "eps7", "eps3", "eps4", "w11", "u1+eps1", "eps3", "w21", "eps2",

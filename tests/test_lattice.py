@@ -130,6 +130,17 @@ def test_asymmetric_gram_rejected():
         Lattice("bad", ((0, 1), (2, 0)))
 
 
+def test_non_square_gram_rejected():
+    with pytest.raises(LatticeError, match="not square"):
+        Lattice("bad", ((0, 1, 0), (1, 0, 0)))
+
+
+@pytest.mark.parametrize("i", [-1, 16])
+def test_basis_vector_out_of_range(ly, i):
+    with pytest.raises(LatticeError, match="out of range for rank 16"):
+        ly.basis_vector(i)
+
+
 def test_vector_float_coords_rejected_not_truncated(ly):
     with pytest.raises(LatticeError, match="must be integers"):
         ly.vector([1.9] * 16)
@@ -355,6 +366,15 @@ def test_saturate_generators_in_basis_span(ly, nv):
 def test_saturate_rejects_dependent(ly, nv):
     with pytest.raises(LatticeError):
         saturate(ly, [nv.L(0), 2 * nv.L(0)])
+
+
+@pytest.mark.parametrize("gens, message", [
+    ([], "at least one generator"),
+    ([MINUS2.basis_vector(0)], "does not live in the given lattice"),
+], ids=["none", "foreign"])
+def test_saturate_rejects_missing_and_foreign_generators(ly, gens, message):
+    with pytest.raises(LatticeError, match=message):
+        saturate(ly, gens)
 
 
 # --- embeddings ----------------------------------------------------------------

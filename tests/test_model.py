@@ -418,12 +418,9 @@ def test_table_self_consistency(setup, case, i):
 
 @pytest.fixture
 def clear_representative_caches():
-    caches = (model_module._representative_vector, model_module._checked_representative)
-    for cache in caches:
-        cache.cache_clear()
+    model_module._checked_representative.cache_clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    model_module._checked_representative.cache_clear()
 
 
 def test_wrong_representative_fails_invariant_match(setup, monkeypatch, clear_representative_caches):

@@ -24,12 +24,12 @@ def test_lattice_round_trip():
 def test_lattice_rank_mismatch_rejected():
     """A vector file whose coordinates do not match its lattice's rank is rejected."""
     with pytest.raises(LatticeError, match="rank 16"):
-        serialize.vector_from_obj({"lattice": "LY", "coords": [1, 0, 0]}, lattice_registry())
+        serialize.vector_from_obj({"lattice": "LY", "coords": [1, 0, 0]})
 
 
 def test_lattice_missing_key():
     with pytest.raises(serialize.FormatError):
-        serialize.vector_from_obj({"coords": [1] + [0] * 15}, lattice_registry())
+        serialize.vector_from_obj({"coords": [1] + [0] * 15})
     with pytest.raises(serialize.FormatError):
         serialize.matrix_from_obj({"gram": [[0, 1], [1, 0]]})
 
@@ -39,12 +39,12 @@ def test_vector_round_trip(setup):
     v = nv.L(1) + nv.e2
     obj = serialize.vector_to_obj(v)
     assert obj["lattice"] == "LY"
-    assert serialize.vector_from_obj(obj, lattice_registry()) == v
+    assert serialize.vector_from_obj(obj) == v
 
 
 def test_vector_unknown_label():
     with pytest.raises(LatticeError):
-        serialize.vector_from_obj({"lattice": "??", "coords": [1]}, lattice_registry())
+        serialize.vector_from_obj({"lattice": "??", "coords": [1]})
 
 
 def test_registry_contents():
@@ -78,12 +78,12 @@ def test_witness_object(setup):
 @pytest.mark.parametrize("bad", [1.9, True, "1", None])
 def test_vector_rejects_non_int_coords(bad):
     with pytest.raises(serialize.FormatError):
-        serialize.vector_from_obj({"lattice": "LY", "coords": [bad] + [0] * 15}, lattice_registry())
+        serialize.vector_from_obj({"lattice": "LY", "coords": [bad] + [0] * 15})
 
 
 def test_vector_rejects_coords_that_are_not_a_list():
     with pytest.raises(serialize.FormatError):
-        serialize.vector_from_obj({"lattice": "LY", "coords": "1" + "0" * 15}, lattice_registry())
+        serialize.vector_from_obj({"lattice": "LY", "coords": "1" + "0" * 15})
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, False, "0"])
