@@ -1,4 +1,9 @@
-"""Exact-arithmetic lattice toolkit for Nikulin-type orbifold period lattices."""
+"""Exact-arithmetic lattice toolkit for Nikulin-type orbifold period lattices.
+
+``import nikulat`` loads the lattice core (``intmat``, ``lattice``, ``isometry``, ``model``); ``audit``,
+``exprs`` and ``serialize``, and names such as ``run_all`` and ``parse_vector``, load on first use."""
+
+from importlib import import_module
 
 from .isometry import (
     Isometry,
@@ -42,8 +47,6 @@ from .model import (
     sigma_star,
     vector_profile,
 )
-from .audit import MtCoefficients, mt_coefficients, run_all, run_claim
-from .exprs import ExpressionError, format_vector, parse_vector
 
 __version__ = "0.1.0"
 
@@ -92,3 +95,15 @@ __all__ = [
     "standard_lattice",
     "vector_profile",
 ]
+
+_LAZY = dict.fromkeys(("MtCoefficients", "mt_coefficients", "run_all", "run_claim", "audit"), "audit")
+_LAZY |= dict.fromkeys(("ExpressionError", "format_vector", "parse_vector", "exprs"), "exprs")
+_LAZY["serialize"] = "serialize"
+
+
+def __getattr__(name: str):
+    """PEP 562: import the submodule a ``_LAZY`` name maps to; unbound, so each access sees its current value."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)

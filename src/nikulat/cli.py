@@ -41,7 +41,7 @@ def _emit(obj) -> None:
 def _read_vector(args, attr="expr") -> LatticeVector:
     """Vector from the expression argument or from --coords FILE; exactly one must be given."""
     expr = getattr(args, attr)
-    if args.coords:
+    if args.coords is not None:
         if expr is not None:
             raise UsageError(f"two sources for one vector: {expr!r} and --coords {args.coords}")
         return serialize.vector_from_obj(serialize.load_json(args.coords))
@@ -161,12 +161,12 @@ def cmd_orbit(args) -> int:
     seed = _read_vector(args)
     gens = default_generators()
     names = tuple(name for name, _ in default_generator_table())
-    if args.gens_file:
+    if args.gens_file is not None:
         roots = [serialize.vector_from_obj(obj) for obj in serialize.load_json(args.gens_file)]
         gens = tuple(reflection(r) for r in roots)
         names = tuple(f"root{k}" for k in range(len(gens)))
     budget = _budget(args)
-    if args.witness:
+    if args.witness is not None:
         other = parse_vector(args.witness)
         word = same_orbit_witness(seed, other, gens, budget)
         # None means either cause; only a differing invariant proves distinct orbits
@@ -188,7 +188,7 @@ def cmd_orbit(args) -> int:
             print("word:", " ".join(names[j] for j in word) if word else "(empty)")
         return 0
     orbit = orbit_explore(seed, gens, budget)
-    if args.output:
+    if args.output is not None:
         serialize.save_text(args.output, serialize.dumps(serialize.orbit_to_obj(orbit)) + "\n")
     if args.json:
         _emit(
@@ -197,7 +197,7 @@ def cmd_orbit(args) -> int:
                 "exhausted": orbit.exhausted,
                 "seed": serialize.vector_to_obj(orbit.seed),
             }
-            if args.output
+            if args.output is not None
             else serialize.orbit_to_obj(orbit)
         )
     else:
@@ -206,14 +206,14 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    label, emb = _eta_file(args.matrix_file) if args.matrix_file else ("as-written", eta_embedding())
+    label, emb = _eta_file(args.matrix_file) if args.matrix_file is not None else ("as-written", eta_embedding())
     report = check_embedding(emb)
     image_obj = None
-    if args.vector or args.coords:
+    if args.vector is not None or args.coords is not None:
         model, _ = build_model()
-        if args.vector and args.coords:
+        if args.vector is not None and args.coords is not None:
             raise UsageError(f"two sources for one vector: --vector {args.vector} and --coords {args.coords}")
-        if args.coords:
+        if args.coords is not None:
             v = serialize.vector_from_obj(serialize.load_json(args.coords))
             if v.lattice.gram != model.lambda_fix.gram:
                 raise LatticeError("embed --coords expects a vector of Lfix")
@@ -241,7 +241,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_saturate(args) -> int:
-    if args.coords:
+    if args.coords is not None:
         if args.exprs:
             raise UsageError(f"two sources for the generators: {args.exprs} and --coords {args.coords}")
         gens = [serialize.vector_from_obj(o) for o in serialize.load_json(args.coords)]
@@ -289,7 +289,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    report = run_all(budget=_budget(args), eta=_eta_file(args.eta_matrix) if args.eta_matrix else None)
+    report = run_all(budget=_budget(args), eta=_eta_file(args.eta_matrix) if args.eta_matrix is not None else None)
     out_dir = args.output_dir
     os.makedirs(out_dir, exist_ok=True)
     serialize.save_text(os.path.join(out_dir, "report.txt"), report.to_text())

@@ -433,6 +433,29 @@ def test_two_sources_for_one_vector_exit_2(tmp_path, capsys, argv, obj):
     assert out == "" and "two sources" in err
 
 
+NO_FILE = "No such file or directory"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["classify", "--coords"], NO_FILE),
+    (["embed", "--coords"], NO_FILE),
+    (["saturate", "--coords"], NO_FILE),
+    (["embed", "--matrix-file"], NO_FILE),
+    (["audit", "--eta-matrix"], NO_FILE),
+    (["orbit", "L(0)", "--gens-file"], NO_FILE),
+    (["embed", "--vector"], "Expecting value"),
+    (["orbit", "L(0)", "--witness"], "empty expression"),
+    (["orbit", "L(0)", "--max-depth", "1", "-o"], NO_FILE),
+], ids=["classify-coords", "embed-coords", "saturate-coords", "matrix-file", "eta-matrix", "gens-file", "vector",
+        "witness", "output"])
+def test_empty_flag_value_exits_2(tmp_path, monkeypatch, capsys, argv, reason):
+    """An empty value is a value: it reaches open, json.loads or parse_vector, never counts as an absent flag."""
+    monkeypatch.chdir(tmp_path)  # audit's default --output-dir
+    code, out, err = run(capsys, *argv, "")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and reason in err
+
+
 def test_classify_coords_wrong_lattice(tmp_path, capsys):
     path = tmp_path / "vec.json"
     path.write_text(json.dumps({"lattice": "Lfix", "coords": [1] + [0] * 14}))
