@@ -187,6 +187,9 @@ def cmd_orbit(args) -> int:
         else:
             print("word:", " ".join(names[j] for j in word) if word else "(empty)")
         return 0
+    out = args.output
+    if out is not None and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or os.curdir)):
+        raise UsageError(f"cannot write the orbit to {out!r}: not a file in an existing directory")
     orbit = orbit_explore(seed, gens, budget)
     if args.output is not None:
         serialize.save_text(args.output, serialize.dumps(serialize.orbit_to_obj(orbit)) + "\n")
@@ -289,9 +292,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    report = run_all(budget=_budget(args), eta=_eta_file(args.eta_matrix) if args.eta_matrix is not None else None)
+    budget, eta = _budget(args), _eta_file(args.eta_matrix) if args.eta_matrix is not None else None
     out_dir = args.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)  # before the audit, so an unusable directory fails at once
+    report = run_all(budget=budget, eta=eta)
     serialize.save_text(os.path.join(out_dir, "report.txt"), report.to_text())
     serialize.save_text(os.path.join(out_dir, "report.json"), serialize.dumps(report.to_obj()) + "\n")
     print(report.to_text(), end="")

@@ -11,12 +11,13 @@ Orbit closure and witness search share one generation step on packed keys
 order and a reflection adds c.key(r)); every generator is a reflection by type.
 A reflection reads G.r off its lattice's compiled product; its one check is (r, r) = -2.
 
-Every generation runs in one kernel: a straight-line function compiled from the
-generators' supports and kept in a table of ``_KERNELS`` entries keyed by those, the
-coordinate bound, the rank and whether it guards a witness endpoint outside the box,
-so that endpoints of every key width share it.  It does the sums, updates and
-comparisons of a loop over the supports, in the same order, so every answer is exact,
-and builds an image's coordinate tuple only for a key it has not seen.
+Every generation runs in one kernel: a straight-line function compiled from the lattice's
+sparse Gram rows and the generators' roots, kept in a table of ``_KERNELS`` entries keyed by
+those, the coordinate bound and whether it guards a witness endpoint outside the box, so that
+endpoints of every key width share it.  It reads every pairing off one G.x per vector, which
+is exact as G is symmetric; ``Isometry.apply_coords`` keeps the pairing over the support of
+G.r.  It stops an image's box test at the first coordinate out, and builds an image's
+coordinate tuple only for a key it has not seen.
 
 Each side of a witness search runs through one breadth-first ball around its endpoint,
 whose new levels stop at the meet: prefix first, then finish.  The last search that
@@ -29,8 +30,8 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial, reduce
 from math import gcd
 
-from .lattice import (IntVector, Lattice, LatticeError, LatticeVector, compile_kernel, divisibility, is_primitive,
-                      linear_source, square)
+from .lattice import (IntVector, Lattice, LatticeError, LatticeVector, compile_kernel, divisibility, gx_source,
+                      is_primitive, linear_source, square)
 
 
 @dataclass(frozen=True)
@@ -163,33 +164,37 @@ _KERNELS = 8
 
 
 @lru_cache(maxsize=_KERNELS)
-def _kernel(supports: tuple, bound: int, rank: int, guarded: bool = False):
-    """The generation kernel of reflections with ``supports`` in the box ``bound``.
+def _kernel(rows: tuple, roots: tuple, bound: int, guarded: bool = False):
+    """The generation kernel of the reflections in ``roots`` on the lattice of sparse Gram
+    ``rows``, in the box ``bound``.
 
-    ``supports`` holds each reflection's ``Isometry._supports``.  The kernel is one
-    straight-line ``generation(frontier, seen, cap, other)`` that runs :func:`_generation`
-    on vectors of ``rank``: for each vector, in key order, and each reflection j, in order,
-    the pairing c = (x, r_j), the update of r_j's support, the box test there, the key
-    k = key + c.s_j and the ``seen`` test; only a new key gets its coordinate tuple, then
-    the meet and cap tests (the cap counting down the room left).  The ``guarded`` kernel
-    skips r_j, leaving ``clipped`` as it is, unless r_j's support covers every coordinate
-    outside the box.  Every integer in its source (an index or a coefficient of G.r or r,
-    each an int checked by :class:`Isometry`) is written in hex, which the interpreter's
-    limit on converting ints to decimal text does not cover.  The bound and the steps s_j
-    are closure values: called with the steps in the caller's key width, the result
-    returns the generation.
+    ``roots`` holds each reflection's support of r (``Isometry._supports[1]``).  The kernel is
+    one straight-line ``generation(frontier, seen, cap, other)`` that runs :func:`_generation`
+    on vectors of rank ``len(rows)``: for each vector, in key order, the entries g_i of G.x at
+    every coordinate i of the roots' supports, written by :func:`~nikulat.lattice.gx_source`;
+    then for each reflection j, in order, the pairing c = (x, r_j) = sum of r_i g_i over r_j's
+    support (G is symmetric), the update of r_j's support with its box test, which stops at
+    the first coordinate out, the key k = key + c.s_j and the ``seen`` test; only a new key gets
+    its coordinate tuple, then the meet and cap tests (the cap counting down the room left).
+    The ``guarded`` kernel skips r_j, leaving ``clipped`` as it is, unless r_j's support covers
+    every coordinate outside the box.  Every integer in its source (an index or a coefficient
+    of G or r, each an int) is written in hex, which the interpreter's limit on converting ints
+    to decimal text does not cover.  The bound and the steps s_j are closure values: called
+    with the steps in the caller's key width, the result returns the generation.
     """
-    lines = [f"def make(lo, hi{''.join(f', s{j}' for j in range(len(supports)))}):",
+    rank, forms = len(rows), gx_source(rows)
+    lines = [f"def make(lo, hi{''.join(f', s{j}' for j in range(len(roots)))}):",
              " def generation(frontier, seen, cap, other):",
              "  fresh = {}\n  clipped = False\n  room = cap - len(seen)\n  for key in sorted(frontier):",
              f"   ({''.join(f'x{i}, ' for i in range(rank))}) = frontier[key]"]
-    for j, (gram_root, root) in enumerate(supports):
+    lines += [f"   g{i} = {forms[i]}" for i in sorted({i for root in roots for i, _ in root})]
+    for j, root in enumerate(roots):
         cover = {i for i, _ in root}
-        lines.append(f"   c = {linear_source((g, f'x{i}') for i, g in gram_root)}")  # G.r != 0: nondegenerate form
+        lines.append(f"   c = {linear_source((r, f'g{i}') for i, r in root)}")  # r != 0: its square is -2
         guard = "".join(f" and lo <= x{i} <= hi" for i in range(rank) if guarded and i not in cover)
         lines.append(f"   if c{guard}:")
-        lines.extend(f"    y{i} = {linear_source(((1, f'x{i}'), (r, 'c')))}" for i, r in root)
-        lines.append(f"    if {' and '.join(f'lo <= y{i} <= hi' for i, _ in root)}:")
+        images = (f"lo <= (y{i} := {linear_source(((1, f'x{i}'), (r, 'c')))}) <= hi" for i, r in root)
+        lines.append(f"    if {' and '.join(images)}:")
         lines.append(f"     k = key + c*s{j}\n     if k not in seen:\n      seen[k] = {j:#x}")
         lines.append(f"      fresh[k] = ({''.join(f'y{i}, ' if i in cover else f'x{i}, ' for i in range(rank))})")
         lines.append("      if k in other:\n       return fresh, clipped, False, k\n      room -= 0x1\n"
@@ -198,12 +203,14 @@ def _kernel(supports: tuple, bound: int, rank: int, guarded: bool = False):
     return partial(compile_kernel("\n".join(lines), "generation kernel", ("make",))[0], -bound, bound)
 
 
-def _engine(supports: tuple, bound: int, rank: int, width: int) -> tuple:
+def _engine(rows: tuple, supports: tuple, bound: int, width: int) -> tuple:
     """What :func:`_generation` expands by: ``(generation, guarded, bound)``, the kernel of the
-    reflections with ``supports`` bound to their steps in base ``width``, and a call that
-    returns the guarded kernel so bound, compiled when an endpoint outside the box needs it."""
-    steps = [sum(r * width ** (rank - 1 - i) for i, r in root) for _, root in supports]
-    return _kernel(supports, bound, rank)(*steps), lambda: _kernel(supports, bound, rank, True)(*steps), bound
+    reflections with ``supports`` on the lattice of sparse Gram ``rows`` bound to their steps in
+    base ``width``, and a call that returns the guarded kernel so bound, compiled when an
+    endpoint outside the box needs it."""
+    roots = tuple(root for _, root in supports)
+    steps = [sum(r * width ** (len(rows) - 1 - i) for i, r in root) for root in roots]
+    return _kernel(rows, roots, bound)(*steps), lambda: _kernel(rows, roots, bound, True)(*steps), bound
 
 
 def _generation(frontier: dict, seen: dict, engine: tuple, cap, other=frozenset()):
@@ -244,7 +251,7 @@ def orbit_explore(seed: LatticeVector, gens, budget: OrbitBudget = OrbitBudget()
     bound = budget.coord_bound
     if max(abs(c) for c in seed.coords) > bound:
         raise LatticeError("seed already exceeds the coordinate bound")
-    engine = _engine(tuple(g._supports for g in gens), bound, seed.lattice.rank, 2 * bound + 1)
+    engine = _engine(seed.lattice.sparse_rows, tuple(g._supports for g in gens), bound, 2 * bound + 1)
     key = _pack(seed.coords, 2 * bound + 1)
     # key -> coordinates, also the engine's seen map: update(fresh) overwrites its marks
     members = {key: seed.coords}
@@ -264,7 +271,7 @@ def orbit_explore(seed: LatticeVector, gens, budget: OrbitBudget = OrbitBudget()
             break
     exhausted = exhausted and not frontier  # the depth ran out with work pending
     del frontier, fresh
-    members = tuple(members[k] for k in sorted(members))
+    members = tuple(map(members.__getitem__, sorted(members)))
     _assert_orbit_invariants(seed, members)
     return OrbitSet(seed=seed, members=members, exhausted=exhausted)
 
@@ -384,7 +391,7 @@ def same_orbit_witness(
     balls = [ball if same else _Ball(_pack(entry[0], width), entry[0])
              for entry, same, (_, ball) in zip(entries, kept, pairs)]
     del pairs  # so a ball not kept goes before anything is expanded
-    engine = engine if any(kept) else _engine(supports, bound, rank, width)
+    engine = engine if any(kept) else _engine(v.lattice.sparse_rows, supports, bound, width)
     held = [ball.tree if len(ball.levels) == 1 else set(ball.levels[0]) for ball in balls]
     frontiers = [ball.levels[0] for ball in balls]
     depth = [0, 0]

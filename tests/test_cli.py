@@ -456,6 +456,31 @@ def test_empty_flag_value_exits_2(tmp_path, monkeypatch, capsys, argv, reason):
     assert out == "" and err.startswith("error: ") and reason in err
 
 
+@pytest.mark.parametrize("argv, path", [
+    (["orbit", "L(1)+e2", "-o"], "no-such-dir/x.json"),
+    (["orbit", "L(1)+e2", "-o"], "plain.txt/x.json"),
+    (["orbit", "L(1)+e2", "-o"], "sub"),
+    (["audit", "--output-dir"], ""),
+    (["audit", "--output-dir"], "plain.txt/sub"),
+], ids=["orbit-no-parent", "orbit-under-a-file", "orbit-a-directory", "audit-empty", "audit-under-a-file"])
+def test_bad_output_location_fails_before_the_computation(tmp_path, monkeypatch, capsys, argv, path):
+    """An output location that cannot be written exits 2 before the orbit closure or the audit runs,
+    and writes nothing."""
+    def never(*_, **__):
+        pytest.fail("computed before the output location was checked")
+
+    monkeypatch.setattr("nikulat.cli.orbit_explore", never)
+    monkeypatch.setattr("nikulat.cli.run_all", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "plain.txt").write_text("kept\n")
+    (tmp_path / "sub").mkdir()
+    code, out, err = run(capsys, *argv, path)
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and (path in err or not path)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["plain.txt", "sub"]
+    assert (tmp_path / "plain.txt").read_text() == "kept\n"
+
+
 def test_classify_coords_wrong_lattice(tmp_path, capsys):
     path = tmp_path / "vec.json"
     path.write_text(json.dumps({"lattice": "Lfix", "coords": [1] + [0] * 14}))

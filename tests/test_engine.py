@@ -7,9 +7,10 @@ coordinate tuple and bound-checked on all coordinates.  Orbit members, the
 of coordinate bound, frontier cap or depth cuts the search short.
 
 ``reference_generation`` is the generation step as a loop over each
-reflection's supports, which the compiled generation kernels replaced; one
-generation of the engine must equal it insertion for insertion, stop for stop
-and in its clipped flag.
+reflection's supports, pairing over the support of G.r, where the compiled
+generation kernels read every pairing off one G.x per vector; one generation
+of the engine must equal it insertion for insertion, stop for stop and in its
+clipped flag.
 """
 
 import io
@@ -28,10 +29,11 @@ from hypothesis import strategies as st
 from nikulat import OrbitBudget, isometry, orbit_explore, reflection, same_orbit_witness
 from nikulat.intmat import det
 from nikulat.isometry import _engine, _generation, _kernel, _last, _pack, _unpack
-from nikulat.lattice import Lattice, square
+from nikulat.lattice import Lattice, gx_source, square
 from nikulat.model import build_model, default_generators
 
-_, NV = build_model()
+MODEL, NV = build_model()
+LY = MODEL.lambda_Y
 LY_GENS = default_generators()
 
 
@@ -170,9 +172,9 @@ def reference_generation(frontier: dict, seen: dict, moves, bound: int, cap, oth
     return fresh, clipped, False, None
 
 
-def engine_of(gens, bound, rank, width):
-    """What the engine expands by, for these reflections."""
-    return _engine(tuple(g._supports for g in gens), bound, rank, width)
+def engine_of(gens, lattice, bound, width):
+    """What the engine expands by, for these reflections of ``lattice``."""
+    return _engine(lattice.sparse_rows, tuple(g._supports for g in gens), bound, width)
 
 
 # --- strategies -----------------------------------------------------------------------
@@ -325,7 +327,7 @@ def assert_meets_on_insertion(v, u, gens, budget, generations, side):
     run's insertions just after the key that ``oracle_witness`` would meet at."""
     bound, cap = budget.coord_bound, budget.max_frontier
     width = 2 * max(bound, *map(abs, v.coords), *map(abs, u.coords)) + 1
-    engine = engine_of(gens, bound, v.lattice.rank, width)
+    engine = engine_of(gens, v.lattice, bound, width)
     trees = [{_pack(v.coords, width): None}, {_pack(u.coords, width): None}]
     frontiers = [{k: v.coords for k in trees[0]}, {k: u.coords for k in trees[1]}]
     for step in range(generations):
@@ -385,13 +387,13 @@ def test_meet_on_insertion_stops_inside_the_generation(side):
 # --- the compiled generation kernel --------------------------------------------------
 
 
-def assert_generation_matches(frontier, seen, gens, rank, bound, width, cap, other):
+def assert_generation_matches(frontier, seen, gens, lattice, bound, width, cap, other):
     """One generation of the engine against ``reference_generation`` from the same state:
     the same insertions in the same order, the same stop and the same clipped flag, also
     when a meet or the cap stopped it.  Returns the reference's result and its seen map."""
     ref_seen, got_seen = dict(seen), dict(seen)
     ref = reference_generation(frontier, ref_seen, reference_moves(gens, width), bound, cap, other)
-    got = _generation(frontier, got_seen, engine_of(gens, bound, rank, width), cap, other)
+    got = _generation(frontier, got_seen, engine_of(gens, lattice, bound, width), cap, other)
     assert list(got[0].items()) == list(ref[0].items())
     assert list(got_seen.items()) == list(ref_seen.items())
     assert got[1:] == ref[1:]
@@ -409,7 +411,7 @@ def assert_generations_match(v, u, gens, budget, generations, meet):
         s = step % 2
         other = trees[1 - s] if meet else frozenset()
         (frontiers[s], _, overflow, met), trees[s] = assert_generation_matches(
-            frontiers[s], trees[s], gens, v.lattice.rank, bound, width, cap, other
+            frontiers[s], trees[s], gens, v.lattice, bound, width, cap, other
         )
         if overflow or met is not None:
             break
@@ -435,6 +437,56 @@ def test_kernel_matches_reference_on_ly(data):
     u = walk_from(data.draw, v, LY_GENS, 0, 4)
     generations = data.draw(st.integers(min_value=1, max_value=4))
     assert_generations_match(v, u, gens, budget, generations, data.draw(st.booleans()))
+
+
+@st.composite
+def ly_roots(draw):
+    """A (-2)-root of LY off the default set: a default root moved by 1-4 default reflections,
+    then shifted by k times an isotropic coordinate of a U(2) block whose partner it does not use."""
+    coords = list(walk_from(draw, LY.vector(draw(st.sampled_from(LY_GENS)).root), LY_GENS, 1, 4).coords)
+    i = draw(st.integers(0, 5))
+    if coords[i ^ 1] == 0:  # (e_i, e_i) = 0 and (e_i, r) = 2 r_(i^1): the square stays -2
+        coords[i] += draw(st.integers(-3, 3))
+    assert square(LY.vector(coords)) == -2
+    return tuple(coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_reference_on_ly_under_other_roots(data):
+    """Roots with coefficients other than 1 and supports short of the 16 coordinates: the kernel's
+    pairings, read off G.x, against the reference's, summed over the support of G.r; with and
+    without meets and caps, and with an endpoint just outside the box, which the guarded kernel expands."""
+    roots = data.draw(st.lists(ly_roots(), min_size=1, max_size=6, unique=True))
+    assume(any(abs(c) > 1 for r in roots for c in r) and all(0 in r for r in roots))
+    assume(not set(roots) <= {g.root for g in LY_GENS})
+    gens = [reflection(LY.vector(r)) for r in roots]
+    budget = data.draw(budgets(max_depth=1))
+    v = walk_from(data.draw, data.draw(st.sampled_from([NV.L(0), NV.L(1) + NV.e2])), gens, 0, 2)
+    reach = max(map(abs, v.coords))
+    if reach > 1 and data.draw(st.booleans()):
+        budget = OrbitBudget(reach - 1, budget.max_frontier, budget.max_depth)
+    u = walk_from(data.draw, v, gens, 0, 4)
+    generations = data.draw(st.integers(min_value=1, max_value=4))
+    assert_generations_match(v, u, gens, budget, generations, data.draw(st.booleans()))
+
+
+def test_kernel_writes_g_x_at_the_roots_supports_only(compiled_sources):
+    """One line g_i = (G.x)_i per coordinate i in the union of the roots' supports, none for
+    any other coordinate, each the lattice's G.x entry as ``gx_source`` writes it."""
+    forms = gx_source(LY.sparse_rows)
+    off_default = [(-3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, -2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)]
+    assert all(square(LY.vector(r)) == -2 for r in off_default)
+    roots = [[], [g.root for g in LY_GENS[:3]], [LY_GENS[10].root, LY_GENS[16].root], off_default,
+             [g.root for g in LY_GENS]]
+    for chosen in roots:
+        compiled_sources.clear()
+        _kernel.cache_clear()
+        _kernel(LY.sparse_rows, tuple(tuple((i, c) for i, c in enumerate(r) if c) for r in chosen), 4)
+        (source,) = compiled_sources
+        written = [line.strip() for line in source.splitlines() if line.strip().startswith("g")]
+        union = sorted({i for r in chosen for i, c in enumerate(r) if c})
+        assert written == [f"g{i} = {forms[i]}" for i in union]
 
 
 def test_kernel_matches_reference_with_no_generators():
@@ -507,7 +559,7 @@ def test_kernel_source_writes_every_integer_in_hex_and_no_step(compiled_sources)
     supports = tuple(g._supports for g in LY_GENS)
     for bound, width in ((4, 9), (5, 23)):  # another bound, and other steps in another width
         _kernel.cache_clear()
-        _engine(supports, bound, 16, width)
+        _engine(LY.sparse_rows, supports, bound, width)
     first, second = compiled_sources
     assert first == second  # so no bound and no step is written into the source
     numbers = [t.string for t in tokenize.generate_tokens(io.StringIO(first).readline)
@@ -568,7 +620,7 @@ def assert_kept_levels_complete():
     cap cuts, or, the last level only, a prefix of it; only the last whole level and a
     partial one after it hold coordinates, the older levels being tuples of keys."""
     for (x, supports, bound, cap, width), ball in kept_pairs():
-        engine = _engine(supports, bound, len(x), width)
+        engine = _engine(LY.sparse_rows, supports, bound, width)
         levels, last = ball.levels, len(ball.levels) - 1
         old = last if ball.whole else last - 1
         assert [type(level) for level in levels] == [tuple] * old + [dict] * (len(levels) - old)

@@ -25,7 +25,7 @@ LY = build_model()[0].lambda_Y
 def generation(*guarded):
     def run():
         isometry._kernel.cache_clear()
-        isometry._kernel(tuple(g._supports for g in default_generators()), 4, 16, *guarded)
+        isometry._kernel(LY.sparse_rows, tuple(g._supports[1] for g in default_generators()), 4, *guarded)
     return run
 
 
@@ -49,9 +49,9 @@ def builder(cls):
 
 
 @pytest.mark.parametrize("compile_it,length,digest", [
-    pytest.param(generation(), 9629, "75e09be5ee2ffc10c6a9ad878a6e041c956aadf5978329bd262b3d86bce8e723",
+    pytest.param(generation(), 9341, "f335066c471a3ed940bbe31e61b145ff1feab727b55868a81f76c2b53e5e3991",
                  id="generation-default-supports-bound-4"),
-    pytest.param(generation(True), 14897, "07760069de1c2aa59fd6158ee1cb9ccc132828cc864038bc1a3463304112bd76",
+    pytest.param(generation(True), 14609, "a1755a19091881d0b5c59ca6e6cfebd432cb27d1c87e17758d8c445195c69ff9",
                  id="generation-guarded-default-supports-bound-4"),
     pytest.param(enumeration("U1", "E8"), 2067, "c59fc4af2b6db262783dda3eefef46d1d0e4793491118b1f1ee0ee0c26808460",
                  id="enumeration-U1-E8"),
