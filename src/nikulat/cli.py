@@ -158,6 +158,8 @@ def cmd_reflect(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    if args.witness is not None and args.output is not None:
+        raise UsageError("--witness and --output (-o) do not combine: a witness search writes no orbit file")
     seed = _read_vector(args)
     gens = default_generators()
     names = tuple(name for name, _ in default_generator_table())
@@ -188,7 +190,7 @@ def cmd_orbit(args) -> int:
             print("word:", " ".join(names[j] for j in word) if word else "(empty)")
         return 0
     out = args.output
-    if out is not None and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or os.curdir)):
+    if out is not None and (not out or os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or os.curdir)):
         raise UsageError(f"cannot write the orbit to {out!r}: not a file in an existing directory")
     orbit = orbit_explore(seed, gens, budget)
     if args.output is not None:

@@ -1,7 +1,8 @@
 """Exact integer matrix arithmetic: determinants and the Smith normal form.
 
-Matrices are immutable tuples of tuples of Python ints, so every intermediate
-value is arbitrary precision.  Products G.x are the lattice's compiled kernels.
+Matrices are immutable tuples of tuples of Python ints, so every intermediate value is
+arbitrary precision.  Products G.x are the lattice's compiled kernels.  The Smith form
+returns its diagonal and the inverse of its row transform, all that the lattice reads.
 """
 
 from __future__ import annotations
@@ -67,25 +68,21 @@ def det(m: Matrix) -> int:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """left @ m @ right == diag, with all four transform matrices unimodular.
+    """L @ m @ R == diag for unimodular L and R, of which only ``left_inv`` = L^-1 is kept.
 
-    ``diag`` has nonnegative diagonal entries, each dividing the next; the
-    inverses are accumulated during elimination so callers (saturation) never
-    leave integer arithmetic.
+    ``diag`` has nonnegative diagonal entries, each dividing the next, which
+    ``lattice.discriminant_group`` reads; ``lattice.saturate`` reads both fields.
     """
 
-    left: Matrix
     diag: Matrix
-    right: Matrix
     left_inv: Matrix
-    right_inv: Matrix
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.diag[i][i] for i in range(min(len(self.diag), len(self.diag[0]))))
 
 
 def smith_decomposition(m: Matrix) -> SmithDecomposition:
-    """Smith normal form with transforms and their inverses.
+    """Smith normal form of m and the inverse of its row transform; no column transform.
 
     Classic pivot-and-reduce elimination: the absolutely smallest nonzero
     entry of the trailing block is moved to the pivot, row/column remainders
@@ -97,44 +94,31 @@ def smith_decomposition(m: Matrix) -> SmithDecomposition:
     m = freeze(m)
     nrows, ncols = len(m), len(m[0])
     a = [list(row) for row in m]
-    left = [list(row) for row in identity(nrows)]
     left_inv = [list(row) for row in identity(nrows)]
-    right = [list(row) for row in identity(ncols)]
-    right_inv = [list(row) for row in identity(ncols)]
 
     def row_add(i: int, j: int, c: int) -> None:
         # row_i += c * row_j ; inverse transform gets col_j -= c * col_i
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        left[i] = [x + c * y for x, y in zip(left[i], left[j])]
         for r in range(nrows):
             left_inv[r][j] -= c * left_inv[r][i]
 
     def row_swap(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
         for r in range(nrows):
             left_inv[r][i], left_inv[r][j] = left_inv[r][j], left_inv[r][i]
 
     def row_negate(i: int) -> None:
         a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
         for r in range(nrows):
             left_inv[r][i] = -left_inv[r][i]
 
     def col_add(j: int, k: int, c: int) -> None:
-        # col_j += c * col_k ; inverse transform gets row_k -= c * row_j
         for r in range(nrows):
             a[r][j] += c * a[r][k]
-        for r in range(ncols):
-            right[r][j] += c * right[r][k]
-        right_inv[k] = [x - c * y for x, y in zip(right_inv[k], right_inv[j])]
 
     def col_swap(j: int, k: int) -> None:
         for r in range(nrows):
             a[r][j], a[r][k] = a[r][k], a[r][j]
-        for r in range(ncols):
-            right[r][j], right[r][k] = right[r][k], right[r][j]
-        right_inv[j], right_inv[k] = right_inv[k], right_inv[j]
 
     for t in range(min(nrows, ncols)):
         # pivot: smallest absolute nonzero entry of the trailing block
@@ -186,11 +170,4 @@ def smith_decomposition(m: Matrix) -> SmithDecomposition:
             break
 
     # a is diagonal up to sign bookkeeping already handled per pivot
-    return SmithDecomposition(
-        left=freeze(left),
-        diag=freeze(a),
-        right=freeze(right),
-        left_inv=freeze(left_inv),
-        right_inv=freeze(right_inv),
-    )
-
+    return SmithDecomposition(diag=freeze(a), left_inv=freeze(left_inv))

@@ -313,8 +313,6 @@ def is_primitive(v: LatticeVector) -> bool:
 def discriminant_group(lat: Lattice) -> list[int]:
     """Invariant factors (>1) of the discriminant group L*/L = coker(gram)."""
     diag = intmat.smith_decomposition(lat.gram).diagonal()
-    if any(d == 0 for d in diag):
-        raise LatticeError(f"lattice {lat.label!r} is degenerate")
     return [d for d in diag if d > 1]
 
 
@@ -325,21 +323,20 @@ class SublatticeReport:
     generators: tuple[LatticeVector, ...]
     saturation_basis: tuple[LatticeVector, ...]
     index_invariant_factors: tuple[int, ...]
-    total_index: int
 
-    def __post_init__(self) -> None:
-        if self.total_index != prod(self.index_invariant_factors, start=1):
-            raise LatticeError("total_index must be the product of the invariant factors")
+    @property
+    def total_index(self) -> int:
+        return prod(self.index_invariant_factors, start=1)
 
 
 def saturate(lat: Lattice, gens: list[LatticeVector] | tuple[LatticeVector, ...]) -> SublatticeReport:
     """Saturation of the sublattice spanned by ``gens``.
 
     The saturation is the intersection of the rational span with the ambient
-    lattice.  With the Smith decomposition L @ M @ R = D of the coordinate
-    matrix M (generators as columns), the saturation is spanned by the first
-    k columns of L^-1 and the quotient saturation/sublattice has invariant
-    factors the diagonal of D.
+    lattice.  With the Smith form D = L @ M @ R of the coordinate matrix M
+    (generators as columns), the report's basis is the first k columns of the
+    returned L^-1, and its invariant factors, those of saturation/sublattice, are
+    the diagonal of D; ``check_embedding``, the audit and the CLI read the report.
     """
     if not gens:
         raise LatticeError("saturate needs at least one generator")
@@ -355,12 +352,10 @@ def saturate(lat: Lattice, gens: list[LatticeVector] | tuple[LatticeVector, ...]
     basis = tuple(
         lat.vector(tuple(dec.left_inv[i][j] for i in range(lat.rank))) for j in range(k)
     )
-    factors = tuple(d for d in diag if d > 1)
     return SublatticeReport(
         generators=tuple(gens),
         saturation_basis=basis,
-        index_invariant_factors=factors,
-        total_index=prod(diag, start=1),
+        index_invariant_factors=tuple(d for d in diag if d > 1),
     )
 
 

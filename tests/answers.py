@@ -116,6 +116,11 @@ LEDGER = (
     Answer("embed:broken-eta", ("embed", "--matrix-file", "{dir}/eta-broken.json", "--json"),
            "a12a4732427a066e903992e990445948f12ef85cf30e4c1b7a30bb6c2ec90404", "9e1209a",
            inputs=("eta-broken.json",)),
+    # saturations: the basis is the first columns of the Smith form's left_inv
+    Answer("saturate:deltaY SigmaY", ("saturate", "--json", "deltaY", "SigmaY"),
+           "ca32a0e013b8bd0b98138501b1c142e5bdac46c40b3fe01920700abdc3c4d0a3", "0e59e64"),
+    Answer("saturate:2*L(0)+deltaY 2*SigmaY", ("saturate", "--json", "2*L(0)+deltaY", "2*SigmaY"),
+           "a1c332ff6628e1bc824727b005aa0d4f0d4342d163c72c0912ebdb43b622693b", "0e59e64"),
     # reflection orbits at the default budget, written with -o (their sizes: ORBIT_SIZES)
     Answer("orbit:L(0)", ("orbit", "L(0)", "-o", "{dir}/orbit.json"),
            "455d6220d2e0414470c2dd7a1a5751a4193e20490ccd9a9b7dd54aaf6e020249", "fe2fe03", output="orbit.json"),

@@ -445,7 +445,7 @@ NO_FILE = "No such file or directory"
     (["orbit", "L(0)", "--gens-file"], NO_FILE),
     (["embed", "--vector"], "Expecting value"),
     (["orbit", "L(0)", "--witness"], "empty expression"),
-    (["orbit", "L(0)", "--max-depth", "1", "-o"], NO_FILE),
+    (["orbit", "L(0)", "--max-depth", "1", "-o"], "not a file in an existing directory"),
 ], ids=["classify-coords", "embed-coords", "saturate-coords", "matrix-file", "eta-matrix", "gens-file", "vector",
         "witness", "output"])
 def test_empty_flag_value_exits_2(tmp_path, monkeypatch, capsys, argv, reason):
@@ -460,9 +460,11 @@ def test_empty_flag_value_exits_2(tmp_path, monkeypatch, capsys, argv, reason):
     (["orbit", "L(1)+e2", "-o"], "no-such-dir/x.json"),
     (["orbit", "L(1)+e2", "-o"], "plain.txt/x.json"),
     (["orbit", "L(1)+e2", "-o"], "sub"),
+    (["orbit", "L(1)+e2", "-o"], ""),
     (["audit", "--output-dir"], ""),
     (["audit", "--output-dir"], "plain.txt/sub"),
-], ids=["orbit-no-parent", "orbit-under-a-file", "orbit-a-directory", "audit-empty", "audit-under-a-file"])
+], ids=["orbit-no-parent", "orbit-under-a-file", "orbit-a-directory", "orbit-empty", "audit-empty",
+        "audit-under-a-file"])
 def test_bad_output_location_fails_before_the_computation(tmp_path, monkeypatch, capsys, argv, path):
     """An output location that cannot be written exits 2 before the orbit closure or the audit runs,
     and writes nothing."""
@@ -479,6 +481,18 @@ def test_bad_output_location_fails_before_the_computation(tmp_path, monkeypatch,
     assert out == "" and err.startswith("error: ") and (path in err or not path)
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["plain.txt", "sub"]
     assert (tmp_path / "plain.txt").read_text() == "kept\n"
+
+
+def test_witness_with_output_exits_2_before_the_search(tmp_path, monkeypatch, capsys):
+    """A witness search writes no orbit file, so ``-o`` beside ``--witness`` is refused, not ignored."""
+    def never(*_, **__):
+        pytest.fail("searched before the flags were checked")
+
+    monkeypatch.setattr("nikulat.cli.same_orbit_witness", never)
+    code, out, err = run(capsys, "orbit", "L(1)+e2", "--witness", "L(1)+e1", "-o", str(tmp_path / "w.json"))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "--witness" in err and "--output" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_classify_coords_wrong_lattice(tmp_path, capsys):

@@ -6,17 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import matmul
+from dense import matmul, smith_certified, sympy_invariant_factors
 from nikulat import intmat
 from nikulat.lattice import E8_NEG_GRAM
-
-
-def sympy_invariant_factors(m):
-    """Independent oracle: sympy's invariant factors over ZZ."""
-    import sympy
-    from sympy.matrices.normalforms import invariant_factors
-
-    return [int(x) for x in invariant_factors(sympy.Matrix([list(r) for r in m])) if x != 0]
 
 
 def sympy_det(m):
@@ -51,11 +43,7 @@ def test_snf_round_trip_and_unimodularity():
     for _ in range(200):
         m = random_matrix(rng)
         dec = intmat.smith_decomposition(m)
-        assert matmul(matmul(dec.left, m), dec.right) == dec.diag
-        assert abs(intmat.det(dec.left)) == 1
-        assert abs(intmat.det(dec.right)) == 1
-        assert matmul(dec.left, dec.left_inv) == intmat.identity(len(m))
-        assert matmul(dec.right, dec.right_inv) == intmat.identity(len(m[0]))
+        assert smith_certified(m, dec)
         diag = dec.diagonal()
         assert all(d >= 0 for d in diag)
         for a, b in zip(diag, diag[1:]):
@@ -96,18 +84,16 @@ def test_det_big_integers_are_exact():
 @settings(max_examples=150, deadline=None)
 def test_snf_round_trip_property(rows):
     m = intmat.freeze(rows)
-    dec = intmat.smith_decomposition(m)
-    assert matmul(matmul(dec.left, m), dec.right) == dec.diag
+    assert smith_certified(m, intmat.smith_decomposition(m))
 
 
 def test_invert_unimodular():
-    """left @ m @ right == I, so right @ left is the exact inverse of a unimodular m."""
+    """A unimodular m has Smith form I, and the certificate gives unimodular L and R with
+    L @ m @ R == I, so m is invertible over Z (its inverse is R @ L)."""
     m = ((1, 2, 0), (0, 1, 5), (0, 0, 1))
     dec = intmat.smith_decomposition(m)
     assert dec.diag == intmat.identity(3)
-    inv = matmul(dec.right, dec.left)
-    assert matmul(m, inv) == intmat.identity(3)
-    assert matmul(inv, m) == intmat.identity(3)
+    assert smith_certified(m, dec)
 
 
 def test_invert_rejects_non_unimodular():

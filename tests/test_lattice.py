@@ -350,14 +350,15 @@ def test_saturate_generators_in_basis_span(ly, nv):
     gens = [2 * nv.L(0) + nv.deltaY, 2 * nv.SigmaY]
     report = saturate(ly, gens)
     # every generator must be an integer combination of the saturation basis
-    from nikulat.intmat import freeze, matvec, smith_decomposition
+    from dense import solve
+    from nikulat.intmat import freeze, smith_decomposition
 
     basis_matrix = freeze(
         [[b.coords[i] for b in report.saturation_basis] for i in range(ly.rank)]
     )
     dec = smith_decomposition(basis_matrix)
     for g in gens:
-        y = matvec(dec.left, g.coords)
+        y = [row[0] for row in solve(dec.left_inv, [[c] for c in g.coords])]
         k = len(report.saturation_basis)
         assert all(y[i] % dec.diag[i][i] == 0 for i in range(k))
         assert all(c == 0 for c in y[k:])
