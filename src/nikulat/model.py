@@ -54,19 +54,22 @@ from .lattice import (
     trusted_builder,
 )
 
-#: The rows of the decision table, each with its printed representative in i (and j = i + 1).
-_REPRESENTATIVES = {
-    "Star1": "L({i})",
-    "Case2": "2*L({i})-deltaY",
-    "Case3": "2*L({j})+2*e2-deltaY",
-    "Case4": "L({i})-gamma1",
-    "Case5": "L({j})+e2-gamma1",
-    "Case6": "L({i})+e1",
-    "Case7": "2*L({i})+2*e1-deltaY",
-    "Case8": "L({i})+e1-gamma1",
-    "Case9": "L({j})+e2",
+#: The monodromy-orbit decision table, case -> (d, m, t, residues, representative): a row's vectors
+#: have divisibility d, square q = m*i - t and residue in ``residues`` (for d = 2 whether the E8
+#: part is 0 mod 4E8, for d = 1 the E8 square mod 4); the representative is written in i and
+#: j = i + 1.  Condition (*) decides Star1 before any residue is read.
+_TABLE = {
+    "Star1": (2, 4, 0, (), "L({i})"),
+    "Case2": (2, 16, 4, (True,), "2*L({i})-deltaY"),
+    "Case3": (2, 16, 4, (False,), "2*L({j})+2*e2-deltaY"),
+    "Case4": (2, 4, 2, (True,), "L({i})-gamma1"),
+    "Case5": (1, 4, 2, (0,), "L({j})+e2-gamma1"),
+    "Case6": (1, 4, 2, (1, 2, 3), "L({i})+e1"),
+    "Case7": (2, 16, 12, (False,), "2*L({i})+2*e1-deltaY"),
+    "Case8": (1, 4, 4, (2,), "L({i})+e1-gamma1"),
+    "Case9": (1, 4, 0, (0, 1, 3), "L({j})+e2"),
 }
-ORBIT_CASES = (*_REPRESENTATIVES, "Unmatched")
+ORBIT_CASES = (*_TABLE, "Unmatched")
 
 
 @dataclass(frozen=True)
@@ -323,56 +326,41 @@ class OrbitClass:
             raise LatticeError(f"unknown case {self.case!r}")
 
 
-def _row_matches(profile: VectorProfile) -> list[tuple[str, int]]:
-    """All non-(*) rows whose signature fits the profile; at most one by design.
+def _rows_by_divisibility() -> dict[int, list[tuple[str, int, int, tuple]]]:
+    """The rows of :data:`_TABLE` as :func:`_row_matches` reads them: d -> [(case, m, t, residues)]."""
+    return {d: [(case, m, t, res) for case, (e, m, t, res, _) in _TABLE.items() if e == d] for d in (1, 2)}
 
-    The residue separating rows 2/3 and guaranteeing row 7 is the image of the
-    E8-part in E8(-1)/4E8(-1): for a divisibility-2 vector the E8-part is
-    already divisible by 2, so a residue mod 2E8 would vanish identically and
-    rows 3 and 7 could never fire.  Mod 4E8 (all coordinates divisible by 4)
-    is the reading under which every printed representative satisfies its own
-    row, and it is the one implemented.
-    """
+
+_ROWS = _rows_by_divisibility()
+
+
+def _row_matches(profile: VectorProfile) -> list[tuple[str, int]]:
+    """Every row (case, i) of :data:`_TABLE` with the profile's divisibility d, its square q = m*i - t
+    and its residue in the row's residues: at most one by design, never Star1 (no residues).  A
+    divisibility-2 vector's E8 part is already divisible by 2, so its residue is whether that part
+    lies in 4E8(-1): mod 2E8 it would vanish, and Case3 and Case7 could never fire."""
     q, div = profile.q, profile.div
-    e8_mod4_zero = all(c % 4 == 0 for c in profile.e8_part)
-    matches: list[tuple[str, int]] = []
-    if div == 2:
-        if (q + 4) % 16 == 0:
-            i = (q + 4) // 16
-            matches.append(("Case2" if e8_mod4_zero else "Case3", i))
-        if (q + 12) % 16 == 0 and not e8_mod4_zero:
-            matches.append(("Case7", (q + 12) // 16))
-        if (q + 2) % 4 == 0 and e8_mod4_zero:
-            matches.append(("Case4", (q + 2) // 4))
-    elif div == 1:
-        if (q + 2) % 4 == 0:
-            i = (q + 2) // 4
-            matches.append(("Case5" if profile.q_e8_mod4 == 0 else "Case6", i))
-        if q % 4 == 0:
-            if profile.q_e8_mod4 == 2:
-                matches.append(("Case8", q // 4 + 1))
-            else:
-                matches.append(("Case9", q // 4))
-    return matches
+    residue = profile.q_e8_mod4 if div == 1 else all(c % 4 == 0 for c in profile.e8_part)
+    return [(case, (q + t) // m) for case, m, t, residues in _ROWS.get(div, ())
+            if residue in residues and (q + t) % m == 0]
 
 
 def case_representative(case: str, i: int) -> tuple[LatticeVector, str]:
     """The printed representative of a table row, with its expression string."""
     from .exprs import parse_vector  # exprs imports this module at load time
-    if case not in _REPRESENTATIVES:
+    if case not in _TABLE:
         raise LatticeError(f"no representative for case {case!r}")
-    expr = _REPRESENTATIVES[case].format(i=i, j=i + 1)
+    expr = _TABLE[case][4].format(i=i, j=i + 1)
     return parse_vector(expr), expr
 
 
 @lru_cache(maxsize=1024)
-def _checked_representative(case: str, i: int, q: int, div: int) -> tuple[LatticeVector, str]:
-    """The representative of a row, checked once to have the input's square and divisibility.
-
-    A mismatch raises on every call: ``lru_cache`` does not cache exceptions.
-    """
+def _checked_representative(case: str, i: int) -> tuple[LatticeVector, str]:
+    """The representative of a row, checked once to have the row's own divisibility d and square
+    m*i - t in :data:`_TABLE`; a mismatch raises on every call (``lru_cache`` keeps no errors)."""
+    d, m, t, _, _ = _TABLE[case]
     rep, expr = case_representative(case, i)
-    if square(rep) != q or divisibility(rep) != div:
+    if square(rep) != m * i - t or divisibility(rep) != d:
         raise LatticeError(
             f"representative {expr} fails invariant match for case {case}, i={i}"
         )
@@ -382,18 +370,19 @@ def _checked_representative(case: str, i: int, q: int, div: int) -> tuple[Lattic
 def classify_orbit(v: LatticeVector) -> OrbitClass:
     """Locate a primitive vector of LY in the monodromy-orbit decision table.
 
-    Condition (*) is tested first; otherwise the eight remaining rows are
-    matched on (div, q-congruence, E8-residue).  The row signatures are
-    mutually exclusive, which is asserted on every input, and a vector
-    matching no row is reported as Unmatched rather than guessed at.
+    Condition (*) is tested first and decides Star1; otherwise the eight other rows of
+    :data:`_TABLE` are matched on their columns (divisibility d, square m*i - t, residues).  The
+    rows are mutually exclusive, which is asserted on every input, and a vector matching no row
+    is reported as Unmatched rather than guessed at.
     """
     profile = vector_profile(v)
     if not profile.primitive:
         raise LatticeError("vector not primitive")
     if profile.star:
-        if profile.q % 4 != 0:
-            raise LatticeError(f"(*) vector with q = {profile.q} not divisible by 4")
-        case, i = "Star1", profile.q // 4
+        _, m, t, _, _ = _TABLE["Star1"]
+        if (profile.q + t) % m:
+            raise LatticeError(f"(*) vector with q = {profile.q} not divisible by {m}")
+        case, i = "Star1", (profile.q + t) // m
     else:
         matches = _row_matches(profile)
         if len(matches) > 1:
@@ -402,7 +391,7 @@ def classify_orbit(v: LatticeVector) -> OrbitClass:
             return OrbitClass(case="Unmatched", i=0, representative=v, representative_expr="(input)",
                               profile=profile, note=f"no printed row matches profile {profile}")
         case, i = matches[0]
-    rep, expr = _checked_representative(case, i, profile.q, profile.div)
+    rep, expr = _checked_representative(case, i)
     note = "" if i >= 0 else "parameter i is negative: outside the table's stated range i in N"
     return trusted_builder(OrbitClass)(case, i, rep, expr, profile, note)  # a table case: no check needed
 

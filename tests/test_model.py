@@ -29,11 +29,13 @@ from nikulat import (
     orbit_explore,
     pair,
     parse_vector,
+    run_claim,
     sigma_star,
     square,
     vector_profile,
 )
 from nikulat import model as model_module
+from nikulat.audit import VERIFIED
 from nikulat.lattice import Lattice, check_embedding, direct_sum
 from nikulat.model import (
     DEFAULT_WINDOW,
@@ -425,10 +427,64 @@ def clear_representative_caches():
 
 def test_wrong_representative_fails_invariant_match(setup, monkeypatch, clear_representative_caches):
     _, nv = setup
-    monkeypatch.setitem(model_module._REPRESENTATIVES, "Case9", "L({i})+e2")  # square 4i - 4, not 4i
+    d, m, t, residues, _ = model_module._TABLE["Case9"]
+    monkeypatch.setitem(model_module._TABLE, "Case9", (d, m, t, residues, "L({i})+e2"))  # square 4i - 4, not 4i
     for _ in range(2):  # the check is cached, the failure is not
         with pytest.raises(LatticeError, match="fails invariant match"):
             classify_orbit(nv.L(1) + nv.e2)
+
+
+#: every residue a profile of each divisibility can show: E8 part in 4E8 or not, or the E8 square mod 4
+_RESIDUES = {1: (0, 1, 2, 3), 2: (True, False)}
+
+
+def _cell(div, q, residue):
+    """A non-(*) profile of divisibility ``div``, square ``q`` and the given residue."""
+    e8 = (0,) * 8 if div == 1 or residue else (2,) + (0,) * 7
+    return VectorProfile(q=q, div=div, primitive=True, u_part_div_by_2=True, e8_part=e8, e8_part_div_by_2=True,
+                         q_e8_mod4=residue if div == 1 else 0, gamma_coords=(0, 0),
+                         gamma_in_delta_sigma_span=True, pair_sigma_mod4=0)
+
+
+def test_table_rows_are_exclusive_cell_by_cell():
+    """Every (divisibility, square, residue) cell meets at most one row, never Star1, which
+    condition (*) decides; each row's cells q = m*i - t with its residues meet that row at i."""
+    for div, residues in _RESIDUES.items():
+        for q in range(-32, 32):
+            for residue in residues:
+                matches = model_module._row_matches(_cell(div, q, residue))
+                assert len(matches) <= 1 and "Star1" not in dict(matches), (div, q, residue, matches)
+    for case, (d, m, t, residues, _) in model_module._TABLE.items():
+        assert set(residues) <= set(_RESIDUES[d])
+        for i in range(-3, 4):
+            for residue in residues:
+                assert model_module._row_matches(_cell(d, m * i - t, residue)) == [(case, i)]
+
+
+def _replace(case, **columns):
+    d, m, t, residues, representative = model_module._TABLE[case]
+    row = dict(d=d, m=m, t=t, residues=residues, representative=representative) | columns
+    return case, tuple(row.values())
+
+
+# Case6 (1, 2, 3) -> (2,) is an equivalent mutant and is not run: E8 is even, so a divisibility-1
+# vector's E8 square mod 4 is 0 or 2, and residues 1 and 3 never occur.
+@pytest.mark.parametrize("patches", [
+    pytest.param([_replace("Case2", residues=(False,)), _replace("Case3", residues=(True,))], id="case2-case3-swapped"),
+    pytest.param([_replace("Case5", residues=(1, 2, 3)), _replace("Case6", residues=(0,))], id="case5-case6-swapped"),
+    pytest.param([_replace("Case7", residues=(True,))], id="case7-residue-flipped"),
+    pytest.param([_replace("Case8", t=0)], id="case8-shift-dropped"),
+    pytest.param([_replace("Case9", representative="L({i})+e2")], id="case9-representative-off-by-one"),
+])
+def test_mutated_table_fails_the_selfconsistency_claim(monkeypatch, clear_representative_caches, patches):
+    for case, row in patches:
+        monkeypatch.setitem(model_module._TABLE, case, row)
+    monkeypatch.setattr(model_module, "_ROWS", model_module._rows_by_divisibility())
+    try:
+        status = run_claim("table-selfconsistency").status
+    except LatticeError:
+        return
+    assert status != VERIFIED
 
 
 def test_classify_negative_i(setup):

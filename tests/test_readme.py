@@ -4,6 +4,7 @@ The "Library quick tour" block is executed as it stands.  Every ``nikulat``
 line of "Command line" runs through ``cli.main`` in a temporary directory and
 must exit 0; the ``# ...`` lines under a command are its documented output.
 That includes the witness search (about 4 s), whose printed word is checked.
+The decision table under "The classifiers" is ``model._TABLE``, row by row.
 """
 
 import re
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from nikulat import model
 from nikulat.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -71,3 +73,36 @@ def test_library_quick_tour_runs():
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["classify_orbit"](namespace["v"]).case == "Case9"
     assert namespace["orbit"].exhausted is False
+
+
+def readme_table() -> dict[str, tuple]:
+    """case -> (d, m, t, residues, representative) as "The classifiers" prints each row of the
+    decision table: square "m i − t", residue "condition (*)", "E8 part [not] in 4·E8" or
+    "E8 square ≡ r, ... mod 4", representative in i and i+1 (written j in ``_TABLE``).
+    Unmatched maps to its four cells as printed."""
+    lines = [line for line in section("The classifiers").splitlines() if line.startswith("| ")]
+    header, *rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
+    assert header == ["case", "divisibility", "square", "residue", "representative"]
+    table = {}
+    for case, d, square, residue, representative in rows:
+        if case == "Unmatched":
+            table[case] = (d, square, residue, representative)
+            continue
+        m, t = re.fullmatch(r"(\d+)i(?: − (\d+))?", square).groups()
+        if residue == "condition (*)":
+            residues = ()
+        elif residue.startswith("E8 part "):
+            residues = ({"E8 part in 4·E8": True, "E8 part not in 4·E8": False}[residue],)
+        else:
+            residues = tuple(map(int, re.fullmatch(r"E8 square ≡ ([\d, ]+) mod 4", residue)[1].split(", ")))
+        expr = representative.strip("`").replace("(i+1)", "({j})").replace("(i)", "({i})")
+        table[case] = (int(d), int(m), int(t or 0), residues, expr)
+    return table
+
+
+def test_decision_table_is_documented_row_by_row():
+    documented = readme_table()
+    assert list(documented) == list(model.ORBIT_CASES)
+    assert documented.pop("Unmatched") == ("", "", "no row", "the input")
+    for case, row in model._TABLE.items():
+        assert documented[case] == row, case

@@ -401,22 +401,34 @@ def test_e8_square_matches_dense(t):
 LY_BLOCKS = ("U1", "U2", "U3", "E8", "G1", "G2")
 
 
+@lru_cache(maxsize=4)
+def by_square(table, name):
+    """The entries of ``table(name)`` grouped by square, each group in table order."""
+    index = {}
+    for entry in table(name):
+        index.setdefault(entry[1], []).append(entry)
+    return index
+
+
 def box_oracle(lattice, names, table, targets):
     """Oracle: the box of the blocks ``names`` as the product of their ``table(name)`` in
     coordinate order, so in lexicographic order, filtered by square and gcd == 1: for each
     of the ``targets``, the primitive vectors of that square.  The blocks are direct
-    summands, so a square is the sum of the block squares."""
-    names = sorted(names, key=lambda name: lattice.block_slice(name).start)
-    slices = [lattice.block_slice(name) for name in names]
-    found = {target: [] for target in targets}
-    for parts in product(*map(table, names)):
-        square = sum(q for _, q in parts)
-        if square in found:
-            full = [0] * lattice.rank
-            for block, (t, _) in zip(slices, parts):
-                full[block] = t
-            if gcd(*full) == 1:
-                found[square].append(tuple(full))
+    summands, so a square is the sum of the block squares; for each product of the other
+    blocks' entries, the last block's entries of each target's remaining square are read
+    from :func:`by_square`, in table order."""
+    *heads, last = sorted(names, key=lambda name: lattice.block_slice(name).start)
+    slices = [lattice.block_slice(name) for name in (*heads, last)]
+    found, tails = {target: [] for target in targets}, by_square(table, last)
+    for parts in product(*map(table, heads)):
+        head = sum(q for _, q in parts)
+        for target, vectors in found.items():
+            for tail in tails.get(target - head, ()):
+                full = [0] * lattice.rank
+                for block, (t, _) in zip(slices, (*parts, tail)):
+                    full[block] = t
+                if gcd(*full) == 1:
+                    vectors.append(tuple(full))
     return found
 
 
@@ -424,7 +436,7 @@ def draw_targets(data, names, table):
     """Up to four squares, each one the box reaches or any integer near the squares of small vectors."""
     sums = {0}
     for name in names:
-        sums = {a + q for a in sums for q in {q for _, q in table(name)}}
+        sums = {a + q for a in sums for q in by_square(table, name)}
     return data.draw(st.lists(st.sampled_from(sorted(sums)) | st.integers(-30, 16), min_size=1, max_size=4))
 
 
@@ -437,6 +449,10 @@ def assert_enumerate_matches_oracle(lattice, names, bound, table, targets):
 def ly_table(name, bound):
     # E8 at bound 2 alone holds 390,625 entries
     return block_table(MODEL.lambda_Y, MODEL.lambda_Y.block_slice(name), bound)
+
+
+#: one table function per bound, so that :func:`by_square` indexes a block once for every example
+LY_TABLES = {bound: partial(ly_table, bound=bound) for bound in (1, 2)}
 
 
 @pytest.mark.parametrize("window,bound", [
@@ -453,7 +469,7 @@ def test_walker_matches_box_oracle_on_ly_blocks(window, bound, data):
         names = LY_BLOCKS[LY_BLOCKS.index(first):LY_BLOCKS.index(last) + 1]
     else:
         names = tuple(window.split(","))
-    table = partial(ly_table, bound=bound)
+    table = LY_TABLES[bound]
     assert_enumerate_matches_oracle(MODEL.lambda_Y, names, bound, table, draw_targets(data, names, table))
 
 
