@@ -164,7 +164,7 @@ def cmd_orbit(args) -> int:
     gens = default_generators()
     names = tuple(name for name, _ in default_generator_table())
     if args.gens_file is not None:
-        roots = [serialize.vector_from_obj(obj) for obj in serialize.load_json(args.gens_file)]
+        roots = serialize.vectors_from_obj(serialize.load_json(args.gens_file))
         gens = tuple(reflection(r) for r in roots)
         names = tuple(f"root{k}" for k in range(len(gens)))
     budget = _budget(args)
@@ -174,13 +174,10 @@ def cmd_orbit(args) -> int:
         # None means either cause; only a differing invariant proves distinct orbits
         differ = [f"{name} {a} vs {b}" for name, a, b in distinct_invariants(seed, other)]
         if args.json:
-            obj = serialize.witness_to_obj(seed, other, word) if word is not None else {
-                "from": serialize.vector_to_obj(seed),
-                "to": serialize.vector_to_obj(other),
-                "word": None,
-                "note": "distinct orbits: " + ", ".join(differ) if differ
-                else "no witness within budget; this does NOT prove distinct orbits",
-            }
+            obj = serialize.witness_to_obj(seed, other, word)
+            if word is None:
+                obj["note"] = ("distinct orbits: " + ", ".join(differ) if differ
+                               else "no witness within budget; this does NOT prove distinct orbits")
             _emit(obj)
         elif differ:
             print("distinct orbits:", ", ".join(differ))
@@ -249,7 +246,7 @@ def cmd_saturate(args) -> int:
     if args.coords is not None:
         if args.exprs:
             raise UsageError(f"two sources for the generators: {args.exprs} and --coords {args.coords}")
-        gens = [serialize.vector_from_obj(o) for o in serialize.load_json(args.coords)]
+        gens = serialize.vectors_from_obj(serialize.load_json(args.coords))
     else:
         gens = [parse_vector(e) for e in args.exprs]
     if not gens:

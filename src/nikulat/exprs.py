@@ -10,10 +10,8 @@ Grammar (bit-exact, whitespace allowed between tokens):
 
 A sign between terms belongs to the following term, so "2*L(1)-deltaY" is the
 difference of 2*L(1) and deltaY, while a minus inside parentheses negates the
-argument, as in "L(-2)".  Recognized names: ``L`` (requires an argument,
-L(i) = u1 + i*u2), ``u1``..``u6``, ``eps1``..``eps8``, ``e1``, ``e2``, ``ew``,
-``w``, ``gamma1``, ``gamma2``, ``deltaY``, ``SigmaY``.  Names are case
-sensitive.
+argument, as in "L(-2)".  Recognized names: the names of
+``NamedVectors.by_name()``, and ``L(i)``.  Names are case sensitive.
 
 One scan of a whole-term pattern cuts the string into terms that must cover it,
 else the error names the position where no term fits.  Each term's contribution
@@ -46,35 +44,35 @@ _WHOLE = re.compile(r"\s*(?:[+-]|^)\s*" + _BODY.format("(?:"))
 #: The shortest digit string that ``int`` may check against the digit limit, under any setting.
 _LONG = getattr(sys.int_info, "str_digits_check_threshold", 640)
 
-#: The names of LY's basis vectors, in coordinate order.
-_BASIS = (*(f"u{k}" for k in range(1, 7)), *(f"eps{k}" for k in range(1, 9)), "gamma1", "gamma2")
-#: Per basis vector, its name with a plus sign, with a minus sign, and bare.
-_SIGNED_BASIS = tuple((f"+{name}", f"-{name}", name) for name in _BASIS)
+
+@lru_cache(maxsize=1)
+def _names() -> dict[str, LatticeVector]:
+    """The named vectors of LY under their names, LY's basis first (:meth:`NamedVectors.by_name`)."""
+    _, nv = build_model()
+    return nv.by_name()
 
 
 @lru_cache(maxsize=1)
-def _names() -> dict[str, tuple[tuple[int, int], ...]]:
-    """Each name's sparse support ``((i, c), ...)``, the nonzero coordinates of its vector."""
-    _, nv = build_model()
-    return {name: tuple((i, c) for i, c in enumerate(v.coords) if c) for name, v in nv.by_name().items()}
+def _signed_basis() -> tuple[tuple[str, str, str], ...]:
+    """Per basis vector of LY, in coordinate order, its name with a plus sign, with a minus sign, and bare."""
+    model, _ = build_model()
+    return tuple((f"+{name}", f"-{name}", name) for name in list(_names())[: model.lambda_Y.rank])
 
 
 def _support(term: str) -> tuple[tuple[int, int], ...]:
     """The sparse contribution ``((i, c), ...)`` of a term that :data:`_WHOLE` found, from its text alone."""
     sign, coeff, name, neg, arg = _TERM.match(term).groups()
     k = -int(coeff or 1) if sign == "-" else int(coeff or 1)
-    names = _names()
-    if name == "L":  # L(i) = u1 + i*u2
+    if name == "L":
         if not arg:
             raise ExpressionError("L requires an argument, e.g. L(1)")
-        parts = ((1, names["u1"]), (-int(arg) if neg else int(arg), names["u2"]))
+        _, nv = build_model()
+        v = nv.L(-int(arg) if neg else int(arg))
     elif arg:
         raise ExpressionError(f"{name!r} does not take an argument")
-    elif name not in names:
+    elif (v := _names().get(name)) is None:
         raise ExpressionError(f"unknown vector name {name!r}")
-    else:
-        parts = ((1, names[name]),)
-    return tuple((i, n * k * c) for n, support in parts for i, c in support)
+    return tuple((i, k * c) for i, c in enumerate(v.coords) if c)
 
 
 #: the contributions of the terms read last, a term shorter than :data:`_LONG` each
@@ -106,7 +104,7 @@ def format_vector(v: LatticeVector) -> str:
     if v.lattice is not model.lambda_Y and v.lattice != model.lambda_Y:
         raise ExpressionError("can only format vectors of LY")
     parts = []
-    for c, (plus, minus, name) in zip(v.coords, _SIGNED_BASIS):
+    for c, (plus, minus, name) in zip(v.coords, _signed_basis()):
         if c == 1:
             parts.append(plus)
         elif c == -1:

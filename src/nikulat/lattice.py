@@ -85,14 +85,6 @@ class Lattice:
         return _sparse_rows(self.gram)
 
     @cached_property
-    def rows_by_content(self) -> SparseRows:
-        """``sparse_rows`` reordered by content (the gcd of a row's entries), smallest first.
-
-        The sort is stable, so rows of equal content keep their index order.
-        """
-        return tuple(sorted(self.sparse_rows, key=lambda row: gcd(*(g for _, g in row))))
-
-    @cached_property
     def invariant_kernels(self) -> tuple:
         """``(square, divisibility, gram_product)`` of a coordinate tuple, compiled from
         :func:`_invariant_source` once, on first use, and kept on this lattice."""
@@ -272,13 +264,14 @@ def _invariant_source(lat: Lattice) -> str:
     """The source of :attr:`Lattice.invariant_kernels`: ``square(x)``, which sums
     x_i (G_ii x_i + sum_{j>i} 2 G_ij x_j) over the upper triangle of the sparse rows,
     ``divisibility(x)``, the gcd of G.x (0 at x = 0), and ``gram_product(x)``, the tuple G.x.
-    ``divisibility`` reads the rows in ``lat.rows_by_content`` order, smallest content first,
-    and returns once the gcd is 1, which no further entry can move."""
+    ``divisibility`` reads the rows by content (the gcd of a row's entries), smallest first and in
+    index order among equal contents, and returns once the gcd is 1, which no further entry can move."""
     unpack = f" ({''.join(f'x{i}, ' for i in range(lat.rank))}) = x"
     upper = (linear_source((g if j == i else 2 * g, f"x{j}") for j, g in row if j >= i)
              for i, row in enumerate(lat.sparse_rows))
     square = " + ".join(f"x{i}*({form})" for i, form in enumerate(upper) if form)
-    first, *rest = gx_source(lat.rows_by_content)  # a nondegenerate form has no zero row
+    by_content = sorted(lat.sparse_rows, key=lambda row: gcd(*(g for _, g in row)))
+    first, *rest = gx_source(by_content)  # a nondegenerate form has no zero row
     lines = ["def square(x):", unpack, f" return {square}", "def divisibility(x):", unpack, f" d = gcd({first})"]
     lines += [f" if d == 0x1:\n  return d\n d = gcd(d, {form})" for form in rest] + [" return d"]
     lines += ["def gram_product(x):", unpack, f" return ({''.join(f'{g}, ' for g in gx_source(lat.sparse_rows))})"]

@@ -27,7 +27,7 @@ values once each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm
@@ -81,15 +81,15 @@ class NamedModel:
 
 @dataclass(frozen=True)
 class NamedVectors:
-    """The vectors of LY that the classifiers and the audit talk about."""
+    """The vectors of LY that the classifiers and the audit talk about, LY's basis first."""
 
     u: tuple[LatticeVector, ...]  # u1..u6, bases of the three U(2) blocks
     eps: tuple[LatticeVector, ...]  # eps1..eps8, simple roots of E8(-1)
+    gamma1: LatticeVector
+    gamma2: LatticeVector
     e1: LatticeVector
     e2: LatticeVector
     ew: LatticeVector
-    gamma1: LatticeVector
-    gamma2: LatticeVector
     deltaY: LatticeVector
     SigmaY: LatticeVector
     w: LatticeVector
@@ -99,28 +99,21 @@ class NamedVectors:
         return self.u[0] + i * self.u[1]
 
     def by_name(self) -> dict[str, LatticeVector]:
-        names = {f"u{k + 1}": v for k, v in enumerate(self.u)}
-        names.update({f"eps{k + 1}": v for k, v in enumerate(self.eps)})
-        names.update(
-            e1=self.e1,
-            e2=self.e2,
-            ew=self.ew,
-            w=self.w,
-            gamma1=self.gamma1,
-            gamma2=self.gamma2,
-            deltaY=self.deltaY,
-            SigmaY=self.SigmaY,
-        )
+        """Every named vector under its name, ``u1..u6`` and ``eps1..eps8`` numbered from 1.
+
+        The fields are declared basis first, so the first 16 names are LY's coordinates in order."""
+        names = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                names.update({f"{f.name}{k}": v for k, v in enumerate(value, 1)})
+            else:
+                names[f.name] = value
         return names
 
 
-def _block(name: str, lat: Lattice) -> Lattice:
-    """``lat`` as a direct summand whose one block is called ``name``."""
-    return Lattice(lat.label, lat.gram, ((name, 0, lat.rank),))
-
-
 def _u_blocks(plane: Lattice) -> list[Lattice]:
-    return [_block(f"U{k}", plane) for k in (1, 2, 3)]
+    return [Lattice(f"U{k}", plane.gram) for k in (1, 2, 3)]
 
 
 @lru_cache(maxsize=1)
@@ -131,13 +124,14 @@ def build_model() -> tuple[NamedModel, NamedVectors]:
     minus2 = standard_lattice("rank1", -2)
 
     lambda_X = direct_sum(
-        _u_blocks(u_plane) + [_block("E8a", e8), _block("E8b", e8), _block("D", minus2)], label="LX"
+        _u_blocks(u_plane) + [Lattice("E8a", e8.gram), Lattice("E8b", e8.gram), Lattice("D", minus2.gram)], label="LX"
     )
     lambda_fix = direct_sum(
-        _u_blocks(u_plane) + [_block("E8", rescale(e8, 2)), _block("D", minus2)], label="Lfix"
+        _u_blocks(u_plane) + [Lattice("E8", rescale(e8, 2).gram), Lattice("D", minus2.gram)], label="Lfix"
     )
     lambda_Y = direct_sum(
-        _u_blocks(rescale(u_plane, 2)) + [_block("E8", e8), _block("G1", minus2), _block("G2", minus2)],
+        _u_blocks(rescale(u_plane, 2))
+        + [Lattice("E8", e8.gram), Lattice("G1", minus2.gram), Lattice("G2", minus2.gram)],
         label="LY",
     )
 
@@ -148,11 +142,11 @@ def build_model() -> tuple[NamedModel, NamedVectors]:
     vectors = NamedVectors(
         u=u,
         eps=eps,
+        gamma1=gamma1,
+        gamma2=gamma2,
         e1=eps[0],
         e2=eps[0] + eps[2],
         ew=eps[3] + eps[5],
-        gamma1=gamma1,
-        gamma2=gamma2,
         deltaY=gamma1 + gamma2,
         SigmaY=gamma1 - gamma2,
         w=u[0] + u[1] + eps[3] + eps[5] + gamma1,

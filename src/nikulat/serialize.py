@@ -8,12 +8,14 @@ Matrix file:    {"matrix": [[int, ...], ...]}   nonempty and rectangular;
 Orbit file:     {"seed": vector, "members": [vector, ...], "exhausted": bool}
                 members sorted lexicographically by coordinates
 Witness file:   {"from": vector, "to": vector, "word": [generator index, ...]}
+                "word" is null when no word was found, and a "note" says why
 Audit report:   [{"id": str, "status": str, "computed": {...}, "note": str}, ...]
 
 Every vector written, audit witnesses included, has the shape of :func:`vector_to_obj`.
 Readers take integers only: a float, boolean or string where an int belongs
-raises :class:`FormatError`, as does a missing key.  ``dumps`` is canonical
-(sorted keys, fixed separators), so equal objects serialize to identical bytes.
+raises :class:`FormatError`, as does a missing key or a value that is not the
+object or list it should be.  ``dumps`` is canonical (sorted keys, fixed
+separators), so equal objects serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -55,15 +57,24 @@ def vector_to_obj(v: LatticeVector) -> dict:
     return {"lattice": v.lattice.label, "coords": list(v.coords)}
 
 
-def vector_from_obj(obj: dict) -> LatticeVector:
+def vector_from_obj(obj: Any) -> LatticeVector:
+    if not isinstance(obj, dict):
+        raise FormatError(f"malformed vector object: not a JSON object, got {obj!r}")
     registry = lattice_registry()
     try:
         label, coords = obj["lattice"], obj["coords"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise FormatError(f"malformed vector object: missing {exc}") from None
     if not isinstance(label, str) or label not in registry:
         raise LatticeError(f"unknown lattice label {label!r}")
     return registry[label].vector(int_list(coords, "vector coords"))
+
+
+def vectors_from_obj(obj: Any) -> list[LatticeVector]:
+    """The vectors of a list of vector objects, as orbit --gens-file and saturate --coords read it."""
+    if not isinstance(obj, list):
+        raise FormatError(f"malformed vector list: not a JSON list, got {obj!r}")
+    return [vector_from_obj(o) for o in obj]
 
 
 def orbit_to_obj(orbit: OrbitSet) -> dict:
@@ -75,8 +86,8 @@ def orbit_to_obj(orbit: OrbitSet) -> dict:
     }
 
 
-def witness_to_obj(v: LatticeVector, u: LatticeVector, word: list[int]) -> dict:
-    return {"from": vector_to_obj(v), "to": vector_to_obj(u), "word": list(word)}
+def witness_to_obj(v: LatticeVector, u: LatticeVector, word: list[int] | None) -> dict:
+    return {"from": vector_to_obj(v), "to": vector_to_obj(u), "word": None if word is None else list(word)}
 
 
 def load_json(path: str) -> Any:

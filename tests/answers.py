@@ -97,6 +97,10 @@ def _enumerate(key: str, blocks: str, bound: int, sha256: str, commit: str, **kw
     return Answer(f"enumerate:{key}", ("enumerate", "--blocks", blocks, "--bound", str(bound)), sha256, commit, **kw)
 
 
+def _witness(seed: str, other: str, sha256: str, commit: str, *flags: str) -> Answer:
+    return Answer(f"witness:{seed} {other}", ("orbit", seed, "--witness", other, *flags, "--json"), sha256, commit)
+
+
 #: seed -> (members, exhausted) of the reflection orbit at the default budget
 ORBIT_SIZES = {"L(0)": (3474, False), "L(1)+e2": (76064, False)}
 
@@ -127,6 +131,12 @@ LEDGER = (
     Answer("orbit:L(1)+e2", ("orbit", "L(1)+e2", "-o", "{dir}/orbit.json"),
            "00927750e9757a28b8da0c6ee998697304f84fc20a964f68cabaf66daabf1238", "dc02942", output="orbit.json",
            ci_only=True),
+    # witness searches as JSON: distinct invariants and no word within the budget (a null word and a
+    # note each), and a word to an endpoint outside the box, which the guarded kernel finds
+    _witness("L(0)", "L(1)+e2", "0216020dd49a7e42726fff798a3336efec40c5478222106af45bfa95bf068dd3", "f31241b"),
+    _witness("L(0)", "L(0)+u3", "84924ab8c398f3d4e8e0c2f4f0f982d9fe7f5aafb66ac49293f5ccd2f240ebed", "f31241b"),
+    _witness("L(1)+e2", "u1+5*u2+3*eps1-eps3",
+             "6dcf0ba013a045382de26ffcd3fb979719e56d9bfb2e4336764de8221291e04f", "f31241b", "--coord-bound", "4"),
     # enumeration windows: census-2 is the window the census classifies, window1 and window2
     # feed the audit, E8 and G2 are not adjacent in gap-before-G2
     _enumerate("census-1", "U1,E8", 1,

@@ -510,6 +510,29 @@ def test_classify_coords_malformed_json(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("obj, message", [
+    (5, "malformed vector object: not a JSON object, got 5"),
+    ({"lattice": "LY"}, "malformed vector object: missing 'coords'"),
+], ids=["int", "missing-coords"])
+def test_classify_coords_malformed_vector_object_exits_2(tmp_path, capsys, obj, message):
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "classify", "--coords", str(path))
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("obj", [5, None, {"lattice": "LY", "coords": [1] + [0] * 15}], ids=["int", "null", "object"])
+@pytest.mark.parametrize("argv", [("saturate", "--coords"), ("orbit", "L(0)", "--max-depth", "1", "--gens-file")],
+                         ids=["saturate", "orbit"])
+def test_vector_list_file_that_is_not_a_list_exits_2(tmp_path, capsys, obj, argv):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == "" and err == f"error: malformed vector list: not a JSON list, got {obj!r}\n"
+
+
 @pytest.mark.parametrize("bad", [1.9, True, "1"])
 def test_classify_coords_non_int_exits_2(tmp_path, capsys, bad):
     path = tmp_path / "vec.json"

@@ -97,6 +97,16 @@ def test_named_vector_pins(setup):
     assert square(nv.deltaY) == -4
 
 
+def test_by_name_lists_the_basis_of_ly_first_in_coordinate_order(setup):
+    """The formatter names LY's coordinates by the first ``rank`` names of ``by_name()``."""
+    model, nv = setup
+    ly = model.lambda_Y
+    names = nv.by_name()
+    assert list(names.values())[:ly.rank] == [ly.basis_vector(i) for i in range(ly.rank)]
+    assert list(names)[:ly.rank] == [*(f"u{k}" for k in range(1, 7)), *(f"eps{k}" for k in range(1, 9)),
+                                     "gamma1", "gamma2"]
+
+
 # --- sigma_star ----------------------------------------------------------------
 
 

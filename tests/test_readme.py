@@ -5,6 +5,8 @@ line of "Command line" runs through ``cli.main`` in a temporary directory and
 must exit 0; the ``# ...`` lines under a command are its documented output.
 That includes the witness search (about 4 s), whose printed word is checked.
 The decision table under "The classifiers" is ``model._TABLE``, row by row.
+Under "The lattices", each lattice's rank and block offsets are ``build_model()``'s,
+and each named vector of ``LY`` is the model's, with the documented square.
 """
 
 import re
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from nikulat import model
+from nikulat import divisibility, is_primitive, model, parse_vector, square
 from nikulat.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -106,3 +108,43 @@ def test_decision_table_is_documented_row_by_row():
     assert documented.pop("Unmatched") == ("", "", "no row", "the input")
     for case, row in model._TABLE.items():
         assert documented[case] == row, case
+
+
+def test_lattice_table_matches_the_model():
+    """Each row of "The lattices": the label's rank and its blocks, name and offset, in order."""
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section("The lattices").splitlines() if line.startswith("| `")]
+    documented = {label.strip("`"): (int(rank), [tuple(block.split()) for block in re.split("[,;] ", blocks)])
+                  for label, _, rank, blocks in rows}
+    built = model.lattice_registry()
+    assert set(documented) == set(built)
+    for label, lat in built.items():
+        assert documented[label] == (lat.rank, [(name, str(offset)) for name, offset, _ in lat.blocks]), label
+
+
+def named_vectors() -> tuple[str, dict[str, tuple[str, str, str]]]:
+    """The prose of "Named vectors of `LY`" and, per indented line, name -> (right-hand side,
+    square, the rest of the line)."""
+    text = section("The lattices").partition("**Named vectors of `LY`**")[2]
+    prose, _, block = text.partition("\n\n")
+    lines = re.findall(r"^    (\S+)\s+= (.+?)\s+(?:primitive, )?square (-?\d+i?),?(.*)$", block, re.M)
+    return prose, {name: (rhs, sq, rest) for name, rhs, sq, rest in lines}
+
+
+def test_named_vectors_parse_to_the_model_with_their_squares():
+    _, nv = model.build_model()
+    prose, documented = named_vectors()
+    rhs, sq, rest = documented.pop("L(i)")
+    assert (sq, rest.strip()) == ("4i", "divisibility 2")
+    for i in range(4):
+        li = parse_vector(rhs.replace("i*", f"{i}*"))
+        assert li == parse_vector(f"L({i})") == nv.L(i)
+        assert square(li) == 4 * i and divisibility(li) == 2 and is_primitive(li)
+    names = nv.by_name()
+    for name, (rhs, sq, _) in documented.items():
+        assert parse_vector(rhs) == parse_vector(name) == names[name], name
+        assert square(names[name]) == int(sq), name
+    ranges = re.findall(r"`([a-z]+)1\.\.\1(\d+)`", prose)
+    listed = {f"{stem}{k}" for stem, last in ranges for k in range(1, int(last) + 1)}
+    listed |= set(re.findall(r"`(gamma\d)`", prose)) | set(documented)
+    assert listed == set(names)

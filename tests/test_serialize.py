@@ -73,6 +73,7 @@ def test_witness_object(setup):
     _, nv = setup
     obj = serialize.witness_to_obj(nv.L(0), nv.L(0), [])
     assert obj["word"] == [] and obj["from"] == obj["to"]
+    assert serialize.witness_to_obj(nv.L(0), nv.L(1), None)["word"] is None
 
 
 @pytest.mark.parametrize("bad", [1.9, True, "1", None])

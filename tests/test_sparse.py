@@ -8,6 +8,7 @@ box table.
 """
 
 import io
+import re
 import sys
 import tokenize
 from functools import lru_cache, partial
@@ -121,10 +122,18 @@ def content(row):
     return gcd(*(g for _, g in row))
 
 
+def rows_by_content(lat):
+    """The sparse rows in the order that the compiled ``divisibility`` reads them, off its ``gcd`` forms."""
+    body = _invariant_source(lat).partition("def divisibility(x):")[2].partition("def gram_product(x):")[0]
+    forms = re.findall(r"gcd\((?:d, )?(.*)\)$", body, re.M)
+    terms = (re.findall(r"([+-]?)\s*(?:(0x[0-9a-f]+)\*)?x(\d+)", form) for form in forms)
+    return [tuple((int(j), int(f"{sign}{coef or 1}", 0)) for sign, coef, j in row) for row in terms]
+
+
 @pytest.mark.parametrize("name", sorted(LATTICES))
 def test_rows_by_content_permute_sparse_rows_smallest_content_first(name):
     lat = LATTICES[name]
-    rows = lat.rows_by_content
+    rows = rows_by_content(lat)
     assert sorted(rows) == sorted(lat.sparse_rows)
     contents = [content(row) for row in rows]
     assert contents == sorted(contents)
@@ -135,7 +144,7 @@ def test_divisibility_matches_dense_when_leading_rows_have_content_above_one():
     are read after the E8 rows; the early exit still gives the full gcd."""
     lat = direct_sum([rescale(standard_lattice("U"), 2), standard_lattice("E8_neg")])
     assert [content(row) for row in lat.sparse_rows[:2]] == [2, 2]
-    assert [content(row) for row in lat.rows_by_content] == [1] * 8 + [2, 2]
+    assert [content(row) for row in rows_by_content(lat)] == [1] * 8 + [2, 2]
     cases = [
         (1, (1, 0, 1, 0, 0, 0, 0, 0, 0, 0)),
         (2, (1, 3, 0, 0, 0, 0, 0, 0, 0, 0)),
