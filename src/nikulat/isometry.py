@@ -6,18 +6,21 @@ breadth-first closure under such generators certifies SAME-orbit statements
 only -- two vectors are proved to lie in distinct orbits exclusively by an
 invariant (square, divisibility, primitivity), never by a failed search.
 
-Orbit closure and witness search share one generation step on packed keys
-(balanced base-(2B+1) digits, B >= every |x_i|, so integer order is lexicographic
+Orbit closure and witness search share one kernel writer and the key arithmetic on packed
+keys (balanced base-(2B+1) digits, B >= every |x_i|, so integer order is lexicographic
 order and a reflection adds c.key(r)); every generator is a reflection by type.
 A reflection reads G.r off its lattice's compiled product; its one check is (r, r) = -2.
 
 Every generation runs in one kernel: a straight-line function compiled from the lattice's
 sparse Gram rows and the generators' roots, kept in a table of ``_KERNELS`` entries keyed by
-those, the coordinate bound and whether it guards a witness endpoint outside the box, so that
-endpoints of every key width share it.  It reads every pairing off one G.x per vector, which
-is exact as G is symmetric; ``Isometry.apply_coords`` keeps the pairing over the support of
-G.r.  It stops an image's box test at the first coordinate out, and builds an image's
-coordinate tuple only for a key it has not seen.
+those, the coordinate bound and the kernel's shape, so that endpoints of every key width share
+it.  It reads every pairing off one G.x per vector, which is exact as G is symmetric;
+``Isometry.apply_coords`` keeps the pairing over the support of G.r.  It stops an image's box
+test at the first coordinate out, and builds an image's coordinate tuple only for a key it has
+not seen.  The searches record that key in two shapes: witness search marks its generator in a
+parent map, keeps the tuple in the generation's map and tests the meet and the cap; closure
+writes the tuple once into its member map, appends the key to a list, the next frontier, and
+caps a generation after it runs.
 
 Each side of a witness search runs through one breadth-first ball around its endpoint,
 whose new levels stop at the meet: prefix first, then finish.  The last search that
@@ -164,64 +167,78 @@ _KERNELS = 8
 
 
 @lru_cache(maxsize=_KERNELS)
-def _kernel(rows: tuple, roots: tuple, bound: int, guarded: bool = False):
+def _kernel(rows: tuple, roots: tuple, bound: int, shape: str):
     """The generation kernel of the reflections in ``roots`` on the lattice of sparse Gram
-    ``rows``, in the box ``bound``.
+    ``rows``, in the box ``bound``, in one of three shapes.
 
-    ``roots`` holds each reflection's support of r (``Isometry._supports[1]``).  The kernel is
-    one straight-line ``generation(frontier, seen, cap, other)`` that runs :func:`_generation`
-    on vectors of rank ``len(rows)``: for each vector, in key order, the entries g_i of G.x at
-    every coordinate i of the roots' supports, written by :func:`~nikulat.lattice.gx_source`;
+    ``roots`` holds each reflection's support of r (``Isometry._supports[1]``).  The kernel is one
+    straight-line ``generation`` on vectors of rank ``len(rows)``: for each vector, the entries g_i
+    of G.x at every coordinate i of the roots' supports, written by :func:`~nikulat.lattice.gx_source`;
     then for each reflection j, in order, the pairing c = (x, r_j) = sum of r_i g_i over r_j's
-    support (G is symmetric), the update of r_j's support with its box test, which stops at
-    the first coordinate out, the key k = key + c.s_j and the ``seen`` test; only a new key gets
-    its coordinate tuple, then the meet and cap tests (the cap counting down the room left).
-    The ``guarded`` kernel skips r_j, leaving ``clipped`` as it is, unless r_j's support covers
-    every coordinate outside the box.  Every integer in its source (an index or a coefficient
-    of G or r, each an int) is written in hex, which the interpreter's limit on converting ints
-    to decimal text does not cover.  The bound and the steps s_j are closure values: called
-    with the steps in the caller's key width, the result returns the generation.
+    support (G is symmetric), the update of r_j's support with its box test, which stops at the
+    first coordinate out, the key k = key + c.s_j and the ``seen`` test; only a new key gets its
+    coordinate tuple.  The ``generation`` shape, ``generation(frontier, seen, cap, other)``, runs
+    :func:`_generation`: it reads the map ``frontier`` in key order, marks ``seen[k] = j``, puts the
+    tuple in the map ``fresh``, then tests the meet and the cap (counting down the room left); the
+    ``guarded`` shape also skips r_j, leaving ``clipped`` as it is, unless r_j's support covers every
+    coordinate outside the box.  The ``closure`` shape, ``generation(frontier, seen)``, runs
+    :func:`orbit_explore`: it reads each key of the list ``frontier`` from the member map ``seen``,
+    writes a new key's tuple there and appends the key to the list ``fresh``; no meet, no cap.
+    Every integer in the source (an index or a coefficient of G or r, each an int) is written in
+    hex, which the interpreter's limit on converting ints to decimal text does not cover.  The
+    bound and the steps s_j are closure values: called with the steps in the caller's key width,
+    the result returns the generation.
     """
-    rank, forms = len(rows), gx_source(rows)
+    rank, forms, closure = len(rows), gx_source(rows), shape == "closure"
     lines = [f"def make(lo, hi{''.join(f', s{j}' for j in range(len(roots)))}):",
-             " def generation(frontier, seen, cap, other):",
-             "  fresh = {}\n  clipped = False\n  room = cap - len(seen)\n  for key in sorted(frontier):",
-             f"   ({''.join(f'x{i}, ' for i in range(rank))}) = frontier[key]"]
+             " def generation(frontier, seen):\n  fresh = []\n  clipped = False\n  for key in frontier:" if closure
+             else " def generation(frontier, seen, cap, other):\n  fresh = {}\n  clipped = False\n"
+                  "  room = cap - len(seen)\n  for key in sorted(frontier):",
+             f"   ({''.join(f'x{i}, ' for i in range(rank))}) = {'seen' if closure else 'frontier'}[key]"]
     lines += [f"   g{i} = {forms[i]}" for i in sorted({i for root in roots for i, _ in root})]
     for j, root in enumerate(roots):
         cover = {i for i, _ in root}
         lines.append(f"   c = {linear_source((r, f'g{i}') for i, r in root)}")  # r != 0: its square is -2
-        guard = "".join(f" and lo <= x{i} <= hi" for i in range(rank) if guarded and i not in cover)
+        guard = "".join(f" and lo <= x{i} <= hi" for i in range(rank) if shape == "guarded" and i not in cover)
         lines.append(f"   if c{guard}:")
         images = (f"lo <= (y{i} := {linear_source(((1, f'x{i}'), (r, 'c')))}) <= hi" for i, r in root)
         lines.append(f"    if {' and '.join(images)}:")
-        lines.append(f"     k = key + c*s{j}\n     if k not in seen:\n      seen[k] = {j:#x}")
-        lines.append(f"      fresh[k] = ({''.join(f'y{i}, ' if i in cover else f'x{i}, ' for i in range(rank))})")
-        lines.append("      if k in other:\n       return fresh, clipped, False, k\n      room -= 0x1\n"
-                     "      if room < 0x0:\n       return fresh, clipped, True, None\n    else:\n     clipped = True")
-    lines.append("  return fresh, clipped, False, None\n return generation")
+        image = f"({''.join(f'y{i}, ' if i in cover else f'x{i}, ' for i in range(rank))})"
+        lines.append(f"     k = key + c*s{j}\n     if k not in seen:\n      " + (
+            f"seen[k] = {image}\n      fresh.append(k)" if closure else
+            f"seen[k] = {j:#x}\n      fresh[k] = {image}\n      if k in other:\n       return fresh, clipped, "
+            "False, k\n      room -= 0x1\n      if room < 0x0:\n       return fresh, clipped, True, None"))
+        lines.append("    else:\n     clipped = True")
+    lines.append(f"  return fresh, clipped{'' if closure else ', False, None'}\n return generation")
     return partial(compile_kernel("\n".join(lines), "generation kernel", ("make",))[0], -bound, bound)
 
 
-def _engine(rows: tuple, supports: tuple, bound: int, width: int) -> tuple:
-    """What :func:`_generation` expands by: ``(generation, guarded, bound)``, the kernel of the
-    reflections with ``supports`` on the lattice of sparse Gram ``rows`` bound to their steps in
-    base ``width``, and a call that returns the guarded kernel so bound, compiled when an
-    endpoint outside the box needs it."""
+def _stepped(rows: tuple, supports: tuple, bound: int, width: int, shape: str = "generation"):
+    """The ``shape`` kernel of the reflections with ``supports`` on the lattice of sparse Gram ``rows``
+    in the box ``bound``, bound to their key steps key(r) in base ``width``, for both searches."""
     roots = tuple(root for _, root in supports)
-    steps = [sum(r * width ** (len(rows) - 1 - i) for i, r in root) for root in roots]
-    return _kernel(rows, roots, bound)(*steps), lambda: _kernel(rows, roots, bound, True)(*steps), bound
+    return _kernel(rows, roots, bound, shape)(*(sum(r * width ** (len(rows) - 1 - i) for i, r in root)
+                                                for root in roots))
+
+
+def _engine(rows: tuple, supports: tuple, bound: int, width: int) -> tuple:
+    """What :func:`_generation` expands by: ``(generation, guarded, bound)``, the generation kernel
+    of the reflections with ``supports`` (see :func:`_stepped`), and a call that returns their
+    guarded kernel, compiled when an endpoint outside the box needs it."""
+    kernel = partial(_stepped, rows, supports, bound, width)
+    return kernel(), partial(kernel, "guarded"), bound
 
 
 def _generation(frontier: dict, seen: dict, engine: tuple, cap, other=frozenset()):
-    """One breadth-first generation on packed keys, shared by both searches.
+    """One breadth-first generation of witness search on packed keys; orbit closure runs the
+    closure shape of the same kernel writer (see :func:`_kernel`) with no meet and no cap.
 
     ``frontier`` (key -> coordinates) is expanded in key order, each vector by every
     reflection of the ``engine`` (see :func:`_engine`) in order; image j of the vector of
     key k has key k + c * key(r_j).  A new image inside ``bound`` is recorded as
     ``seen[key] = generator index`` and in ``fresh``.  Expansion stops at the first
-    inserted key that ``other`` (the opposite search's parent map; empty for orbit
-    closure) already holds, or else once ``seen`` holds more than ``cap`` keys.  ``fresh``
+    inserted key that ``other`` (the opposite search's parent map) already holds, or
+    else once ``seen`` holds more than ``cap`` keys.  ``fresh``
     is insertion-ordered, so that meeting key is the first key of the full generation's
     ``fresh`` found in ``other``.  Returns fresh, whether an image before the stop left
     the box, whether the cap stopped the expansion, and the meeting key (None if the
@@ -239,11 +256,12 @@ def _generation(frontier: dict, seen: dict, engine: tuple, cap, other=frozenset(
 def orbit_explore(seed: LatticeVector, gens, budget: OrbitBudget = OrbitBudget()) -> OrbitSet:
     """Deterministic BFS closure of ``seed`` under the reflections ``gens`` within ``budget``.
 
-    Each generation expands every frontier vector by every generator; vectors
-    are deduplicated and ordered by their packed keys (B = coord_bound).  If
-    admitting all new vectors would exceed ``max_frontier`` retained vectors,
-    the lexicographically smallest are kept and the set is marked not
-    exhausted.  The output therefore depends only on the set of generators,
+    Each generation runs the closure kernel (see :func:`_kernel`): it expands every
+    frontier key by every generator, writes each new vector once into the one member
+    map (packed key -> coordinates, B = coord_bound) and lists its key in the next
+    frontier.  If the new vectors overflow ``max_frontier`` retained vectors, only the
+    lexicographically smallest are kept, the rest deleted from the map, and the set is
+    marked not exhausted.  The output therefore depends only on the set of generators,
     not on their order or on any scheduling.
     """
     gens = tuple(gens)  # read twice: checked, then turned into moves
@@ -251,26 +269,22 @@ def orbit_explore(seed: LatticeVector, gens, budget: OrbitBudget = OrbitBudget()
     bound = budget.coord_bound
     if max(abs(c) for c in seed.coords) > bound:
         raise LatticeError("seed already exceeds the coordinate bound")
-    engine = _engine(seed.lattice.sparse_rows, tuple(g._supports for g in gens), bound, 2 * bound + 1)
-    key = _pack(seed.coords, 2 * bound + 1)
-    # key -> coordinates, also the engine's seen map: update(fresh) overwrites its marks
-    members = {key: seed.coords}
-    frontier = {key: seed.coords}
+    generation = _stepped(seed.lattice.sparse_rows, tuple(g._supports for g in gens), bound, 2 * bound + 1, "closure")
+    frontier = [_pack(seed.coords, 2 * bound + 1)]  # keys: their coordinates are in members
+    members = {frontier[0]: seed.coords}  # key -> coordinates, also the kernel's seen map
     exhausted = True
     for _ in range(budget.max_depth):
-        fresh, clipped, _, _ = _generation(frontier, members, engine, float("inf"))
-        room = budget.max_frontier - len(members) + len(fresh)
-        capped = len(fresh) > room
+        room = budget.max_frontier - len(members)
+        frontier, clipped = generation(frontier, members)
+        capped = len(frontier) > room
         if capped:
-            for k in sorted(fresh)[room:]:
-                del members[k], fresh[k]
-        members.update(fresh)
+            for k in sorted(frontier)[room:]:
+                del members[k]
         exhausted = exhausted and not (clipped or capped)
-        frontier = fresh
         if capped or not frontier:
             break
     exhausted = exhausted and not frontier  # the depth ran out with work pending
-    del frontier, fresh
+    del frontier
     members = tuple(map(members.__getitem__, sorted(members)))
     _assert_orbit_invariants(seed, members)
     return OrbitSet(seed=seed, members=members, exhausted=exhausted)

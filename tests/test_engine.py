@@ -10,7 +10,9 @@ of coordinate bound, frontier cap or depth cuts the search short.
 reflection's supports, pairing over the support of G.r, where the compiled
 generation kernels read every pairing off one G.x per vector; one generation
 of the engine must equal it insertion for insertion, stop for stop and in its
-clipped flag.
+clipped flag.  Orbit closure runs the closure shape of the kernel, which
+records members only, and is held to ``oracle_orbit``, also at every frontier
+cap on or next to a level boundary.
 """
 
 import io
@@ -18,6 +20,7 @@ import random
 import sys
 import threading
 import tokenize
+import tracemalloc
 import weakref
 from itertools import product
 from math import gcd
@@ -28,7 +31,7 @@ from hypothesis import strategies as st
 
 from nikulat import OrbitBudget, isometry, orbit_explore, reflection, same_orbit_witness
 from nikulat.intmat import det
-from nikulat.isometry import _engine, _generation, _kernel, _last, _pack, _unpack
+from nikulat.isometry import _engine, _generation, _kernel, _last, _pack, _stepped, _unpack
 from nikulat.lattice import Lattice, gx_source, square
 from nikulat.model import build_model, default_generators
 
@@ -271,6 +274,56 @@ def test_orbit_keys_past_int64():
     assert max(abs(_pack(m, 17)) for m in orbit.members) > 2**63
 
 
+def boundary_caps(seed, gens, budget):
+    """Every frontier cap at, one below or one above a cumulative level size of the oracle's
+    closure within ``budget``'s bound and depth: the caps at which a generation just fits,
+    just overflows or leaves room for one key of the next."""
+    sizes = [1] + [len(oracle_orbit(seed, gens, OrbitBudget(budget.coord_bound, 10**6, d))[0])
+                   for d in range(1, budget.max_depth + 1)]
+    return sorted({n + d for n in sizes for d in (-1, 0, 1)} - {0})
+
+
+A3 = Lattice("A3(-1)", ((-2, 1, 0), (1, -2, 1), (0, 1, -2)))
+A3_GENS = [reflection(A3.vector(r)) for r in ((-1, -1, -1), (-1, -1, 0), (-1, 0, 0), (0, -1, -1), (0, -1, 0),
+                                              (0, 0, -1))]
+
+
+@pytest.mark.parametrize("seed,gens,budget", [
+    (NV.L(0), LY_GENS, OrbitBudget(3, 10**6, 5)),
+    (NV.L(1) + NV.e2, LY_GENS, OrbitBudget(3, 10**6, 5)),
+    # the 12 roots of A3, a whole orbit by depth 2: exhausted at a cap of 12, not at 11
+    (A3.vector((1, 0, 0)), A3_GENS, OrbitBudget(1, 10**6, 5)),
+], ids=["L(0)", "L(1)+e2", "A3-roots"])
+def test_orbit_matches_oracle_at_the_cap_boundaries(seed, gens, budget):
+    for cap in boundary_caps(seed, gens, budget):
+        assert_orbit_matches(seed, gens, OrbitBudget(budget.coord_bound, cap, budget.max_depth))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=small_lattice_case(), data=st.data())
+def test_orbit_matches_oracle_at_the_cap_boundaries_on_small_lattices(case, data):
+    seed, gens, budget = case
+    cap = data.draw(st.sampled_from(boundary_caps(seed, gens, budget)))
+    assert_orbit_matches(seed, gens, OrbitBudget(budget.coord_bound, cap, budget.max_depth))
+
+
+def test_closure_peak_above_its_result_is_bounded():
+    """The closure of L(1)+e2 at depth 5 under ``tracemalloc``: its traced peak above the
+    returned ``OrbitSet`` stays within 0.52 of what the set retains.  One member map with a
+    key-list frontier keeps to that; a second key -> coordinates map per generation does not."""
+    seed, budget = NV.L(1) + NV.e2, OrbitBudget(4, 10**6, 5)
+    orbit_explore(seed, LY_GENS, budget)  # compiles the kernel, which stays cached
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        orbit = orbit_explore(seed, LY_GENS, budget)
+        retained, peak = (n - base for n in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(orbit) == 17457
+    assert peak - retained <= 0.52 * retained
+
+
 # --- witness search ------------------------------------------------------------------
 
 
@@ -479,10 +532,10 @@ def test_kernel_writes_g_x_at_the_roots_supports_only(compiled_sources):
     assert all(square(LY.vector(r)) == -2 for r in off_default)
     roots = [[], [g.root for g in LY_GENS[:3]], [LY_GENS[10].root, LY_GENS[16].root], off_default,
              [g.root for g in LY_GENS]]
-    for chosen in roots:
+    for chosen, shape in product(roots, ("generation", "closure")):
         compiled_sources.clear()
         _kernel.cache_clear()
-        _kernel(LY.sparse_rows, tuple(tuple((i, c) for i, c in enumerate(r) if c) for r in chosen), 4)
+        _kernel(LY.sparse_rows, tuple(tuple((i, c) for i, c in enumerate(r) if c) for r in chosen), 4, shape)
         (source,) = compiled_sources
         written = [line.strip() for line in source.splitlines() if line.strip().startswith("g")]
         union = sorted({i for r in chosen for i, c in enumerate(r) if c})
@@ -557,14 +610,16 @@ def test_orbits_at_two_bounds_compile_a_kernel_each():
 
 def test_kernel_source_writes_every_integer_in_hex_and_no_step(compiled_sources):
     supports = tuple(g._supports for g in LY_GENS)
-    for bound, width in ((4, 9), (5, 23)):  # another bound, and other steps in another width
-        _kernel.cache_clear()
-        _engine(LY.sparse_rows, supports, bound, width)
-    first, second = compiled_sources
-    assert first == second  # so no bound and no step is written into the source
-    numbers = [t.string for t in tokenize.generate_tokens(io.StringIO(first).readline)
-               if t.type == tokenize.NUMBER]
-    assert numbers and all(n.startswith("0x") for n in numbers)
+    for shape in ("generation", "closure"):
+        compiled_sources.clear()
+        for bound, width in ((4, 9), (5, 23)):  # another bound, and other steps in another width
+            _kernel.cache_clear()
+            _stepped(LY.sparse_rows, supports, bound, width, shape)
+        first, second = compiled_sources
+        assert first == second  # so no bound and no step is written into the source
+        numbers = [t.string for t in tokenize.generate_tokens(io.StringIO(first).readline)
+                   if t.type == tokenize.NUMBER]
+        assert numbers and all(n.startswith("0x") for n in numbers)
 
 
 def test_kernels_take_integers_past_the_decimal_conversion_limit():

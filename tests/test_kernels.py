@@ -22,10 +22,10 @@ from nikulat.model import (OrbitClass, VectorProfile, build_model, default_gener
 LY = build_model()[0].lambda_Y
 
 
-def generation(*guarded):
+def generation(shape):
     def run():
         isometry._kernel.cache_clear()
-        isometry._kernel(LY.sparse_rows, tuple(g._supports[1] for g in default_generators()), 4, *guarded)
+        isometry._kernel(LY.sparse_rows, tuple(g._supports[1] for g in default_generators()), 4, shape)
     return run
 
 
@@ -49,10 +49,13 @@ def builder(cls):
 
 
 @pytest.mark.parametrize("compile_it,length,digest", [
-    pytest.param(generation(), 9341, "f335066c471a3ed940bbe31e61b145ff1feab727b55868a81f76c2b53e5e3991",
+    pytest.param(generation("generation"), 9341,
+                 "f335066c471a3ed940bbe31e61b145ff1feab727b55868a81f76c2b53e5e3991",
                  id="generation-default-supports-bound-4"),
-    pytest.param(generation(True), 14609, "a1755a19091881d0b5c59ca6e6cfebd432cb27d1c87e17758d8c445195c69ff9",
+    pytest.param(generation("guarded"), 14609, "a1755a19091881d0b5c59ca6e6cfebd432cb27d1c87e17758d8c445195c69ff9",
                  id="generation-guarded-default-supports-bound-4"),
+    pytest.param(generation("closure"), 6495, "4e1a1472efb97230244e9899728387780fef8b21e9d4473ed732a8138e16132f",
+                 id="generation-closure-default-supports-bound-4"),
     pytest.param(enumeration("U1", "E8"), 2067, "c59fc4af2b6db262783dda3eefef46d1d0e4793491118b1f1ee0ee0c26808460",
                  id="enumeration-U1-E8"),
     pytest.param(enumeration("U1", "E8", "G1", "G2"), 2468,
