@@ -18,13 +18,15 @@ it.  It reads every pairing off one G.x per vector, which is exact as G is symme
 ``Isometry.apply_coords`` keeps the pairing over the support of G.r.  It stops an image's box
 test at the first coordinate out, and builds an image's coordinate tuple only for a key it has
 not seen.  The searches record that key in two shapes: witness search marks its generator in a
-parent map, keeps the tuple in the generation's map and tests the meet and the cap; closure
-writes the tuple once into its member map, appends the key to a list, the next frontier, and
-caps a generation after it runs.
+parent map, keeps the tuple in the generation's map, tests the meet and the cap and returns
+the meet; closure writes the tuple once into its member map, appends the key to a list, the
+next frontier, notes an image out of the box and caps a generation after it runs.
 
 Each side of a witness search runs through one breadth-first ball around its endpoint,
-whose new levels stop at the meet: prefix first, then finish.  The last search that
-returned leaves its two balls; the next one reuses a side's ball on an equal entry.
+whose new levels stop at the meet: prefix first, then finish.  A ball knows from its build
+whether its endpoint lies outside the box; if so its first generation, new or finishing a
+partial level, runs in the guarded kernel, and every other in the plain one.  The last
+search that returned leaves its two balls; the next one reuses a side's ball on an equal entry.
 """
 
 from __future__ import annotations
@@ -178,12 +180,13 @@ def _kernel(rows: tuple, roots: tuple, bound: int, shape: str):
     support (G is symmetric), the update of r_j's support with its box test, which stops at the
     first coordinate out, the key k = key + c.s_j and the ``seen`` test; only a new key gets its
     coordinate tuple.  The ``generation`` shape, ``generation(frontier, seen, cap, other)``, runs
-    :func:`_generation`: it reads the map ``frontier`` in key order, marks ``seen[k] = j``, puts the
-    tuple in the map ``fresh``, then tests the meet and the cap (counting down the room left); the
-    ``guarded`` shape also skips r_j, leaving ``clipped`` as it is, unless r_j's support covers every
-    coordinate outside the box.  The ``closure`` shape, ``generation(frontier, seen)``, runs
-    :func:`orbit_explore`: it reads each key of the list ``frontier`` from the member map ``seen``,
-    writes a new key's tuple there and appends the key to the list ``fresh``; no meet, no cap.
+    :meth:`_Ball.generation`: it reads the map ``frontier`` in key order, marks ``seen[k] = j``, puts
+    the tuple in the map ``fresh``, then tests the meet and the cap (counting down the room left), and
+    returns ``(fresh, meet)``, the meet None after a cap stop or a whole generation; the ``guarded``
+    shape also skips r_j unless r_j's support covers every coordinate outside the box.  The
+    ``closure`` shape, ``generation(frontier, seen)``, runs :func:`orbit_explore`: it reads each key
+    of the list ``frontier`` from the member map ``seen``, writes a new key's tuple there, appends the
+    key to the list ``fresh`` and returns ``(fresh, whether an image left the box)``; no meet, no cap.
     Every integer in the source (an index or a coefficient of G or r, each an int) is written in
     hex, which the interpreter's limit on converting ints to decimal text does not cover.  The
     bound and the steps s_j are closure values: called with the steps in the caller's key width,
@@ -192,8 +195,8 @@ def _kernel(rows: tuple, roots: tuple, bound: int, shape: str):
     rank, forms, closure = len(rows), gx_source(rows), shape == "closure"
     lines = [f"def make(lo, hi{''.join(f', s{j}' for j in range(len(roots)))}):",
              " def generation(frontier, seen):\n  fresh = []\n  clipped = False\n  for key in frontier:" if closure
-             else " def generation(frontier, seen, cap, other):\n  fresh = {}\n  clipped = False\n"
-                  "  room = cap - len(seen)\n  for key in sorted(frontier):",
+             else " def generation(frontier, seen, cap, other):\n  fresh = {}\n  room = cap - len(seen)\n"
+                  "  for key in sorted(frontier):",
              f"   ({''.join(f'x{i}, ' for i in range(rank))}) = {'seen' if closure else 'frontier'}[key]"]
     lines += [f"   g{i} = {forms[i]}" for i in sorted({i for root in roots for i, _ in root})]
     for j, root in enumerate(roots):
@@ -205,11 +208,10 @@ def _kernel(rows: tuple, roots: tuple, bound: int, shape: str):
         lines.append(f"    if {' and '.join(images)}:")
         image = f"({''.join(f'y{i}, ' if i in cover else f'x{i}, ' for i in range(rank))})"
         lines.append(f"     k = key + c*s{j}\n     if k not in seen:\n      " + (
-            f"seen[k] = {image}\n      fresh.append(k)" if closure else
-            f"seen[k] = {j:#x}\n      fresh[k] = {image}\n      if k in other:\n       return fresh, clipped, "
-            "False, k\n      room -= 0x1\n      if room < 0x0:\n       return fresh, clipped, True, None"))
-        lines.append("    else:\n     clipped = True")
-    lines.append(f"  return fresh, clipped{'' if closure else ', False, None'}\n return generation")
+            f"seen[k] = {image}\n      fresh.append(k)\n    else:\n     clipped = True" if closure else
+            f"seen[k] = {j:#x}\n      fresh[k] = {image}\n      if k in other:\n       return fresh, k\n"
+            "      room -= 0x1\n      if room < 0x0:\n       return fresh, None"))
+    lines.append(f"  return fresh, {'clipped' if closure else 'None'}\n return generation")
     return partial(compile_kernel("\n".join(lines), "generation kernel", ("make",))[0], -bound, bound)
 
 
@@ -219,38 +221,6 @@ def _stepped(rows: tuple, supports: tuple, bound: int, width: int, shape: str = 
     roots = tuple(root for _, root in supports)
     return _kernel(rows, roots, bound, shape)(*(sum(r * width ** (len(rows) - 1 - i) for i, r in root)
                                                 for root in roots))
-
-
-def _engine(rows: tuple, supports: tuple, bound: int, width: int) -> tuple:
-    """What :func:`_generation` expands by: ``(generation, guarded, bound)``, the generation kernel
-    of the reflections with ``supports`` (see :func:`_stepped`), and a call that returns their
-    guarded kernel, compiled when an endpoint outside the box needs it."""
-    kernel = partial(_stepped, rows, supports, bound, width)
-    return kernel(), partial(kernel, "guarded"), bound
-
-
-def _generation(frontier: dict, seen: dict, engine: tuple, cap, other=frozenset()):
-    """One breadth-first generation of witness search on packed keys; orbit closure runs the
-    closure shape of the same kernel writer (see :func:`_kernel`) with no meet and no cap.
-
-    ``frontier`` (key -> coordinates) is expanded in key order, each vector by every
-    reflection of the ``engine`` (see :func:`_engine`) in order; image j of the vector of
-    key k has key k + c * key(r_j).  A new image inside ``bound`` is recorded as
-    ``seen[key] = generator index`` and in ``fresh``.  Expansion stops at the first
-    inserted key that ``other`` (the opposite search's parent map) already holds, or
-    else once ``seen`` holds more than ``cap`` keys.  ``fresh``
-    is insertion-ordered, so that meeting key is the first key of the full generation's
-    ``fresh`` found in ``other``.  Returns fresh, whether an image before the stop left
-    the box, whether the cap stopped the expansion, and the meeting key (None if the
-    sides did not meet).  The guarded kernel expands a witness endpoint outside the box,
-    a root alone in its frontier, by the reflections whose r covers its outliers.
-    """
-    generation, guarded, bound = engine
-    if len(frontier) == 1:
-        ((key, x),) = frontier.items()
-        if seen[key] is None and (max(x) > bound or min(x) < -bound):
-            generation = guarded()
-    return generation(frontier, seen, cap, other)
 
 
 def orbit_explore(seed: LatticeVector, gens, budget: OrbitBudget = OrbitBudget()) -> OrbitSet:
@@ -285,7 +255,11 @@ def orbit_explore(seed: LatticeVector, gens, budget: OrbitBudget = OrbitBudget()
             break
     exhausted = exhausted and not frontier  # the depth ran out with work pending
     del frontier
-    members = tuple(map(members.__getitem__, sorted(members)))
+    coords = sorted(members)
+    for i, k in enumerate(coords):  # in place, so the map, its key list and the tuple are never all alive
+        coords[i] = members[k]
+    del members
+    members = tuple(coords)
     _assert_orbit_invariants(seed, members)
     return OrbitSet(seed=seed, members=members, exhausted=exhausted)
 
@@ -315,7 +289,7 @@ def distinct_invariants(v: LatticeVector, u: LatticeVector) -> tuple[tuple[str, 
     return tuple(entry for entry in values if entry[1] != entry[2])
 
 
-# under key 0: the last witness search's (entry, ball) pair per side, v then u, and its engine; an
+# under key 0: the last witness search's (entry, ball) pair per side, v then u, and its kernels; an
 # entry is (endpoint, generator supports, coord_bound, max_frontier, width)
 _last: dict = {}
 
@@ -323,15 +297,25 @@ _last: dict = {}
 class _Ball:
     """An endpoint's breadth-first levels: ``tree`` maps each key to the index of the reflection that
     reached it (None at the root), ``levels[d]`` lists the keys at distance d in insertion order, ``cut``
-    says that the frontier cap stopped the last level and ``whole`` that it is complete.  Only the last
-    whole level, the one expanded next, and a partial one after it map keys to coordinates."""
+    says that the frontier cap stopped the last level, ``whole`` that it is complete and ``outside`` that
+    the endpoint lies outside the box ``bound``.  Only the last whole level, the one expanded next, and a
+    partial one after it map keys to coordinates."""
 
-    __slots__ = ("tree", "levels", "cut", "whole")
+    __slots__ = ("tree", "levels", "cut", "whole", "outside")
 
-    def __init__(self, key: int, x: IntVector) -> None:
+    def __init__(self, x: IntVector, width: int, bound: int) -> None:
+        key = _pack(x, width)
         self.tree, self.levels, self.cut, self.whole = {key: None}, [{key: x}], False, True
+        self.outside = max(map(abs, x)) > bound
 
-    def level(self, d: int, engine: tuple, cap: int, other) -> tuple:
+    def generation(self, d: int, kernels: tuple, cap: int, other=frozenset()) -> tuple:
+        """``(fresh, meet)``: level d - 1 expanded into ``tree`` by one of ``kernels`` (see :func:`_kernel`),
+        the plain kernel or a call that returns the guarded one.  The guarded kernel expands the endpoint
+        of a ball ``outside`` the box, by the reflections whose r covers its outlying coordinates."""
+        kernel, guarded = kernels
+        return (guarded() if d == 1 and self.outside else kernel)(self.levels[d - 1], self.tree, cap, other)
+
+    def level(self, d: int, kernels: tuple, cap: int, other) -> tuple:
         """``(level d, its first key in other or None, whether the cap stops the search there)``.
 
         A new level stops at its first key in ``other``.  A partial level with no such key in
@@ -343,12 +327,12 @@ class _Ball:
             meet = next((k for k in levels[d] if k in other), None)
             if meet is not None or self.whole or d < len(levels) - 1:
                 return levels[d], meet, self.cut and d == len(levels) - 1
-            fresh = _generation(levels[d - 1], tree, engine, cap)[0]
+            fresh = self.generation(d, kernels, cap)[0]
             meet = next((k for k in fresh if k in other), None)
             levels[d].update(fresh)
             self.whole = True
         else:
-            fresh, _, _, meet = _generation(levels[-1], tree, engine, cap, other)
+            fresh, meet = self.generation(d, kernels, cap, other)
             levels.append(fresh)
             self.whole = meet is None or len(tree) > cap  # a meet on the insertion past the cap ends it
         self.cut = len(tree) > cap
@@ -375,9 +359,9 @@ def same_orbit_witness(
 
     Each side runs through its endpoint's ball of levels: prefix first, then finish.
     A search that returns keeps its two balls (at most 2 * ``max_frontier`` keys) and its
-    engine until the next one, which runs a side through the kept ball when the side's
+    kernels until the next one, which runs a side through the kept ball when the side's
     endpoint, generators, coordinate bound, ``max_frontier`` and key width are equal, keeps
-    the engine if a side does, and drops every other ball before it expands anything.
+    the kernels if a side does, and drops every other ball before it expands anything.
     Every answer is the one a search from fresh balls gives.  A search that raises puts
     no ball back.
     """
@@ -398,14 +382,15 @@ def same_orbit_witness(
     apply = [g.apply_coords for g in gens]
     # per side (v, u): its entry, its ball (the last search's on an equal entry, compared without
     # hashing; one pop takes them, so no two threads share one) and the keys it holds at its
-    # current depth (while that is the ball's, its tree); an equal entry also keeps the engine
+    # current depth (while that is the ball's, its tree); an equal entry also keeps the kernels
     entries = [(x, supports, bound, cap, width) for x in (v.coords, u.coords)]
-    *pairs, engine = _last.pop(0, ((None, None), (None, None), None))
+    *pairs, kernels = _last.pop(0, ((None, None), (None, None), None))
     kept = [entry == last for entry, (last, _) in zip(entries, pairs)]
-    balls = [ball if same else _Ball(_pack(entry[0], width), entry[0])
-             for entry, same, (_, ball) in zip(entries, kept, pairs)]
+    balls = [ball if same else _Ball(entry[0], width, bound) for entry, same, (_, ball) in zip(entries, kept, pairs)]
     del pairs  # so a ball not kept goes before anything is expanded
-    engine = engine if any(kept) else _engine(v.lattice.sparse_rows, supports, bound, width)
+    # the plain kernel, and a call that compiles the guarded one when an endpoint outside the box needs it
+    stepped = partial(_stepped, v.lattice.sparse_rows, supports, bound, width)
+    kernels = kernels if any(kept) else (stepped(), partial(stepped, "guarded"))
     held = [ball.tree if len(ball.levels) == 1 else set(ball.levels[0]) for ball in balls]
     frontiers = [ball.levels[0] for ball in balls]
     depth = [0, 0]
@@ -426,7 +411,7 @@ def same_orbit_witness(
         # expand the smaller live frontier to keep the two searches balanced
         s = 1 if frontiers[1] and (not frontiers[0] or len(frontiers[0]) > len(frontiers[1])) else 0
         depth[s] += 1
-        frontiers[s], meet, overflow = balls[s].level(depth[s], engine, cap, held[1 - s])
+        frontiers[s], meet, overflow = balls[s].level(depth[s], kernels, cap, held[1 - s])
         if held[s] is not balls[s].tree:
             held[s].update(frontiers[s])
         if meet is not None:
@@ -437,5 +422,5 @@ def same_orbit_witness(
             break
         if overflow:
             break
-    _last[0] = (*zip(entries, balls), engine)
+    _last[0] = (*zip(entries, balls), kernels)
     return word

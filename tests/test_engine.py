@@ -9,10 +9,11 @@ of coordinate bound, frontier cap or depth cuts the search short.
 ``reference_generation`` is the generation step as a loop over each
 reflection's supports, pairing over the support of G.r, where the compiled
 generation kernels read every pairing off one G.x per vector; one generation
-of the engine must equal it insertion for insertion, stop for stop and in its
-clipped flag.  Orbit closure runs the closure shape of the kernel, which
-records members only, and is held to ``oracle_orbit``, also at every frontier
-cap on or next to a level boundary.
+of a witness ball, run through ``_Ball.generation``, must equal it insertion
+for insertion, stop for stop and meet for meet.  Orbit closure runs the
+closure shape of the kernel, which records members only, and is held to
+``oracle_orbit``, its clipped flag through ``exhausted``, also at every
+frontier cap on or next to a level boundary.
 """
 
 import io
@@ -22,6 +23,7 @@ import threading
 import tokenize
 import tracemalloc
 import weakref
+from functools import partial
 from itertools import product
 from math import gcd
 
@@ -29,9 +31,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nikulat import OrbitBudget, isometry, orbit_explore, reflection, same_orbit_witness
+from nikulat import OrbitBudget, isometry, orbit_explore, parse_vector, reflection, same_orbit_witness
 from nikulat.intmat import det
-from nikulat.isometry import _engine, _generation, _kernel, _last, _pack, _stepped, _unpack
+from nikulat.isometry import _Ball, _kernel, _last, _pack, _stepped, _unpack
 from nikulat.lattice import Lattice, gx_source, square
 from nikulat.model import build_model, default_generators
 
@@ -136,11 +138,9 @@ def reference_generation(frontier: dict, seen: dict, moves, bound: int, cap, oth
     for orbit closure) already holds, or else once ``seen`` holds more than
     ``cap`` keys.  ``fresh`` is insertion-ordered, so that meeting key is the
     first key of the full generation's ``fresh`` found in ``other``.  Returns
-    fresh, whether an image left the box, whether the cap stopped the
-    expansion, and the meeting key (None if the sides did not meet).
+    fresh and the meeting key (None if the sides did not meet).
     """
     fresh = {}
-    clipped = False
     for key in sorted(frontier):
         x = frontier[key]
         usable = moves
@@ -157,7 +157,6 @@ def reference_generation(frontier: dict, seen: dict, moves, bound: int, cap, oth
             for i, r in root:
                 yi = x[i] + c * r
                 if yi > bound or yi < -bound:
-                    clipped = True
                     break
             else:
                 k = key + c * step
@@ -169,15 +168,21 @@ def reference_generation(frontier: dict, seen: dict, moves, bound: int, cap, oth
                 seen[k] = j
                 fresh[k] = tuple(y)
                 if k in other:
-                    return fresh, clipped, False, k
+                    return fresh, k
                 if len(seen) > cap:
-                    return fresh, clipped, True, None
-    return fresh, clipped, False, None
+                    return fresh, None
+    return fresh, None
 
 
-def engine_of(gens, lattice, bound, width):
-    """What the engine expands by, for these reflections of ``lattice``."""
-    return _engine(lattice.sparse_rows, tuple(g._supports for g in gens), bound, width)
+def kernels_of(rows, supports, bound, width):
+    """What a witness ball expands by: the plain kernel of the reflections with ``supports`` on the
+    lattice of sparse Gram ``rows``, and a call that returns their guarded kernel."""
+    stepped = partial(_stepped, rows, supports, bound, width)
+    return stepped(), partial(stepped, "guarded")
+
+
+#: the seam the spies below wrap, as the package defines it
+BALL_GENERATION = _Ball.generation
 
 
 # --- strategies -----------------------------------------------------------------------
@@ -380,30 +385,29 @@ def assert_meets_on_insertion(v, u, gens, budget, generations, side):
     run's insertions just after the key that ``oracle_witness`` would meet at."""
     bound, cap = budget.coord_bound, budget.max_frontier
     width = 2 * max(bound, *map(abs, v.coords), *map(abs, u.coords)) + 1
-    engine = engine_of(gens, v.lattice, bound, width)
-    trees = [{_pack(v.coords, width): None}, {_pack(u.coords, width): None}]
-    frontiers = [{k: v.coords for k in trees[0]}, {k: u.coords for k in trees[1]}]
+    kernels = kernels_of(v.lattice.sparse_rows, tuple(g._supports for g in gens), bound, width)
+    balls = [_Ball(v.coords, width, bound), _Ball(u.coords, width, bound)]
     for step in range(generations):
-        s = step % 2
-        frontiers[s], _, capped, _ = _generation(frontiers[s], trees[s], engine, cap)
-        if capped:
+        ball = balls[step % 2]
+        ball.levels.append(ball.generation(len(ball.levels), kernels, cap)[0])
+        if len(ball.tree) > cap:
             break
-    frontier, tree, other = frontiers[side], trees[side], trees[1 - side]
+    ball, other = balls[side], balls[1 - side].tree
+    tree, d = ball.tree, len(ball.levels)
 
-    full_seen = dict(tree)
-    full, full_clipped, full_capped, no_meet = _generation(frontier, full_seen, engine, cap)
+    ball.tree = full_seen = dict(tree)
+    full, no_meet = ball.generation(d, kernels, cap)
     assert no_meet is None
-    seen = dict(tree)
-    fresh, clipped, capped, meet = _generation(frontier, seen, engine, cap, other)
+    ball.tree = seen = dict(tree)
+    fresh, meet = ball.generation(d, kernels, cap, other)
 
     assert meet == next((k for k in full if k in other), None)  # the post-hoc meeting
     if meet is None:
-        assert (fresh, seen, clipped, capped) == (full, full_seen, full_clipped, full_capped)
+        assert (fresh, seen) == (full, full_seen)
     else:
-        assert not capped and next(reversed(fresh)) == meet
+        assert next(reversed(fresh)) == meet
         assert list(fresh.items()) == list(full.items())[: len(fresh)]
         assert list(seen.items()) == list(full_seen.items())[: len(seen)]
-        assert clipped <= full_clipped
     return meet
 
 
@@ -440,35 +444,34 @@ def test_meet_on_insertion_stops_inside_the_generation(side):
 # --- the compiled generation kernel --------------------------------------------------
 
 
-def assert_generation_matches(frontier, seen, gens, lattice, bound, width, cap, other):
-    """One generation of the engine against ``reference_generation`` from the same state:
-    the same insertions in the same order, the same stop and the same clipped flag, also
-    when a meet or the cap stopped it.  Returns the reference's result and its seen map."""
-    ref_seen, got_seen = dict(seen), dict(seen)
-    ref = reference_generation(frontier, ref_seen, reference_moves(gens, width), bound, cap, other)
-    got = _generation(frontier, got_seen, engine_of(gens, lattice, bound, width), cap, other)
+def assert_generation_matches(ball, gens, lattice, bound, width, cap, other):
+    """The next generation of ``ball``, through its seam, against ``reference_generation`` from
+    the same state: the same insertions in the same order, the same stop and the same meet, also
+    when a meet or the cap stopped it.  Appends the new level to the ball; returns the meet."""
+    ref_seen = dict(ball.tree)
+    ref = reference_generation(ball.levels[-1], ref_seen, reference_moves(gens, width), bound, cap, other)
+    kernels = kernels_of(lattice.sparse_rows, tuple(g._supports for g in gens), bound, width)
+    got = ball.generation(len(ball.levels), kernels, cap, other)
     assert list(got[0].items()) == list(ref[0].items())
-    assert list(got_seen.items()) == list(ref_seen.items())
-    assert got[1:] == ref[1:]
-    return ref, ref_seen
+    assert list(ball.tree.items()) == list(ref_seen.items())
+    assert got[1] == ref[1]
+    ball.levels.append(got[0])
+    return got[1]
 
 
 def assert_generations_match(v, u, gens, budget, generations, meet):
-    """Grow the sides of v and u by turns, each generation checked against the reference;
+    """Grow the balls of v and u by turns, each generation checked against the reference;
     with ``meet`` each side stops on the other's keys.  Returns both parent maps."""
     bound, cap = budget.coord_bound, budget.max_frontier
     width = 2 * max(bound, *map(abs, v.coords), *map(abs, u.coords)) + 1
-    trees = [{_pack(v.coords, width): None}, {_pack(u.coords, width): None}]
-    frontiers = [{k: v.coords for k in trees[0]}, {k: u.coords for k in trees[1]}]
+    balls = [_Ball(v.coords, width, bound), _Ball(u.coords, width, bound)]
     for step in range(generations):
         s = step % 2
-        other = trees[1 - s] if meet else frozenset()
-        (frontiers[s], _, overflow, met), trees[s] = assert_generation_matches(
-            frontiers[s], trees[s], gens, v.lattice, bound, width, cap, other
-        )
-        if overflow or met is not None:
+        other = balls[1 - s].tree if meet else frozenset()
+        met = assert_generation_matches(balls[s], gens, v.lattice, bound, width, cap, other)
+        if len(balls[s].tree) > cap or met is not None:
             break
-    return trees
+    return [ball.tree for ball in balls]
 
 
 @settings(max_examples=150, deadline=None)
@@ -593,10 +596,10 @@ def test_one_kernel_serves_endpoints_of_every_key_width(fresh_cache):
         assert_witness_matches(start, target, LY_GENS, budget)
         engines.append(_last[0][2])
     info = _kernel.cache_info()
-    # the three searches in the box's width run through the first one's engine; each other width
-    # builds its own
+    # the three searches in the box's width run through the first one's kernels; each other width
+    # binds its own
     assert [len({id(e) for e in engines[:n]}) for n in range(1, 6)] == [1, 1, 1, 2, 3]
-    # two compiles: the plain kernel, then shared by the engines of the two other widths, and the
+    # two compiles: the plain kernel, then shared by the kernels of the two other widths, and the
     # guarded kernel of the two targets outside the box, shared by the second of them
     assert (info.misses, info.hits, info.currsize) == (2, 2 + 1, 2)
 
@@ -675,16 +678,18 @@ def assert_kept_levels_complete():
     cap cuts, or, the last level only, a prefix of it; only the last whole level and a
     partial one after it hold coordinates, the older levels being tuples of keys."""
     for (x, supports, bound, cap, width), ball in kept_pairs():
-        engine = _engine(LY.sparse_rows, supports, bound, width)
+        kernels = kernels_of(LY.sparse_rows, supports, bound, width)
         levels, last = ball.levels, len(ball.levels) - 1
         old = last if ball.whole else last - 1
         assert [type(level) for level in levels] == [tuple] * old + [dict] * (len(levels) - old)
         assert list(ball.tree) == [k for level in levels for k in level]
-        frontier = {_pack(x, width): x}
-        seen = {_pack(x, width): None}
-        assert list(levels[0]) == list(frontier)
+        fresh_ball = _Ball(x, width, bound)
+        seen = fresh_ball.tree
+        assert list(levels[0]) == list(fresh_ball.levels[0])
         for d in range(1, len(levels)):
-            fresh, _, cut, _ = _generation(frontier, seen, engine, cap)
+            fresh = fresh_ball.generation(d, kernels, cap)[0]
+            fresh_ball.levels.append(fresh)
+            cut = len(seen) > cap
             keys = list(levels[d])
             if d == last and not ball.whole:  # a meet stopped it: a prefix, not cut by the cap
                 assert keys == list(fresh)[: len(keys)] and keys and not ball.cut
@@ -693,7 +698,6 @@ def assert_kept_levels_complete():
                 assert cut == (ball.cut and d == last)
             if isinstance(levels[d], dict):
                 assert levels[d] == {k: fresh[k] for k in keys}
-            frontier = fresh
         assert ball.tree == {k: seen[k] for k in ball.tree}
 
 
@@ -749,9 +753,9 @@ def test_a_search_between_other_endpoints_frees_the_last_balls(fresh_cache, weak
     def generation(*args):
         if not live[-1]:
             live[-1].extend(ref() is not None for ref in weak_balls)
-        return _generation(*args)
+        return BALL_GENERATION(*args)
 
-    monkeypatch.setattr(isometry, "_generation", generation)
+    monkeypatch.setattr(_Ball, "generation", generation)
     for v, u in ((start, first), (start, second), tuple(others)):
         live.append([])
         assert_witness_matches(v, u, LY_GENS, budget)
@@ -797,6 +801,22 @@ def test_kept_levels_endpoint_outside_the_box_has_its_own_width(fresh_cache):
         for _ in range(2):  # the second search runs through both balls of the first
             assert_witness_matches(start, outside, LY_GENS, budget)
             assert [entry[4] for entry, _ in kept_pairs()] == [wide, wide]
+
+
+def test_kept_partial_first_level_outside_the_box_is_finished_by_the_guarded_kernel(fresh_cache):
+    """A search to a key in the first level of an endpoint outside the box stops that level at
+    the meet; the next search from the endpoint finishes the level, which the guarded kernel
+    must do as it did the prefix, or the ball keeps images that no fresh generation holds."""
+    outside, budget = parse_vector("u1+5*u2+3*eps1-eps3"), OrbitBudget(4, 10**5, 6)
+    near = LY_GENS[17](outside)  # u2+eps1: the one default reflection that takes it into the box
+    far = LY_GENS[0](near)
+    assert max(map(abs, outside.coords)) == 5 and max(map(abs, far.coords)) <= 4
+    assert_witness_matches(outside, near, LY_GENS, budget)
+    assert not kept_ball(outside.coords).whole  # the first level stopped at near
+    assert_kept_levels_complete()
+    assert_witness_matches(outside, far, LY_GENS, budget)
+    assert holding() == [outside.coords, far.coords]
+    assert_kept_levels_complete()
 
 
 def test_a_single_search_leaves_its_two_balls(fresh_cache):
@@ -858,9 +878,9 @@ def test_a_ball_holds_coordinates_for_at_most_two_levels(fresh_cache, weak_balls
     def generation(*args):
         assert all(n <= 2 for n in coordinate_levels())
         generations.append(None)
-        return _generation(*args)
+        return BALL_GENERATION(*args)
 
-    monkeypatch.setattr(isometry, "_generation", generation)
+    monkeypatch.setattr(_Ball, "generation", generation)
     start, budget = NV.L(1) + NV.e2, OrbitBudget(4, 10**5, 8)
     first, *others = walks(start, 4, 6)
     assert same_orbit_witness(start, first, LY_GENS, budget)
@@ -873,14 +893,14 @@ def test_a_ball_holds_coordinates_for_at_most_two_levels(fresh_cache, weak_balls
 def test_repeated_identical_searches_insert_no_more_keys(fresh_cache, monkeypatch):
     inserted = []
 
-    def generation(frontier, seen, *args):
-        n = len(seen)
+    def generation(ball, *args):
+        n = len(ball.tree)
         try:
-            return _generation(frontier, seen, *args)
+            return BALL_GENERATION(ball, *args)
         finally:
-            inserted[-1] += len(seen) - n
+            inserted[-1] += len(ball.tree) - n
 
-    monkeypatch.setattr(isometry, "_generation", generation)
+    monkeypatch.setattr(_Ball, "generation", generation)
     for start, budget in ((NV.L(0), OrbitBudget(4, 10**5, 8)), (NV.L(1) + NV.e2, OrbitBudget(4, 60, 8))):
         for target in walks(start, 2, 4, seed=6):
             inserted.clear()
@@ -899,14 +919,19 @@ def test_a_search_that_raises_puts_no_ball_back(fresh_cache, monkeypatch):
     assert holding() == [start.coords, second.coords]
     root = _pack(start.coords, 9)
 
-    def generation(frontier, seen, *args):
-        if root in seen:  # the kept ball grows: stop partway, with half the frontier expanded
-            _generation(dict(list(frontier.items())[: (len(frontier) + 1) // 2]), seen, *args)
+    def generation(ball, d, kernels, *args):
+        if root in ball.tree:  # the kept ball grows: stop partway, with half the frontier expanded
+            kernel, guarded = kernels
+
+            def half(frontier, *rest):
+                return kernel(dict(list(frontier.items())[: (len(frontier) + 1) // 2]), *rest)
+
+            BALL_GENERATION(ball, d, (half, guarded), *args)
             raise RuntimeError("interrupted")
-        return _generation(frontier, seen, *args)
+        return BALL_GENERATION(ball, d, kernels, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(isometry, "_generation", generation)
+        patch.setattr(_Ball, "generation", generation)
         with pytest.raises(RuntimeError, match="interrupted"):
             same_orbit_witness(start, third, LY_GENS, budget)
     assert holding() == []

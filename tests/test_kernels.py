@@ -49,10 +49,10 @@ def builder(cls):
 
 
 @pytest.mark.parametrize("compile_it,length,digest", [
-    pytest.param(generation("generation"), 9341,
-                 "f335066c471a3ed940bbe31e61b145ff1feab727b55868a81f76c2b53e5e3991",
+    pytest.param(generation("generation"), 8087,
+                 "42c7507b44684422e24d6f069c8181375e2e0d1c71582eadf2a4414123d0f030",
                  id="generation-default-supports-bound-4"),
-    pytest.param(generation("guarded"), 14609, "a1755a19091881d0b5c59ca6e6cfebd432cb27d1c87e17758d8c445195c69ff9",
+    pytest.param(generation("guarded"), 13355, "90d65c79ac5cdbd11af3df88e6c57fad48abda5ca3f823a4598cf69eaab6f5cb",
                  id="generation-guarded-default-supports-bound-4"),
     pytest.param(generation("closure"), 6495, "4e1a1472efb97230244e9899728387780fef8b21e9d4473ed732a8138e16132f",
                  id="generation-closure-default-supports-bound-4"),
