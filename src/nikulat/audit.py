@@ -109,8 +109,8 @@ class AuditContext:
         then for the documented mixed samples."""
         samples = [("u-only", v) for v in _fix_u_only_samples()] + list(_fix_mixed_samples())
         assert all(square(v) == 0 and is_primitive(v) for _, v in samples)
-        dom = self.eta_map.domain
-        return tuple((label, v, self.eta_map(dom.vector(v.coords))) for label, v in samples)
+        dom = self.eta_map.domain  # Lfix(2): the samples are Lfix's enumerated or summed ints, of its rank
+        return tuple((label, v, self.eta_map(LatticeVector._of_ints(dom, v.coords))) for label, v in samples)
 
     def coverage_note(self) -> str:
         full = tuple(w.bound for w in _WINDOWS)

@@ -255,11 +255,7 @@ def orbit_explore(seed: LatticeVector, gens, budget: OrbitBudget = OrbitBudget()
             break
     exhausted = exhausted and not frontier  # the depth ran out with work pending
     del frontier
-    coords = sorted(members)
-    for i, k in enumerate(coords):  # in place, so the map, its key list and the tuple are never all alive
-        coords[i] = members[k]
-    del members
-    members = tuple(coords)
+    members = tuple(map(members.pop, sorted(members)))  # key order is coordinate order; gathered in C
     _assert_orbit_invariants(seed, members)
     return OrbitSet(seed=seed, members=members, exhausted=exhausted)
 

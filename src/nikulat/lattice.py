@@ -6,8 +6,10 @@ here is a pure function on immutable values; no floats appear anywhere.
 
 A lattice compiles the square, the divisibility and the product G.x of a coordinate tuple
 from its sparse Gram rows on first use (:attr:`Lattice.invariant_kernels`), straight-line,
-integers in hex.  That G.x is the package's one writer of Gram products, and
-:func:`compile_kernel` compiles every kernel of the package and every :func:`trusted_builder`.
+integers in hex.  The divisibility takes a component c*M of G with M unimodular as c times the
+gcd of its coordinates, as M maps Z^k onto itself, and the rows of G.x elsewhere.  That G.x is
+the package's one writer of Gram products, and :func:`compile_kernel` compiles every kernel of the
+package and every :func:`trusted_builder`.
 """
 
 from __future__ import annotations
@@ -264,16 +266,31 @@ def _invariant_source(lat: Lattice) -> str:
     """The source of :attr:`Lattice.invariant_kernels`: ``square(x)``, which sums
     x_i (G_ii x_i + sum_{j>i} 2 G_ij x_j) over the upper triangle of the sparse rows,
     ``divisibility(x)``, the gcd of G.x (0 at x = 0), and ``gram_product(x)``, the tuple G.x.
-    ``divisibility`` reads the rows by content (the gcd of a row's entries), smallest first and in
-    index order among equal contents, and returns once the gcd is 1, which no further entry can move."""
+    ``divisibility`` splits G into the connected components of its nonzero entries, which are
+    orthogonal summands whatever the declared blocks say.  A component with Gram c*M, |det M| = 1,
+    gives c*gcd(its coordinates), since a unimodular M maps Z^k onto itself; components of one such
+    content share one ``gcd``.  Every other component gives its rows of G.x.  The chain reads these
+    by content, smallest first and rows before the group of their content, and returns once the gcd
+    is 1, which no further entry can move."""
     unpack = f" ({''.join(f'x{i}, ' for i in range(lat.rank))}) = x"
     upper = (linear_source((g if j == i else 2 * g, f"x{j}") for j, g in row if j >= i)
              for i, row in enumerate(lat.sparse_rows))
     square = " + ".join(f"x{i}*({form})" for i, form in enumerate(upper) if form)
-    by_content = sorted(lat.sparse_rows, key=lambda row: gcd(*(g for _, g in row)))
-    first, *rest = gx_source(by_content)  # a nondegenerate form has no zero row
+    parts, groups, links = [], {}, []  # components; unimodular coordinates by content; (content, gcd arguments)
+    for i, row in enumerate(lat.sparse_rows):
+        linked = [p for p in parts if any(j in p for j, _ in row)]
+        parts = [p for p in parts if p not in linked] + [{i, *(j for j, _ in row)}.union(*linked)]
+    for part in sorted(map(sorted, parts)):
+        rows = [lat.sparse_rows[i] for i in part]
+        c = gcd(*(g for row in rows for _, g in row))  # a nondegenerate form has no zero row
+        if abs(intmat.det([[lat.gram[i][j] // c for j in part] for i in part])) == 1:
+            groups.setdefault(c, []).extend(f"x{i}" for i in part)
+        else:
+            links += [(gcd(*(g for _, g in row)), form) for row, form in zip(rows, gx_source(rows))]
+    links += [(c, ", ".join(xs) if c == 1 else f"{c:#x}*gcd({', '.join(xs)})") for c, xs in groups.items()]
+    (_, first), *rest = sorted(links, key=lambda link: link[0])
     lines = ["def square(x):", unpack, f" return {square}", "def divisibility(x):", unpack, f" d = gcd({first})"]
-    lines += [f" if d == 0x1:\n  return d\n d = gcd(d, {form})" for form in rest] + [" return d"]
+    lines += [f" if d == 0x1:\n  return d\n d = gcd(d, {form})" for _, form in rest] + [" return d"]
     lines += ["def gram_product(x):", unpack, f" return ({''.join(f'{g}, ' for g in gx_source(lat.sparse_rows))})"]
     return "\n".join(lines)
 

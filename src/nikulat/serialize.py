@@ -78,10 +78,10 @@ def vectors_from_obj(obj: Any) -> list[LatticeVector]:
 
 
 def orbit_to_obj(orbit: OrbitSet) -> dict:
-    lat = orbit.seed.lattice
+    label = orbit.seed.lattice.label
     return {
         "seed": vector_to_obj(orbit.seed),
-        "members": [vector_to_obj(lat.vector(c)) for c in orbit.members],
+        "members": [{"lattice": label, "coords": list(c)} for c in orbit.members],  # vector_to_obj's shape
         "exhausted": orbit.exhausted,
     }
 

@@ -62,7 +62,7 @@ def builder(cls):
                  "9c3cefd2666fcfa395ffbc4d4ce1fef688432952bf403c6c5276742092dd9f9c", id="enumeration-U1-E8-G1-G2"),
     pytest.param(embedding, 199, "e17a360c5810790df79ec0b414b1a0656e70373ce6b938a294bd0334ec056f92",
                  id="embedding-eta-as-written"),
-    pytest.param(invariants, 1580, "784d5189040bf622acd5f43f682f3ac64b9da89f6b68b0729468c80735aa2699",
+    pytest.param(invariants, 927, "603acfcbb52b39594c6f550aea5525c76f0f4c4347462541615a08f49b314d03",
                  id="invariants-LY"),
     pytest.param(builder(LatticeVector), 107, "af6e28f1e75be3315dd2191e30731dd41fa2e8234d697703fd9e3c6a9603fbc8",
                  id="builder-LatticeVector"),
@@ -81,13 +81,13 @@ def test_kernel_source_is_pinned(compiled_sources, compile_it, length, digest):
 
 
 def test_invariant_source_before_the_gram_product_is_pinned(compiled_sources):
-    """``square`` and ``divisibility`` come first, their text unchanged since ``gram_product``
-    joined them in the one source."""
+    """``square`` and ``divisibility`` come first, the divisibility as one ``gcd`` per content of
+    LY's unimodular components."""
     invariants()
     (source,) = compiled_sources
     head, _, _ = source.partition("\ndef gram_product(x):")
     assert (len(head), hashlib.sha256(head.encode()).hexdigest()) == (
-        1256, "fd48b5abde73e7306f57d3057348f2cda83361d9dcba4f9141e8120edb081832")
+        603, "8ccfbf5963f4850bc6f395b9ce3602c0fda805559ebcdfd99919cd868e19b209")
 
 
 def test_source_text_is_compiled_in_one_place():

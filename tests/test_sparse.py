@@ -50,6 +50,7 @@ LATTICES = {
     "LY": MODEL.lambda_Y,
 }
 COORD = st.integers(min_value=-6, max_value=6)
+BIG = 10**5000
 
 
 def dense_pair(gram, x, y):
@@ -122,29 +123,104 @@ def content(row):
     return gcd(*(g for _, g in row))
 
 
-def rows_by_content(lat):
-    """The sparse rows in the order that the compiled ``divisibility`` reads them, off its ``gcd`` forms."""
+def divisibility_links(lat):
+    """The ``gcd`` arguments of each link of the compiled ``divisibility`` chain, off its source, in order."""
     body = _invariant_source(lat).partition("def divisibility(x):")[2].partition("def gram_product(x):")[0]
-    forms = re.findall(r"gcd\((?:d, )?(.*)\)$", body, re.M)
-    terms = (re.findall(r"([+-]?)\s*(?:(0x[0-9a-f]+)\*)?x(\d+)", form) for form in forms)
-    return [tuple((int(j), int(f"{sign}{coef or 1}", 0)) for sign, coef, j in row) for row in terms]
+    return re.findall(r"gcd\((?:d, )?(.*)\)$", body, re.M)
+
+
+def rows_by_content(lat):
+    """The sparse rows in the order that the compiled ``divisibility`` reads them, off its links:
+    a ``c*gcd(xj, ...)`` or bare ``xj, ...`` group stands for the rows j, any other link for its row."""
+    rows = []
+    for link in divisibility_links(lat):
+        group = re.fullmatch(r"(?:(0x[0-9a-f]+)\*gcd\()?((?:x\d+, )*x\d+)\)?", link)
+        if group:
+            rows.append([lat.sparse_rows[int(j)] for j in re.findall(r"x(\d+)", group[2])])
+        else:
+            terms = re.findall(r"([+-]?)\s*(?:(0x[0-9a-f]+)\*)?x(\d+)", link)
+            rows.append([tuple((int(j), int(f"{sign}{coef or 1}", 0)) for sign, coef, j in terms)])
+    return rows
 
 
 @pytest.mark.parametrize("name", sorted(LATTICES))
 def test_rows_by_content_permute_sparse_rows_smallest_content_first(name):
-    lat = LATTICES[name]
-    rows = rows_by_content(lat)
-    assert sorted(rows) == sorted(lat.sparse_rows)
-    contents = [content(row) for row in rows]
-    assert contents == sorted(contents)
+    """Each link reads rows of one content, the links together read every sparse row once,
+    and their contents never fall."""
+    links = rows_by_content(LATTICES[name])
+    assert sorted(row for link in links for row in link) == sorted(LATTICES[name].sparse_rows)
+    contents = [{content(row) for row in link} for link in links]
+    assert all(len(c) == 1 for c in contents)
+    assert [min(c) for c in contents] == sorted(min(c) for c in contents)
+    assert sorted(row for link in rows_by_content(mixed_sum()) for row in link) == sorted(mixed_sum().sparse_rows)
+
+
+def xs(*indices):
+    return ", ".join(f"x{i}" for group in indices for i in group)
+
+
+A2_2 = Lattice("A2(2)", ((4, 2), (2, 4)))  # content 2, det 12: not 2 times a unimodular form
+
+
+def mixed_sum():
+    """A2(2) + <-2> + U(3): one component that keeps its rows and two scaled-unimodular ones."""
+    return direct_sum([A2_2, standard_lattice("rank1", -2), rescale(standard_lattice("U"), 3)])
+
+
+def test_divisibility_reads_one_gcd_per_content_of_the_unimodular_components():
+    """LY: its E8(-1) coordinates as one content-1 group, then its U(2) and <-2> coordinates as
+    one content-2 group; LX and Lfix alike; A2(2) keeps its rows, read before the content-2 group."""
+    assert divisibility_links(LATTICES["LY"]) == [xs(range(6, 14)), f"0x2*gcd({xs(range(6), (14, 15))})"]
+    assert divisibility_links(LATTICES["LX"]) == [xs(range(22)), "0x2*gcd(x22)"]
+    assert divisibility_links(LATTICES["Lfix"]) == [xs(range(6)), f"0x2*gcd({xs(range(6, 15))})"]
+    assert divisibility_links(mixed_sum()) == ["0x4*x0 + 0x2*x1", "0x2*x0 + 0x4*x1", "0x2*gcd(x2)", "0x3*gcd(x3, x4)"]
+    assert [mixed_sum().invariant_kernels[1](x) for x in ((1, 1, 0, 0, 0), (1, 0, 0, 0, 0))] == [6, 2]
+
+
+@pytest.mark.parametrize("c,x", [(-2, 5), (3, -7), (1, -4), (-1, 0)])
+def test_a_lone_group_still_goes_through_gcd(c, x):
+    """A rank-1 lattice <c> is one group: its divisibility is |c*x|, never negative."""
+    lat = standard_lattice("rank1", c)
+    assert divisibility_links(lat) == ["x0" if abs(c) == 1 else f"{abs(c):#x}*gcd(x0)"]
+    assert lat.invariant_kernels[1]((x,)) == abs(c * x)
+
+
+SUMMANDS = {
+    "A2(2)": A2_2,
+    "[[2,1],[1,1]]": Lattice("P", ((2, 1), (1, 1))),  # unimodular, off-diagonal: one component, not a block
+    "<-2>": standard_lattice("rank1", -2),
+    "<6>": standard_lattice("rank1", 6),
+    "U(3)": rescale(standard_lattice("U"), 3),
+    "E8(-1)(2)": rescale(standard_lattice("E8_neg"), 2),
+    "[[2,3],[3,0]]": Lattice("Q", ((2, 3), (3, 0))),  # content 1, det -9
+}
+
+
+@st.composite
+def mixed_sum_and_vector(draw):
+    """A direct sum of two to four of ``SUMMANDS``, and a vector of it with many zeros (so that
+    one summand can decide the gcd), small entries and entries past 10^5000."""
+    names = draw(st.lists(st.sampled_from(sorted(SUMMANDS)), min_size=2, max_size=4))
+    lat = direct_sum([SUMMANDS[name] for name in names])
+    entry = (st.sampled_from((0, 0, 0, 1, -1, 3)) | st.integers(-6, 6)
+             | st.builds(lambda a, b: a * BIG + b, st.integers(-3, 3), st.integers(-6, 6)))
+    return lat, tuple(draw(st.lists(entry, min_size=lat.rank, max_size=lat.rank)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=mixed_sum_and_vector())
+def test_divisibility_matches_dense_on_mixed_direct_sums(case):
+    lat, x = case
+    assert lat.invariant_kernels[1](x) == gcd(*intmat.matvec(lat.gram, x))
+    assert lat.invariant_kernels[1]((0,) * lat.rank) == 0
 
 
 def test_divisibility_matches_dense_when_leading_rows_have_content_above_one():
     """U(2) + E8(-1): the two U(2) rows (content 2) come first in the Gram matrix and
-    are read after the E8 rows; the early exit still gives the full gcd."""
+    are read as one group after the E8 group; the early exit still gives the full gcd."""
     lat = direct_sum([rescale(standard_lattice("U"), 2), standard_lattice("E8_neg")])
     assert [content(row) for row in lat.sparse_rows[:2]] == [2, 2]
-    assert [content(row) for row in rows_by_content(lat)] == [1] * 8 + [2, 2]
+    assert divisibility_links(lat) == [xs(range(2, 10)), f"0x2*gcd({xs(range(2))})"]
     cases = [
         (1, (1, 0, 1, 0, 0, 0, 0, 0, 0, 0)),
         (2, (1, 3, 0, 0, 0, 0, 0, 0, 0, 0)),
@@ -156,8 +232,6 @@ def test_divisibility_matches_dense_when_leading_rows_have_content_above_one():
 
 
 # --- the compiled square and divisibility ------------------------------------------
-
-BIG = 10**5000
 
 
 def big_entry():
