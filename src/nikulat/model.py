@@ -497,76 +497,112 @@ def _slice_gram(lattice: Lattice, block: slice) -> Matrix:
     return tuple(row[block] for row in lattice.gram[block])
 
 
+#: coordinates that one enumeration keeps of its last run's shells, 2 MB of list slots at most
+_MEMO_COORDS = 1 << 18
+
+
 @lru_cache(maxsize=8)  # layouts kept compiled, least recently used out
 def _generator(layout: tuple, rank: int):
-    """``make(lattice, bound, ranges, boxes)`` of the straight-line generator of a window
+    """``make(lattice, bound, ranges, boxes, room)`` of the straight-line generator of a window
     ``layout``, ``(start, stop, ellipsoid)`` for each run; see :func:`enumerate_with_square`,
-    also for the last coordinate of a last definite run, solved with one ``isqrt``."""
-    out = ["def make(lattice, bound, ranges, boxes):", " low = -bound"]
+    also for the last coordinate of a last definite run, solved with one ``isqrt``, and for the
+    shells of a last definite run after other runs, walked in ``walk`` and kept in ``memo`` while
+    ``room`` coordinates allow."""
+    kept = len(layout) > 1 and layout[-1][2] is not None
+    out = ["def make(lattice, bound, ranges, boxes, room):", " low = -bound"]
     out.append(f" ({''.join(f'lo{i}, hi{i}, ' for i in range(len(layout)))}) = ranges")
     out.append(f" ({''.join(f'box{i}, ' for i, run in enumerate(layout) if run[2] is None)}) = boxes")
-    out.append(" def piece0():\n  a = 0x0")
-    depth, loops, pieces, chosen = 2, 0, 0, []
+    if kept:
+        out.append(" memo = {}")
+    out += [" def piece0():", "  a = 0x0"]
+    depth, loops, pieces, chosen, head = 2, 0, 0, [], len(out) - 2
 
     def line(text: str) -> None:
         out.append(" " * depth + text)
 
     def loop(live: list[str], *lines: str) -> None:
-        nonlocal depth, loops, pieces
+        nonlocal depth, loops, pieces, head
         if loops == 20:  # CPython nests at most 20 loops in a function: chain a new one
             pieces += 1
             names = ", ".join(chosen + live)
             line(f"yield from piece{pieces}({names})")
             out.append(f" def piece{pieces}({names}):")
-            depth, loops = 2, 0
+            depth, loops, head = 2, 0, len(out) - 1
         for text in lines:
             line(text)
         depth, loops = depth + 1, loops + 1
 
+    def definite(i: int, acc: str, carried: list[str]) -> str:
+        nonlocal depth
+        start, stop, (scale, rows) = layout[i]
+        line(f"b{i} = ({acc} - lo{i}) * {scale:#x}")  # scale * the largest -q the run may take
+        line(f"if b{i} >= 0x0:")
+        line(f" l{i} = ({acc} - hi{i}) * {scale:#x}")
+        depth += 1
+        spent = ""
+        for p, (e, den, lower) in enumerate(rows, start):
+            c = linear_source((n, f"x{start + j}") for j, n in lower)
+            live = carried + [acc, f"b{i}", f"l{i}"] + ([spent] if spent else [])
+            rest = f"b{i}{spent and ' - ' + spent}"
+            if i == len(layout) - 1 and p == stop - 1:  # b == l: solve e * (den x + c)^2 == rest
+                loop(live, f"c{p} = {c or '0x0'}", f"t = {rest}", f"r = isqrt(t // {e:#x})",
+                     f"if {e:#x} * r * r == t:", f" for d in ((-r - c{p}, r - c{p}) if r else (-c{p},)):")
+                depth += 1  # d = den x runs over -r - c and r - c, ascending
+                chosen.append(f"x{p}")
+                line(f"x{p}, m = divmod(d, {den:#x})")
+                line(f"if not m and low <= x{p} <= bound:")
+                break
+            first, last = (f"(r + c{p})", f"(r - c{p})") if c else ("r", "r")
+            if den != 1:
+                first, last = f"({first} // {den:#x})", f"{last} // {den:#x}"
+            loop(live, *([f"c{p} = {c}"] if c else []),
+                 f"r = isqrt(({rest}) // {e:#x})",  # the largest |den_k t_k + c_k|
+                 f"for x{p} in range(max(low, -{first}), min(bound, {last}) + 0x1):")
+            chosen.append(f"x{p}")
+            d = f"{f'{den:#x} * ' if den != 1 else ''}x{p}{f' + c{p}' if c else ''}"
+            line(f"s{p} = {f'{spent} + ' if spent else ''}{e:#x} * ({d}) ** 0x2")
+            spent = f"s{p}"
+        else:  # no coordinate solved: the run's sum must reach l
+            line(f"if {spent} >= l{i}:")
+        return f"{acc} - {spent} // {scale:#x}"
+
     acc = "a"
-    for i, (start, stop, ellipsoid) in enumerate(layout):
+    for i, (start, stop, ellipsoid) in enumerate(layout[:-1] if kept else layout):
         if ellipsoid is None:
             loop([acc], f"for ({''.join(f'x{p}, ' for p in range(start, stop))}), q in box{i}:")
             chosen += [f"x{p}" for p in range(start, stop)]
             line(f"if lo{i} <= {acc} + q <= hi{i}:")
             total = f"{acc} + q"
         else:
-            scale, rows = ellipsoid
-            line(f"b{i} = ({acc} - lo{i}) * {scale:#x}")  # scale * the largest -q the run may take
-            line(f"if b{i} >= 0x0:")
-            line(f" l{i} = ({acc} - hi{i}) * {scale:#x}")
-            depth += 1
-            spent = ""
-            for p, (e, den, lower) in enumerate(rows, start):
-                c = linear_source((n, f"x{start + j}") for j, n in lower)
-                live, rest = [acc, f"b{i}", f"l{i}"] + ([spent] if spent else []), f"b{i}{spent and ' - ' + spent}"
-                if i == len(layout) - 1 and p == stop - 1:  # b == l: solve e * (den x + c)^2 == rest
-                    loop(live, f"c{p} = {c or '0x0'}", f"t = {rest}", f"r = isqrt(t // {e:#x})",
-                         f"if {e:#x} * r * r == t:", f" for d in ((-r - c{p}, r - c{p}) if r else (-c{p},)):")
-                    depth += 1  # d = den x runs over -r - c and r - c, ascending
-                    chosen.append(f"x{p}")
-                    line(f"x{p}, m = divmod(d, {den:#x})")
-                    line(f"if not m and low <= x{p} <= bound:")
-                    break
-                first, last = (f"(r + c{p})", f"(r - c{p})") if c else ("r", "r")
-                if den != 1:
-                    first, last = f"({first} // {den:#x})", f"{last} // {den:#x}"
-                loop(live, *([f"c{p} = {c}"] if c else []),
-                     f"r = isqrt(({rest}) // {e:#x})",  # the largest |den_k t_k + c_k|
-                     f"for x{p} in range(max(low, -{first}), min(bound, {last}) + 0x1):")
-                chosen.append(f"x{p}")
-                d = f"{f'{den:#x} * ' if den != 1 else ''}x{p}{f' + c{p}' if c else ''}"
-                line(f"s{p} = {f'{spent} + ' if spent else ''}{e:#x} * ({d}) ** 0x2")
-                spent = f"s{p}"
-            else:  # no coordinate solved: the run's sum must reach l
-                line(f"if {spent} >= l{i}:")
-            total = f"{acc} - {spent} // {scale:#x}"
+            total = definite(i, acc, [])
         depth += 1
         if i < len(layout) - 1:
             line(f"a{i} = {total}")
             acc = f"a{i}"
+    if kept:  # the run's shell of acc: walked and kept the first time, replayed after
+        start, stop, _ = layout[-1]
+        found = "".join(f"x{p}, " for p in range(start, stop))
+        line(f"fresh = {acc} not in memo")
+        line(f"shell = [] if fresh else memo[{acc}]")
+        loop([acc, "fresh", "shell"],
+             f"for ({found}) in (walk({acc}, shell, room) if fresh else zip(*[iter(shell)] * {stop - start:#x})):")
+        chosen += [f"x{p}" for p in range(start, stop)]
     line(f"if gcd({', '.join(chosen)}) == 0x1:")
     line(f" yield of_ints(lattice, ({''.join(f'x{p}, ' if f'x{p}' in chosen else '0x0, ' for p in range(rank))}))")
+    if kept:  # a shell is kept only once walked to its end, and only while it fits in room
+        depth -= 1
+        line("if fresh and len(shell) <= room:")
+        line(f" memo[{acc}] = shell")
+        line(" room -= len(shell)")
+        out.insert(head + 1, "  nonlocal room")
+        out.append(f" def walk({acc}, shell, cap):")  # records the shell until it outgrows cap
+        depth, loops, chosen, head = 2, 0, [], len(out) - 1
+        definite(len(layout) - 1, acc, ["shell", "cap"])
+        depth += 1
+        line(f"found = ({found})")
+        line("if len(shell) <= cap:")
+        line(" shell += found")
+        line("yield found")
     out.append(" return piece0")
     return compile_kernel("\n".join(out), "enumeration generator", ("make",),
                           isqrt=isqrt, gcd=gcd, of_ints=LatticeVector._of_ints)[0]
@@ -585,11 +621,17 @@ def enumerate_with_square(lattice: Lattice, blocks: tuple[str, ...], bound: int,
     last tests acc == target.  A last definite run solves its last coordinate x
     instead of looping: the square left must be e * (den * x + c)^2, so when
     r = isqrt(left // e) has e * r * r == left, den * x + c = -r or r, ascending,
-    and each x that den divides and the bound admits is kept.  The source is
-    keyed by the layout alone (runs, ellipsoid data, rank), 8 layouts kept; the
-    bound, the ranges and the boxes are passed in as values, and the source
-    writes its integers in hex.  A function nests at most 20 loops, so a deeper
-    layout chains functions.
+    and each x that den divides and the bound admits is kept.  A last definite
+    run after other runs has solutions (its shell) that depend only on the acc
+    the earlier runs leave it: the first shell of an acc is walked, each vector
+    yielded as found, and recorded; each later one replays the record through
+    the same gcd test.  The records of one call hold at most ``_MEMO_COORDS``
+    coordinates; a shell that outgrows what is left, or is not walked to its
+    end, is never kept.  The source is keyed by the layout alone (runs,
+    ellipsoid data, rank), 8 layouts kept; the bound, the ranges, the boxes and
+    the memo's room are passed in as values, and the source writes its integers
+    in hex.  A function nests at most 20 loops, so a deeper layout chains
+    functions.
     """
     if type(target) is not int:
         raise LatticeError(f"target square must be an integer, got {target!r}")
@@ -614,7 +656,7 @@ def enumerate_with_square(lattice: Lattice, blocks: tuple[str, ...], bound: int,
             boxes.insert(0, [(t, lattice.invariant_kernels[0](pad + t + tail)) for t in box])
             lo, hi = lo - max(q for _, q in boxes[0]), hi - min(q for _, q in boxes[0])
     make = _generator(tuple(layout), lattice.rank)
-    return make(lattice, bound, ranges, boxes)()
+    return make(lattice, bound, ranges, boxes, _MEMO_COORDS)()
 
 
 def enumerate_primitive_isotropic(window: EnumerationWindow) -> Iterator[LatticeVector]:

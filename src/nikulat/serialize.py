@@ -21,6 +21,7 @@ separators), so equal objects serialize to identical bytes.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from . import intmat
@@ -30,7 +31,24 @@ from .model import lattice_registry
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+    """``json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)``, byte for byte, for
+    dicts with string keys, lists, tuples and JSON scalars.  An ``indent`` makes ``json`` run
+    its pure-Python encoder; here a container is one join, a string goes through the C escaper
+    and an int in a list through ``repr``."""
+    return _dumps(obj, "\n")
+
+
+def _dumps(obj: Any, pad: str) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = pad + " "  # a newline and the indent of obj's items
+    if isinstance(obj, dict):
+        items, ends = [f"{encode_basestring_ascii(key)}: {_dumps(obj[key], inner)}" for key in sorted(obj)], "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, ends = [repr(x) if type(x) is int else _dumps(x, inner) for x in obj], "[]"
+    else:
+        return json.dumps(obj)  # true, false, null, numbers; a TypeError for what JSON does not hold
+    return f"{ends[0]}{inner}{f',{inner}'.join(items)}{pad}{ends[1]}" if items else ends
 
 
 class FormatError(LatticeError):

@@ -137,12 +137,15 @@ LEDGER = (
     _witness("L(0)", "L(0)+u3", "84924ab8c398f3d4e8e0c2f4f0f982d9fe7f5aafb66ac49293f5ccd2f240ebed", "f31241b"),
     _witness("L(1)+e2", "u1+5*u2+3*eps1-eps3",
              "6dcf0ba013a045382de26ffcd3fb979719e56d9bfb2e4336764de8221291e04f", "f31241b", "--coord-bound", "4"),
-    # enumeration windows: census-2 is the window the census classifies, window1 and window2
+    # enumeration windows: census-2 is the window the census classifies, census-3 streams 809,624
+    # vectors through shells that outgrow the memo, window1 and window2
     # feed the audit, E8 and G2 are not adjacent in gap-before-G2
     _enumerate("census-1", "U1,E8", 1,
                "85521d08ef510ab7f10a775baf93554ac18f25880be8dc9f38778c3f55053b8e", "dc02942"),
     _enumerate("census-2", "U1,E8", 2,
                "4a083550f29649b0bc6b450dd5cafc44ab2b459df8ec3cd94164b1ef641f3b75", "4ecfb77"),
+    _enumerate("census-3", "U1,E8", 3,
+               "2aa7cf47574bddf2ef1ecd1aec8c0a51b8ed179a18c16be0d58d57b2e38c2b78", "b3a0a3a", ci_only=True),
     _enumerate("window1", "U1,E8,G1,G2", 1,
                "fe7484fe9bbff404c8a85873e88a52b22dcd4a38df9f327939eb6a1bc7279eb7", "dc02942"),
     _enumerate("window2", "U1,U2,G1,G2", 2,

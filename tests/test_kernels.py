@@ -56,10 +56,10 @@ def builder(cls):
                  id="generation-guarded-default-supports-bound-4"),
     pytest.param(generation("closure"), 6495, "4e1a1472efb97230244e9899728387780fef8b21e9d4473ed732a8138e16132f",
                  id="generation-closure-default-supports-bound-4"),
-    pytest.param(enumeration("U1", "E8"), 2067, "c59fc4af2b6db262783dda3eefef46d1d0e4793491118b1f1ee0ee0c26808460",
+    pytest.param(enumeration("U1", "E8"), 2445, "256b3aecc8b0356b64d658286f574bfa794413264737c309a36c50a4e8a2ccfb",
                  id="enumeration-U1-E8"),
-    pytest.param(enumeration("U1", "E8", "G1", "G2"), 2468,
-                 "9c3cefd2666fcfa395ffbc4d4ce1fef688432952bf403c6c5276742092dd9f9c", id="enumeration-U1-E8-G1-G2"),
+    pytest.param(enumeration("U1", "E8", "G1", "G2"), 2856,
+                 "2989ab7bd6824c0c1e386916cc0bf08e7735e3f0da9b5476a56decbee0303253", id="enumeration-U1-E8-G1-G2"),
     pytest.param(embedding, 199, "e17a360c5810790df79ec0b414b1a0656e70373ce6b938a294bd0334ec056f92",
                  id="embedding-eta-as-written"),
     pytest.param(invariants, 927, "603acfcbb52b39594c6f550aea5525c76f0f4c4347462541615a08f49b314d03",

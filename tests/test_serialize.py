@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nikulat import Lattice, LatticeError, OrbitBudget, orbit_explore, reflection, standard_lattice
 from nikulat import serialize
@@ -67,6 +69,29 @@ def test_dumps_is_canonical():
     a = serialize.dumps({"b": 1, "a": [2, 3]})
     b = serialize.dumps(json.loads(a))
     assert a == b
+
+
+#: JSON trees with string keys; tuples are written as lists, and big ints past int64 too
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80) | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=5) | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), children, max_size=5),
+    max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=JSON_TREES)
+def test_dumps_writes_the_bytes_of_json_dumps(obj):
+    """The writer is ``json.dumps`` with sorted keys, ": " and a one-space indent, byte for byte:
+    escapes, non-ASCII text, empty containers, floats and ``NaN`` included."""
+    assert serialize.dumps(obj) == json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+
+
+@pytest.mark.parametrize("obj", [{1: 2}, [{"a": {1, 2}}], object()])
+def test_dumps_refuses_a_key_that_is_no_string_and_a_value_json_does_not_hold(obj):
+    """``json.dumps`` would write the int key as "1"; the writer raises rather than differ."""
+    with pytest.raises(TypeError):
+        serialize.dumps(obj)
 
 
 def test_witness_object(setup):

@@ -12,7 +12,7 @@ import re
 import sys
 import tokenize
 from functools import lru_cache, partial
-from itertools import product
+from itertools import combinations, islice, product
 from math import gcd
 
 import pytest
@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dense
-from nikulat import intmat
+from nikulat import intmat, model
 from nikulat.isometry import Isometry, reflection
 from nikulat.lattice import (
     E8_NEG_GRAM,
@@ -634,6 +634,87 @@ def test_solved_coordinate_matches_box_oracle(lattice, names, bound, targets):
     found = box_oracle(lattice, names, table, targets)
     assert any(found.values())
     assert_enumerate_matches_oracle(lattice, names, bound, table, targets)
+
+
+# --- the shells of a last definite run, walked once and replayed ---------------------
+
+#: the memo's room: as shipped; 0, so that only empty shells are kept; 8, one E8 vector
+ROOMS = pytest.mark.parametrize("room", [None, 0, 8], ids=["room-as-is", "room-0", "room-8"])
+
+
+def with_room(monkeypatch, room):
+    if room is not None:
+        monkeypatch.setattr(model, "_MEMO_COORDS", room)
+
+
+@ROOMS
+@pytest.mark.parametrize("names,bound,targets", [
+    # U1 = U(2) has squares 4xy: at target 0 its 25 entries at bound 2 leave E8 a square it can
+    # reach 17 times, only 4 of them distinct
+    (("U1", "E8"), 2, (0, -4)),
+    (("U1", "U2", "G1", "G2"), 2, (0, -2, -8)),
+    (("U1", "E8", "G1", "G2"), 1, (0, -4)),
+], ids=["U1,E8-2", "U1,U2,G1,G2-2", "U1,E8,G1,G2-1"])
+def test_replayed_shells_match_box_oracle(monkeypatch, room, names, bound, targets):
+    """The square the earlier runs leave to the last run recurs, so most shells are replayed:
+    the vectors are the oracle's, in its order, whether shells are kept, or are walked again
+    because a shell outgrows the room or its recording was abandoned."""
+    with_room(monkeypatch, room)
+    assert_enumerate_matches_oracle(MODEL.lambda_Y, names, bound, LY_TABLES[bound], targets)
+
+
+def diagonal_window(*parts):
+    """A direct sum of hyperbolic planes U ("U") and runs of <-2> coordinates (their number)."""
+    grams = [((0, 1), (1, 0)) if part == "U" else tuple(tuple(-2 * (i == j) for j in range(part)) for i in range(part))
+             for part in parts]
+    return direct_sum([Lattice(f"B{k}", gram) for k, gram in enumerate(grams)], label="diagonal")
+
+
+def isotropic_oracle(lattice, planes):
+    """Oracle: the primitive isotropic vectors at bound 1 of a :func:`diagonal_window`, sorted.
+    A plane adds 2xy <= 2 to the square and a nonzero <-2> coordinate adds -2, so an isotropic
+    vector has at most as many nonzero <-2> coordinates as there are planes."""
+    plane = [p for start, stop in planes for p in range(start, stop)]
+    rest = [p for p in range(lattice.rank) if p not in plane]
+    found = []
+    for head in product((-1, 0, 1), repeat=len(plane)):
+        for k in range(len(planes) + 1):
+            for places in combinations(rest, k):
+                for signs in product((-1, 1), repeat=k):
+                    full = [0] * lattice.rank
+                    for p, c in (*zip(plane, head), *zip(places, signs)):
+                        full[p] = c
+                    if gcd(*full) == 1 and square(lattice.vector(full)) == 0:
+                        found.append(tuple(full))
+    return sorted(found)
+
+
+@ROOMS
+@pytest.mark.parametrize("parts,planes", [
+    # the walk of 24 coordinates nests 24 loops: the shell is recorded in a chained function
+    (("U", 24), ((0, 2),)),
+    # 19 + 1 loops come before the replay loop, which opens a chained function
+    ((19, "U", 1), ((19, 21),)),
+], ids=["U+G24-walk-chained", "G19+U+G1-replay-chained"])
+def test_replayed_shells_chain_past_20_loops(monkeypatch, room, parts, planes):
+    with_room(monkeypatch, room)
+    lattice = diagonal_window(*parts)
+    names = tuple(name for name, _, _ in lattice.blocks)
+    expected = isotropic_oracle(lattice, planes)
+    assert len(expected) > 4
+    assert [v.coords for v in enumerate_with_square(lattice, names, 1, 0)] == expected
+
+
+@pytest.mark.parametrize("k", [1, 700, 30000])
+def test_a_closed_enumeration_leaves_no_shell_behind(k):
+    """Closed after k vectors, in the first shell's walk or later, the generator drops its
+    memo with any shell half recorded; a fresh call gives every vector of the oracle."""
+    names, lattice = ("U1", "E8"), MODEL.lambda_Y
+    (expected,) = box_oracle(lattice, names, LY_TABLES[2], (0,)).values()
+    vectors = enumerate_with_square(lattice, names, 2, 0)
+    assert [v.coords for v in islice(vectors, k)] == expected[:k]
+    vectors.close()
+    assert [v.coords for v in enumerate_with_square(lattice, names, 2, 0)] == expected
 
 
 @settings(max_examples=100, deadline=None)
