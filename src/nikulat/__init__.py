@@ -1,21 +1,17 @@
 """Exact-arithmetic lattice toolkit for Nikulin-type orbifold period lattices.
 
-``import nikulat`` loads the lattice core (``intmat``, ``lattice``, ``isometry``, ``model``); ``audit``,
-``exprs`` and ``serialize``, and names such as ``run_all`` and ``parse_vector``, load on first use."""
+``import nikulat`` loads the lattice core (``intmat``, ``lattice``, ``core``): the lattices, their
+reflections and the named model.  ``isometry`` (orbit search), ``model`` (classifiers, enumeration),
+``audit``, ``exprs`` and ``serialize``, and names such as ``orbit_explore``, ``classify_orbit``,
+``run_all`` and ``parse_vector``, load on first use."""
 
 from importlib import import_module
 
-from .isometry import (
-    Isometry,
-    OrbitBudget,
-    OrbitSet,
-    orbit_explore,
-    reflection,
-    same_orbit_witness,
-)
+from .core import NamedModel, NamedVectors, build_model, default_generators, eta_embedding, sigma_star
 from .lattice import (
     EmbeddingMap,
     EmbeddingReport,
+    Isometry,
     Lattice,
     LatticeError,
     LatticeVector,
@@ -26,26 +22,11 @@ from .lattice import (
     divisibility,
     is_primitive,
     pair,
+    reflection,
     rescale,
     saturate,
     square,
     standard_lattice,
-)
-from .model import (
-    EnumerationWindow,
-    FibrationType,
-    NamedModel,
-    NamedVectors,
-    OrbitClass,
-    VectorProfile,
-    build_model,
-    classify_isotropic_type,
-    classify_orbit,
-    default_generators,
-    enumerate_primitive_isotropic,
-    eta_embedding,
-    sigma_star,
-    vector_profile,
 )
 
 __version__ = "0.1.0"
@@ -98,6 +79,9 @@ __all__ = [
 
 _LAZY = dict.fromkeys(("MtCoefficients", "mt_coefficients", "run_all", "run_claim", "audit"), "audit")
 _LAZY |= dict.fromkeys(("ExpressionError", "format_vector", "parse_vector", "exprs"), "exprs")
+_LAZY |= dict.fromkeys(("OrbitBudget", "OrbitSet", "orbit_explore", "same_orbit_witness", "isometry"), "isometry")
+_LAZY |= dict.fromkeys(("EnumerationWindow", "FibrationType", "OrbitClass", "VectorProfile", "classify_isotropic_type",
+                        "classify_orbit", "enumerate_primitive_isotropic", "vector_profile", "model"), "model")
 _LAZY["serialize"] = "serialize"
 
 

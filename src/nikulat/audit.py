@@ -23,8 +23,9 @@ from itertools import chain
 from math import isqrt
 from typing import Callable
 
+from .core import build_model, default_generators, eta_embedding
 from .exprs import parse_vector
-from .isometry import OrbitBudget, orbit_explore, reflection
+from .isometry import OrbitBudget, orbit_explore
 from .lattice import (
     EmbeddingMap,
     EmbeddingReport,
@@ -34,6 +35,7 @@ from .lattice import (
     divisibility,
     is_primitive,
     pair,
+    reflection,
     saturate,
     square,
 )
@@ -42,14 +44,11 @@ from .model import (
     ORBIT_CASES,
     SECOND_WINDOW,
     EnumerationWindow,
-    build_model,
     case_representative,
     classify_isotropic_type,
     classify_orbit,
-    default_generators,
     enumerate_primitive_isotropic,
     enumerate_with_square,
-    eta_embedding,
     vector_profile,
 )
 from .serialize import vector_to_obj

@@ -16,20 +16,16 @@ import sys
 
 from . import serialize
 from .audit import run_all
+from .core import build_model, default_generator_table, default_generators, eta_embedding, eta_from_matrix
 from .exprs import ExpressionError, format_vector, parse_vector
-from .isometry import OrbitBudget, distinct_invariants, orbit_explore, reflection, same_orbit_witness
-from .lattice import EmbeddingMap, LatticeError, LatticeVector, check_embedding, divisibility, saturate
+from .isometry import OrbitBudget, distinct_invariants, orbit_explore, same_orbit_witness
+from .lattice import EmbeddingMap, LatticeError, LatticeVector, check_embedding, divisibility, reflection, saturate
 from .model import (
     DEFAULT_WINDOW,
     EnumerationWindow,
-    build_model,
     classify_isotropic_type,
     classify_orbit,
-    default_generator_table,
-    default_generators,
     enumerate_primitive_isotropic,
-    eta_embedding,
-    eta_from_matrix,
     vector_profile,
 )
 

@@ -27,7 +27,7 @@ import sys
 from functools import lru_cache
 
 from .lattice import LatticeVector
-from .model import build_model
+from .core import build_model
 
 
 class ExpressionError(ValueError):

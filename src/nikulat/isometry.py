@@ -1,4 +1,4 @@
-"""Lattice isometries, reflections in (-2)-vectors, and orbit exploration.
+"""Orbit exploration under reflections in (-2)-vectors (:class:`~nikulat.lattice.Isometry`).
 
 The monodromy group itself is out of reach at desk scale; what is explored
 here is the subgroup generated by a chosen list of reflections.  A
@@ -9,7 +9,6 @@ invariant (square, divisibility, primitivity), never by a failed search.
 Orbit closure and witness search share one kernel writer and the key arithmetic on packed
 keys (balanced base-(2B+1) digits, B >= every |x_i|, so integer order is lexicographic
 order and a reflection adds c.key(r)); every generator is a reflection by type.
-A reflection reads G.r off its lattice's compiled product; its one check is (r, r) = -2.
 
 Every generation runs in one kernel: a straight-line function compiled from the lattice's
 sparse Gram rows and the generators' roots, kept in a table of ``_KERNELS`` entries keyed by
@@ -31,68 +30,13 @@ search that returned leaves its two balls; the next one reuses a side's ball on 
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache, partial, reduce
 from math import gcd
 
-from .lattice import (IntVector, Lattice, LatticeError, LatticeVector, compile_kernel, divisibility, gx_source,
-                      is_primitive, linear_source, square)
-
-
-@dataclass(frozen=True)
-class Isometry:
-    """The reflection x |-> x + (x, r) r of a lattice in a root r of square -2.
-
-    Every isometry here is such a reflection; build one with :func:`reflection`.
-    Construction reads the support of G.r off the lattice's compiled ``gram_product``
-    and checks (r, r) = -2 on it and r's support.  That is Gram conservation: with c = (x, r),
-    (s x, s x) = (x, x) + c^2 (2 + (r, r)), and c != 0 for some x since the
-    lattice is nondegenerate.  ``apply_coords`` and the orbit searches take the
-    O(support) path: x is returned unchanged when (x, r) = 0, and otherwise only
-    r's support is updated.
-    """
-
-    lattice: Lattice
-    root: IntVector
-    _supports: tuple = field(init=False, repr=False, compare=False)  # nonzero (i, (G.r)_i), (i, r_i)
-
-    def __post_init__(self) -> None:
-        r = self.root
-        if len(r) != self.lattice.rank:
-            raise LatticeError(f"root has {len(r)} coordinates, the lattice has rank {self.lattice.rank}")
-        if any(type(c) is not int for c in r):  # orbit members built from it are trusted to be ints
-            raise LatticeError(f"root coordinates must be integers, got {list(r)!r}")
-        gram_root = tuple((i, c) for i, c in enumerate(self.lattice.invariant_kernels[2](r)) if c)
-        sq = sum(c * r[i] for i, c in gram_root)
-        if sq != -2:
-            raise LatticeError(f"reflection root must have square -2 to conserve the Gram form, got {sq}")
-        object.__setattr__(self, "_supports", (gram_root, tuple((i, c) for i, c in enumerate(r) if c)))
-
-    def __call__(self, v: LatticeVector) -> LatticeVector:
-        if v.lattice != self.lattice:
-            raise LatticeError("vector does not live on this isometry's lattice")
-        return self.lattice.vector(self.apply_coords(v.coords))
-
-    def apply_coords(self, x: IntVector) -> IntVector:
-        gram_root, root = self._supports
-        c = 0
-        for j, g in gram_root:
-            c += g * x[j]
-        if not c:
-            return x
-        y = list(x)
-        for i, r in root:
-            y[i] += c * r
-        return tuple(y)
-
-
-def reflection(v: LatticeVector) -> Isometry:
-    """The reflection x |-> x + (x, v) v in a vector of square -2.
-
-    :class:`Isometry` accepts only roots of square -2 and raises
-    ``LatticeError`` for any other root.
-    """
-    return Isometry(v.lattice, v.coords)
+from .lattice import (IntVector, LatticeError, LatticeVector, compile_kernel, divisibility, gx_source, is_primitive,
+                      linear_source, square)
+from .lattice import Isometry  # noqa: F401  (perfbench's tracer counts nikulat.isometry.Isometry.apply_coords)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,15 @@ integers in hex.  The divisibility takes a component c*M of G with M unimodular 
 gcd of its coordinates, as M maps Z^k onto itself, and the rows of G.x elsewhere.  That G.x is
 the package's one writer of Gram products, and :func:`compile_kernel` compiles every kernel of the
 package and every :func:`trusted_builder`.
+
+It also holds the reflection type, :class:`Isometry`, built by :func:`reflection` in a root of
+square -2: it reads G.r off the compiled product, and its one check is (r, r) = -2.  Orbit search
+under reflections is :mod:`nikulat.isometry`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import cache, cached_property
 from math import gcd, prod
 from operator import add, mul, sub
@@ -37,6 +41,18 @@ def _declared_fields(obj) -> dict:
     """The pickle and copy state of a value with cached kernels: its declared fields only, since
     compiled functions do not pickle; a copy compiles its own on first use."""
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _refuse(obj, name: str, *value) -> None:
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def sealed(cls):
+    """The frozen, slotted dataclass ``cls``, raising ``FrozenInstanceError`` on setting or deleting
+    any name.  ``slots=True`` rebuilds the class after ``dataclass`` writes its methods, so on CPython
+    3.11 those raise ``TypeError`` for a name that is no field: they call ``super()`` on the old class."""
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
 
 
 # Negated Cartan matrix of E8.  Node ordering: 1-2-3-4-5-6-7 is a path and
@@ -118,6 +134,7 @@ class Lattice:
         return f"Lattice({self.label!r}, rank={self.rank})"
 
 
+@sealed
 @dataclass(frozen=True, slots=True)
 class LatticeVector:
     """An element of a lattice, given by integer coordinates in its basis.
@@ -433,3 +450,59 @@ def check_embedding(emb: EmbeddingMap) -> EmbeddingReport:
         index_invariant_factors=report.index_invariant_factors,
         gram_pair_failures=failures,
     )
+
+
+@dataclass(frozen=True)
+class Isometry:
+    """The reflection x |-> x + (x, r) r of a lattice in a root r of square -2.
+
+    Every isometry here is such a reflection; build one with :func:`reflection`.
+    Construction reads the support of G.r off the lattice's compiled ``gram_product``
+    and checks (r, r) = -2 on it and r's support.  That is Gram conservation: with c = (x, r),
+    (s x, s x) = (x, x) + c^2 (2 + (r, r)), and c != 0 for some x since the
+    lattice is nondegenerate.  ``apply_coords`` and the orbit searches take the
+    O(support) path: x is returned unchanged when (x, r) = 0, and otherwise only
+    r's support is updated.
+    """
+
+    lattice: Lattice
+    root: IntVector
+    _supports: tuple = field(init=False, repr=False, compare=False)  # nonzero (i, (G.r)_i), (i, r_i)
+
+    def __post_init__(self) -> None:
+        r = self.root
+        if len(r) != self.lattice.rank:
+            raise LatticeError(f"root has {len(r)} coordinates, the lattice has rank {self.lattice.rank}")
+        if any(type(c) is not int for c in r):  # orbit members built from it are trusted to be ints
+            raise LatticeError(f"root coordinates must be integers, got {list(r)!r}")
+        gram_root = tuple((i, c) for i, c in enumerate(self.lattice.invariant_kernels[2](r)) if c)
+        sq = sum(c * r[i] for i, c in gram_root)
+        if sq != -2:
+            raise LatticeError(f"reflection root must have square -2 to conserve the Gram form, got {sq}")
+        object.__setattr__(self, "_supports", (gram_root, tuple((i, c) for i, c in enumerate(r) if c)))
+
+    def __call__(self, v: LatticeVector) -> LatticeVector:
+        if v.lattice != self.lattice:
+            raise LatticeError("vector does not live on this isometry's lattice")
+        return self.lattice.vector(self.apply_coords(v.coords))
+
+    def apply_coords(self, x: IntVector) -> IntVector:
+        gram_root, root = self._supports
+        c = 0
+        for j, g in gram_root:
+            c += g * x[j]
+        if not c:
+            return x
+        y = list(x)
+        for i, r in root:
+            y[i] += c * r
+        return tuple(y)
+
+
+def reflection(v: LatticeVector) -> Isometry:
+    """The reflection x |-> x + (x, v) v in a vector of square -2.
+
+    :class:`Isometry` accepts only roots of square -2 and raises
+    ``LatticeError`` for any other root.
+    """
+    return Isometry(v.lattice, v.coords)

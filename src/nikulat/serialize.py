@@ -27,7 +27,7 @@ from typing import Any
 from . import intmat
 from .isometry import OrbitSet
 from .lattice import LatticeError, LatticeVector
-from .model import lattice_registry
+from .core import lattice_registry
 
 
 def dumps(obj: Any) -> str:

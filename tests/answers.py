@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from nikulat.cli import main as nikulat
-from nikulat.model import eta_as_written_matrix
+from nikulat.core import eta_as_written_matrix
 
 
 def _broken_eta() -> str:

@@ -27,18 +27,16 @@ from nikulat import (
     square,
 )
 from nikulat import serialize
+from nikulat.core import build_model, default_generators, eta_embedding
 from nikulat.intmat import det, smith_decomposition
 from nikulat.lattice import E8_NEG_GRAM
 from nikulat.model import (
     DEFAULT_WINDOW,
     SECOND_WINDOW,
-    build_model,
     case_representative,
     classify_orbit,
-    default_generators,
     enumerate_primitive_isotropic,
     enumerate_with_square,
-    eta_embedding,
 )
 
 

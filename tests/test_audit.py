@@ -17,9 +17,9 @@ from nikulat.audit import (
     AuditReport,
     _refuted_index_note,
 )
+from nikulat.core import build_model, eta_as_written_matrix, eta_from_matrix
 from nikulat.exprs import parse_vector
 from nikulat.lattice import EmbeddingMap, EmbeddingReport
-from nikulat.model import build_model, eta_as_written_matrix, eta_from_matrix
 
 TINY = OrbitBudget(coord_bound=1, max_frontier=2000, max_depth=2)
 

@@ -8,7 +8,8 @@ import pytest
 from answers import ANSWERS, INPUTS, LEDGER
 from nikulat import is_primitive, parse_vector, square
 from nikulat.cli import main
-from nikulat.model import ORBIT_CASES, build_model, case_representative, eta_as_written_matrix
+from nikulat.core import build_model, eta_as_written_matrix
+from nikulat.model import ORBIT_CASES, case_representative
 
 
 def run(capsys, *argv):

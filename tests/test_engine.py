@@ -32,10 +32,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nikulat import OrbitBudget, isometry, orbit_explore, parse_vector, reflection, same_orbit_witness
+from nikulat.core import build_model, default_generators
 from nikulat.intmat import det
 from nikulat.isometry import _Ball, _kernel, _last, _pack, _stepped, _unpack
 from nikulat.lattice import Lattice, gx_source, square
-from nikulat.model import build_model, default_generators
 
 MODEL, NV = build_model()
 LY = MODEL.lambda_Y

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nikulat import ExpressionError, enumerate_primitive_isotropic, format_vector, parse_vector
+from nikulat.core import build_model
 from nikulat.exprs import _LONG, _table
-from nikulat.model import EnumerationWindow, build_model
+from nikulat.model import EnumerationWindow
 
 _, _NV = build_model()
 _NAMES = _NV.by_name()

@@ -23,15 +23,10 @@ from nikulat import (
     standard_lattice,
 )
 from nikulat import intmat
-from nikulat.isometry import Isometry, distinct_invariants
-from nikulat.model import (
-    build_model,
-    classify_orbit,
-    default_generator_table,
-    default_generators,
-    enumerate_with_square,
-    sigma_star,
-)
+from nikulat.core import build_model, default_generator_table, default_generators, sigma_star
+from nikulat.isometry import distinct_invariants
+from nikulat.lattice import Isometry
+from nikulat.model import classify_orbit, enumerate_with_square
 
 
 def dense_reflection(iso):

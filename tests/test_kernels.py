@@ -14,10 +14,10 @@ import pytest
 
 import nikulat
 from nikulat import intmat, isometry, lattice, model
-from nikulat.isometry import Isometry
-from nikulat.lattice import EmbeddingMap, Lattice, LatticeVector, check_embedding, direct_sum, pair, standard_lattice
-from nikulat.model import (OrbitClass, VectorProfile, build_model, default_generators, enumerate_with_square,
-                           eta_as_written_matrix, eta_from_matrix)
+from nikulat.core import build_model, default_generators, eta_as_written_matrix, eta_from_matrix
+from nikulat.lattice import (EmbeddingMap, Isometry, Lattice, LatticeVector, check_embedding, direct_sum, pair,
+                             standard_lattice)
+from nikulat.model import OrbitClass, VectorProfile, enumerate_with_square
 
 LY = build_model()[0].lambda_Y
 

@@ -36,7 +36,8 @@ from nikulat import (
 )
 from nikulat import model as model_module
 from nikulat.audit import VERIFIED
-from nikulat.lattice import Lattice, check_embedding, direct_sum
+from nikulat.core import build_model, default_generators, eta_as_written_matrix, eta_from_matrix, lattice_registry
+from nikulat.lattice import Lattice, LatticeVector, check_embedding, direct_sum
 from nikulat.model import (
     DEFAULT_WINDOW,
     SECOND_WINDOW,
@@ -44,14 +45,9 @@ from nikulat.model import (
     FibrationType,
     OrbitClass,
     VectorProfile,
-    build_model,
     case_representative,
-    default_generators,
     enumerate_primitive_isotropic,
     enumerate_with_square,
-    eta_as_written_matrix,
-    eta_from_matrix,
-    lattice_registry,
 )
 
 
@@ -919,9 +915,20 @@ def test_value_types_are_slotted_and_frozen():
         for field in dataclasses.fields(value):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(value, field.name, getattr(value, field.name))
-        # a name that is no field has no slot; CPython 3.11 raises TypeError here
-        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
-            value.other = 1
+
+
+@pytest.mark.parametrize("cls", [LatticeVector, VectorProfile, OrbitClass, FibrationType], ids=lambda cls: cls.__name__)
+def test_frozen_values_refuse_setting_and_deleting_any_name(cls):
+    """Setting or deleting a name that is no field raises ``FrozenInstanceError``, as for a field; the
+    methods ``dataclass`` writes raise ``TypeError`` there on CPython 3.11 (see ``lattice.sealed``)."""
+    _, nv = build_model()
+    value = {type(value): value for value, _ in _values()}.get(cls, nv.L(1) + nv.e2)
+    field = dataclasses.fields(cls)[0].name
+    for name in ("other", field):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
 
 
 def test_built_values_equal_constructed_ones():

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from nikulat import divisibility, is_primitive, model, parse_vector, square
+from nikulat import core, divisibility, is_primitive, model, parse_vector, square
 from nikulat.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -116,7 +116,7 @@ def test_lattice_table_matches_the_model():
             for line in section("The lattices").splitlines() if line.startswith("| `")]
     documented = {label.strip("`"): (int(rank), [tuple(block.split()) for block in re.split("[,;] ", blocks)])
                   for label, _, rank, blocks in rows}
-    built = model.lattice_registry()
+    built = core.lattice_registry()
     assert set(documented) == set(built)
     for label, lat in built.items():
         assert documented[label] == (lat.rank, [(name, str(offset)) for name, offset, _ in lat.blocks]), label
@@ -132,7 +132,7 @@ def named_vectors() -> tuple[str, dict[str, tuple[str, str, str]]]:
 
 
 def test_named_vectors_parse_to_the_model_with_their_squares():
-    _, nv = model.build_model()
+    _, nv = core.build_model()
     prose, documented = named_vectors()
     rhs, sq, rest = documented.pop("L(i)")
     assert (sq, rest.strip()) == ("4i", "divisibility 2")

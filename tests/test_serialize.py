@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nikulat import Lattice, LatticeError, OrbitBudget, orbit_explore, reflection, standard_lattice
 from nikulat import serialize
-from nikulat.model import build_model, lattice_registry
+from nikulat.core import build_model, lattice_registry
 
 
 @pytest.fixture(scope="module")

@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 
 import dense
 from nikulat import intmat, model
-from nikulat.isometry import Isometry, reflection
+from nikulat.core import build_model, default_generator_table
 from nikulat.lattice import (
     E8_NEG_GRAM,
     EmbeddingMap,
+    Isometry,
     Lattice,
     LatticeError,
     _invariant_source,
@@ -32,16 +33,12 @@ from nikulat.lattice import (
     direct_sum,
     divisibility,
     pair,
+    reflection,
     rescale,
     square,
     standard_lattice,
 )
-from nikulat.model import (
-    _ellipsoid,
-    build_model,
-    default_generator_table,
-    enumerate_with_square,
-)
+from nikulat.model import _ellipsoid, enumerate_with_square
 
 MODEL, NV = build_model()
 LATTICES = {
