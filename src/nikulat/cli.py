@@ -3,7 +3,8 @@
 Verbs: classify, profile, reflect, orbit, embed, saturate, enumerate, audit.
 Exit codes: 0 success, 1 domain-level failure (non-primitive input, refuted
 expectations, lattice mismatch), 2 usage or I/O failure (parse errors,
-malformed JSON, unwritable paths, flag values a verb cannot use).
+malformed or undecodable JSON, an eta matrix that is not 16x15, unwritable
+paths, flag values a verb cannot use).
 """
 
 from __future__ import annotations
@@ -51,8 +52,12 @@ class UsageError(ValueError):
 
 
 def _eta_file(path: str) -> tuple[str, EmbeddingMap]:
-    """The eta variant of a matrix file, labelled by the file's basename."""
-    return os.path.basename(path), eta_from_matrix(serialize.matrix_from_obj(serialize.load_json(path)))
+    """The eta variant of a matrix file, labelled by the file's basename; a matrix that is not 16x15 exits 2."""
+    matrix = serialize.matrix_from_obj(serialize.load_json(path))
+    try:
+        return os.path.basename(path), eta_from_matrix(matrix)
+    except LatticeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _budget(args) -> OrbitBudget:

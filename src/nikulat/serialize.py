@@ -4,7 +4,7 @@ Vector file:    {"lattice": label, "coords": [int, ...]}   label one of LX, Lfix
                 read by --coords, and a list of them by orbit --gens-file
                 and saturate --coords
 Matrix file:    {"matrix": [[int, ...], ...]}   nonempty and rectangular;
-                read by embed --matrix-file and audit --eta-matrix
+                16x15 for embed --matrix-file and audit --eta-matrix
 Orbit file:     {"seed": vector, "members": [vector, ...], "exhausted": bool}
                 members sorted lexicographically by coordinates
 Witness file:   {"from": vector, "to": vector, "word": [generator index, ...]}
@@ -12,10 +12,10 @@ Witness file:   {"from": vector, "to": vector, "word": [generator index, ...]}
 Audit report:   [{"id": str, "status": str, "computed": {...}, "note": str}, ...]
 
 Every vector written, audit witnesses included, has the shape of :func:`vector_to_obj`.
-Readers take integers only: a float, boolean or string where an int belongs
-raises :class:`FormatError`, as does a missing key or a value that is not the
-object or list it should be.  ``dumps`` is canonical (sorted keys, fixed
-separators), so equal objects serialize to identical bytes.
+Readers take integers only: a float, boolean or string where an int belongs raises
+:class:`FormatError`, as do a missing key, a value that is not the object, list or string it
+should be, and a file that is not UTF-8 text; an unknown lattice label is a :class:`LatticeError`.
+``dumps`` is canonical (sorted keys, fixed separators), so equal objects serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -83,7 +83,9 @@ def vector_from_obj(obj: Any) -> LatticeVector:
         label, coords = obj["lattice"], obj["coords"]
     except KeyError as exc:
         raise FormatError(f"malformed vector object: missing {exc}") from None
-    if not isinstance(label, str) or label not in registry:
+    if not isinstance(label, str):
+        raise FormatError(f"malformed vector object: lattice label must be a string, got {label!r}")
+    if label not in registry:
         raise LatticeError(f"unknown lattice label {label!r}")
     return registry[label].vector(int_list(coords, "vector coords"))
 
@@ -110,7 +112,10 @@ def witness_to_obj(v: LatticeVector, u: LatticeVector, word: list[int] | None) -
 
 def load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def save_text(path: str, text: str) -> None:

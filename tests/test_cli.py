@@ -246,8 +246,10 @@ def test_embed_labels_a_matrix_file_by_its_basename(tmp_path, monkeypatch, capsy
         {"matrix": [[0] * 15 for _ in range(15)] + [[0] * 14]},
         {"matrix": [[True] * 15 for _ in range(16)]},
         {"matrix": []},
+        {"matrix": [[1]]},
+        {"matrix": [[0] * 16 for _ in range(15)]},
     ],
-    ids=["missing-key", "float", "string", "ragged", "bool", "empty"],
+    ids=["missing-key", "float", "string", "ragged", "bool", "empty", "1x1", "15x16"],
 )
 @pytest.mark.parametrize("verb, flag", [("embed", "--matrix-file"), ("audit", "--eta-matrix")])
 def test_matrix_file_malformed_exits_2(tmp_path, capsys, obj, verb, flag):
@@ -258,6 +260,19 @@ def test_matrix_file_malformed_exits_2(tmp_path, capsys, obj, verb, flag):
     assert code == 2
     assert "error" in err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [("classify", "--coords"), ("orbit", "L(0)", "--gens-file"), ("saturate", "--coords"),
+                                  ("embed", "--matrix-file"), ("audit", "--eta-matrix")],
+                         ids=["classify", "orbit", "saturate", "embed", "audit"])
+def test_undecodable_input_file_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "in.json"
+    path.write_bytes(b"\xff")
+    extra = ["--output-dir", str(tmp_path)] if argv[0] == "audit" else []
+    code, out, err = run(capsys, *argv, str(path), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} is not UTF-8 text: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_saturate(capsys):
@@ -514,13 +529,22 @@ def test_classify_coords_malformed_json(tmp_path, capsys):
 @pytest.mark.parametrize("obj, message", [
     (5, "malformed vector object: not a JSON object, got 5"),
     ({"lattice": "LY"}, "malformed vector object: missing 'coords'"),
-], ids=["int", "missing-coords"])
+    ({"lattice": 5, "coords": [1] + [0] * 15}, "malformed vector object: lattice label must be a string, got 5"),
+    ({"lattice": None, "coords": [1] + [0] * 15}, "malformed vector object: lattice label must be a string, got None"),
+], ids=["int", "missing-coords", "label-int", "label-null"])
 def test_classify_coords_malformed_vector_object_exits_2(tmp_path, capsys, obj, message):
     path = tmp_path / "vec.json"
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "classify", "--coords", str(path))
     assert code == 2
     assert out == "" and err == f"error: {message}\n"
+
+
+def test_classify_coords_unknown_label_exits_1(tmp_path, capsys):
+    """A label that is a string but names no lattice is a lattice mismatch, not a malformed file."""
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps({"lattice": "LZ", "coords": [1] + [0] * 15}))
+    assert run(capsys, "classify", "--coords", str(path)) == (1, "", "error: unknown lattice label 'LZ'\n")
 
 
 @pytest.mark.parametrize("obj", [5, None, {"lattice": "LY", "coords": [1] + [0] * 15}], ids=["int", "null", "object"])

@@ -92,15 +92,11 @@ if not out["missing"] and out["apply_coords"]:  # else installing raises before 
 
 
 def test_every_export_is_its_submodules_object():
-    """Loaded at import or on first use, each exported name is the object its defining module holds:
-    ``lattice`` and ``core`` own the names bound at import, and each ``_LAZY`` name's module owns it."""
+    """Loaded at import or on first use, each exported name is the object its owner in ``_EXPORTS`` defines."""
     owners = {name: getattr(nikulat, name).__module__ for name in nikulat.__all__}
-    assert {owner.split(".")[0] for owner in owners.values()} == {"nikulat"}
+    assert owners == {name: f"nikulat.{owner}" for owner, names in nikulat._EXPORTS.items() for name in names}
     other = [name for name, owner in owners.items() if getattr(sys.modules[owner], name) is not getattr(nikulat, name)]
     assert other == []
-    lazy = {name: f"nikulat.{module}" for name, module in nikulat._LAZY.items() if name in owners}
-    assert {name: owner for name, owner in owners.items() if name in lazy} == lazy
-    assert {owner for name, owner in owners.items() if name not in lazy} == {"nikulat.lattice", "nikulat.core"}
     by_owner = {owner: {name for name in owners if owners[name] == owner} for owner in owners.values()}
     assert by_owner["nikulat.audit"] | by_owner["nikulat.exprs"] == {
         "MtCoefficients", "mt_coefficients", "run_all", "run_claim", "ExpressionError", "format_vector", "parse_vector"}
@@ -111,6 +107,32 @@ def test_every_export_is_its_submodules_object():
         "EnumerationWindow", "FibrationType", "OrbitClass", "VectorProfile", "classify_isotropic_type",
         "classify_orbit", "enumerate_primitive_isotropic", "vector_profile"}
     assert {"Isometry", "reflection"} <= by_owner["nikulat.lattice"]
+
+
+def test_each_public_name_has_one_owner():
+    listed = [name for names in nikulat._EXPORTS.values() for name in names]
+    assert sorted(listed) == sorted(set(listed)) == nikulat.__all__
+
+
+def test_all_lists_the_public_names_in_order():
+    assert nikulat.__all__ == [
+        "EmbeddingMap", "EmbeddingReport", "EnumerationWindow", "ExpressionError", "FibrationType", "Isometry",
+        "Lattice", "LatticeError", "LatticeVector", "MtCoefficients", "NamedModel", "NamedVectors", "OrbitBudget",
+        "OrbitClass", "OrbitSet", "SublatticeReport", "VectorProfile", "build_model", "check_embedding",
+        "classify_isotropic_type", "classify_orbit", "default_generators", "direct_sum", "discriminant_group",
+        "divisibility", "enumerate_primitive_isotropic", "eta_embedding", "format_vector", "is_primitive",
+        "mt_coefficients", "orbit_explore", "pair", "parse_vector", "reflection", "rescale", "run_all", "run_claim",
+        "same_orbit_witness", "saturate", "sigma_star", "square", "standard_lattice", "vector_profile",
+    ]
+
+
+def test_dir_lists_every_export_without_loading_it():
+    out = fresh("""
+import nikulat
+out["missing"] = sorted(set(nikulat.__all__) - set(dir(nikulat)))
+out["loaded"] = sorted(m for m in sys.modules if m.split(".")[0] == "nikulat")
+""")
+    assert out == {"missing": [], "loaded": CORE}
 
 
 def test_star_import_binds_every_export():
