@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -380,6 +381,11 @@ def main(argv=None) -> int:
     if limited:
         digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
+    # pause the cyclic collector for the verb: a verb makes no cyclic garbage, so its passes
+    # would walk every vector and coordinate tuple the verb holds and free nothing; reference
+    # counting frees what the verb built before the collector resumes
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ExpressionError, UsageError, serialize.FormatError, json.JSONDecodeError, OSError) as exc:
@@ -391,6 +397,8 @@ def main(argv=None) -> int:
     finally:
         if limited:
             sys.set_int_max_str_digits(digits)
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -86,8 +86,9 @@ class OrbitSet:
 def _check_orbit_inputs(seed: LatticeVector, gens) -> None:
     if seed.is_zero():
         raise LatticeError("orbit seed must be nonzero")
+    lat = seed.lattice
     for g in gens:
-        if g.lattice != seed.lattice:
+        if g.lattice is not lat and g.lattice != lat:
             raise LatticeError("generator acts on a different lattice than the seed")
 
 
@@ -305,7 +306,7 @@ def same_orbit_witness(
     Every answer is the one a search from fresh balls gives.  A search that raises puts
     no ball back.
     """
-    if v.lattice != u.lattice:
+    if v.lattice is not u.lattice and v.lattice != u.lattice:
         raise LatticeError("witness search needs both vectors in one lattice")
     if not (is_primitive(v) and is_primitive(u)):
         raise LatticeError("witness search expects primitive vectors")

@@ -14,7 +14,8 @@ Audit report:   [{"id": str, "status": str, "computed": {...}, "note": str}, ...
 Every vector written, audit witnesses included, has the shape of :func:`vector_to_obj`.
 Readers take integers only: a float, boolean or string where an int belongs raises
 :class:`FormatError`, as do a missing key, a value that is not the object, list or string it
-should be, and a file that is not UTF-8 text; an unknown lattice label is a :class:`LatticeError`.
+should be, a file that is not UTF-8 text and one nested deeper than the interpreter's
+recursion limit; an unknown lattice label is a :class:`LatticeError`.
 ``dumps`` is canonical (sorted keys, fixed separators), so equal objects serialize to identical bytes.
 """
 
@@ -116,6 +117,8 @@ def load_json(path: str) -> Any:
             return json.load(handle)
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
+        except RecursionError:
+            raise FormatError(f"{path} nests its JSON too deeply to read") from None
 
 
 def save_text(path: str, text: str) -> None:

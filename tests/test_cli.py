@@ -1,12 +1,15 @@
 """End-to-end CLI: verbs, JSON modes, exit-code taxonomy."""
 
+import gc
 import json
 import sys
 
 import pytest
 
 from answers import ANSWERS, INPUTS, LEDGER
-from nikulat import is_primitive, parse_vector, square
+from nikulat import (EnumerationWindow, OrbitBudget, classify_isotropic_type, classify_orbit, default_generators,
+                     enumerate_primitive_isotropic, is_primitive, orbit_explore, parse_vector, run_all,
+                     same_orbit_witness, square)
 from nikulat.cli import main
 from nikulat.core import build_model, eta_as_written_matrix
 from nikulat.model import ORBIT_CASES, case_representative
@@ -262,16 +265,23 @@ def test_matrix_file_malformed_exits_2(tmp_path, capsys, obj, verb, flag):
     assert not (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize("argv", [("classify", "--coords"), ("orbit", "L(0)", "--gens-file"), ("saturate", "--coords"),
-                                  ("embed", "--matrix-file"), ("audit", "--eta-matrix")],
-                         ids=["classify", "orbit", "saturate", "embed", "audit"])
-def test_undecodable_input_file_exits_2(tmp_path, capsys, argv):
+_FILE_FLAGS = {"classify": ("classify", "--coords"), "orbit": ("orbit", "L(0)", "--gens-file"),
+               "saturate": ("saturate", "--coords"), "embed": ("embed", "--matrix-file"),
+               "audit": ("audit", "--eta-matrix")}
+_UNREADABLE = {"": (b"\xff", "is not UTF-8 text: "),  # the ids of the undecodable cases are the bare verbs
+               "deep-": (b"[" * 100_000 + b"]" * 100_000, "nests its JSON too deeply to read\n")}
+
+
+@pytest.mark.parametrize("argv, content, message",
+                         [(argv, content, message) for content, message in _UNREADABLE.values() for argv in _FILE_FLAGS.values()],
+                         ids=[kind + verb for kind in _UNREADABLE for verb in _FILE_FLAGS])
+def test_undecodable_input_file_exits_2(tmp_path, capsys, argv, content, message):
     path = tmp_path / "in.json"
-    path.write_bytes(b"\xff")
+    path.write_bytes(content)
     extra = ["--output-dir", str(tmp_path)] if argv[0] == "audit" else []
     code, out, err = run(capsys, *argv, str(path), *extra)
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {path} is not UTF-8 text: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {path} {message}") and err.count("\n") == 1 and "Traceback" not in err
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -679,3 +689,74 @@ def test_main_restores_the_digit_limit(capsys, argv):
         assert sys.get_int_max_str_digits() == 5000
     finally:
         sys.set_int_max_str_digits(digits)
+
+
+# --- the cyclic collector -------------------------------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Put the collector back as the test found it, whatever the test did to it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def _cyclic_garbage(call) -> int:
+    """The objects in unreachable reference cycles that ``call()`` leaves, with the collector off while it runs."""
+    gc.collect()
+    gc.disable()
+    call()
+    return gc.collect()
+
+
+def test_a_verb_runs_with_the_collector_paused(monkeypatch, capsys, collector):
+    seen = []
+    monkeypatch.setattr("nikulat.cli.cmd_classify", lambda args: seen.append(gc.isenabled()) or 0)
+    gc.enable()
+    assert main(["classify", "L(1)+e2"]) == 0
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("argv, code", [(["classify", "L(1)+e2"], 0), (["classify", "2*L(0)"], 1),
+                                        (["classify", "L(1"], 2), (["--help"], SystemExit), (["no-such-verb"], SystemExit)],
+                         ids=["exit-0", "exit-1", "exit-2", "help", "unknown-verb"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_restores_the_collector(capsys, collector, argv, code, enabled):
+    (gc.enable if enabled else gc.disable)()
+    if code is SystemExit:
+        with pytest.raises(SystemExit):
+            main(argv)
+    else:
+        assert main(argv) == code
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("small, large", [(["enumerate", "--blocks", "U1,E8", "--bound", "1"],
+                                           ["enumerate", "--blocks", "U1,E8", "--bound", "2"]),
+                                          (["orbit", "L(1)+e2", "--max-depth", "2"], ["orbit", "L(1)+e2"])],
+                         ids=["enumerate", "orbit"])
+def test_a_verbs_cyclic_garbage_does_not_grow_with_its_input(capsys, collector, small, large):
+    for argv in (small, large):  # warm: first calls fill the kernel and model caches
+        assert main(argv) == 0
+    counts = [_cyclic_garbage(lambda argv=argv: main(argv)) for argv in (small, large)]
+    capsys.readouterr()
+    assert counts[0] == counts[1] > 0  # the parser's own cycles, whatever the input
+
+
+def test_warm_library_calls_leave_no_cyclic_garbage(collector):
+    gens, v = default_generators(), parse_vector("L(1)+e2")
+    calls = {
+        "orbit_explore": lambda: orbit_explore(parse_vector("L(0)"), gens, OrbitBudget()),
+        "same_orbit_witness": lambda: same_orbit_witness(v, parse_vector("u1+5*u2+3*eps1-eps3"), gens,
+                                                         OrbitBudget(coord_bound=4)),
+        "enumerate_primitive_isotropic": lambda: list(enumerate_primitive_isotropic(EnumerationWindow(("U1", "E8"), 2))),
+        "parse_vector": lambda: parse_vector("-u1+2*u2-3*u3+eps1-2*eps4+eps8+gamma1-gamma2"),
+        "classify_orbit": lambda: classify_orbit(v),
+        "classify_isotropic_type": lambda: classify_isotropic_type(v),
+        "run_all": lambda: run_all(budget=OrbitBudget(coord_bound=1, max_frontier=2000, max_depth=2)),
+    }
+    for call in calls.values():
+        call()
+    assert {name: _cyclic_garbage(call) for name, call in calls.items()} == dict.fromkeys(calls, 0)
